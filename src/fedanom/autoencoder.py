@@ -7,6 +7,7 @@ Tanh head can actually reach them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,14 @@ from .numerics import (
     LayerSpec,
     LrSchedule,
     ParameterSet,
-    adam_step,
+    adam_update,
     derive_rng,
     feed_forward,
     glorot_init,
     loss_and_gradients,
     lr_at,
-    make_dropout_mask,
     pack,
-    unpack,
+    param_views,
 )
 
 
@@ -150,13 +150,25 @@ def reconstruction_errors(params: ParameterSet, data: np.ndarray) -> np.ndarray:
 
 
 def _batch_masks(specs, batch_size: int, rng: np.random.Generator):
-    """Fresh dropout masks for one training batch (None where p = 0)."""
+    """Fresh dropout masks for one training batch (None where p = 0).
+
+    One uniform draw covers every layer. `Generator.random` fills doubles
+    one stream output at a time, so its slices hold the same values that
+    one draw per layer, in layer order, would give.
+    """
+    widths = [s.out_dim if s.dropout > 0.0 else 0 for s in specs]
+    total = batch_size * sum(widths)
+    uniform = rng.random(total) if total else None
     masks = []
-    for s in specs:
-        if s.dropout > 0.0:
-            masks.append(make_dropout_mask((batch_size, s.out_dim), s.dropout, rng))
-        else:
+    pos = 0
+    for s, width in zip(specs, widths):
+        if not width:
             masks.append(None)
+            continue
+        n = batch_size * width
+        keep = uniform[pos:pos + n].reshape(batch_size, width) >= s.dropout
+        masks.append(keep / (1.0 - s.dropout))
+        pos += n
     return masks
 
 
@@ -167,7 +179,10 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
 
     Each epoch shuffles rows with the seeded stream, draws fresh dropout
     masks per batch, and records the mean training loss over its batches.
-    Fully deterministic given (params, data, tc).
+    Fully deterministic given (params, data, tc). `params` and `state` are
+    left as they are: training works on one flat copy of the parameters,
+    which the returned layers view, and on a copy of the optimizer state,
+    which is returned.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -177,7 +192,10 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
     rng = derive_rng(tc.shuffle_seed)
     specs = params.specs()
     flat = pack(params)
-    current = params
+    current = param_views(flat, specs)
+    state = state.copy()
+    grad = np.empty_like(flat)
+    scratch = np.empty((2, flat.size))
     trace: list[float] = []
     n = data.shape[0]
     for epoch in range(tc.epochs):
@@ -188,14 +206,13 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
             idx = order[start:start + tc.batch_size]
             batch = data[idx]
             masks = _batch_masks(specs, len(idx), rng)
-            loss, grad = loss_and_gradients(current, batch, masks)
-            if not np.isfinite(loss):
+            loss, _ = loss_and_gradients(current, batch, masks, out=grad)
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss {loss} at epoch {epoch}, "
                     f"batch {start // tc.batch_size}",
                     epoch=epoch, batch=start // tc.batch_size)
-            flat, state = adam_step(flat, grad, state, rate)
-            current = unpack(flat, specs)
+            adam_update(flat, grad, state, rate, scratch)
             batch_losses.append(loss)
         trace.append(float(np.mean(batch_losses)))
     return current, state, trace

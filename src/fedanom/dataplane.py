@@ -102,6 +102,12 @@ def fit_scaler(train: np.ndarray) -> ScalerParams:
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.shape[0] == 0:
         raise DataError("scaler must be fit on a non-empty matrix")
+    bad = ~np.isfinite(train)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"scaler input has a non-finite value {train[row, col]} at row "
+            f"{row}, column {col}")
     return ScalerParams(train.min(axis=0), train.max(axis=0))
 
 
@@ -315,8 +321,24 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
-def load_dataset(path: str | Path) -> LabeledDataset:
-    """Read the canonical columnar CSV written by save_dataset."""
+def _finite_rows(features: np.ndarray, labels: list[str]
+                 ) -> tuple[LabeledDataset, int]:
+    """The dataset without rows holding a nan or inf feature, and how many
+    rows that drops."""
+    finite = np.isfinite(features).all(axis=1)
+    labels = np.array(labels, dtype=str)
+    n_bad = int(finite.size - np.count_nonzero(finite))
+    if n_bad:
+        features, labels = features[finite], labels[finite]
+    return LabeledDataset(features, labels), n_bad
+
+
+def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
+    """Read the canonical columnar CSV written by save_dataset.
+
+    Returns the dataset and the number of rows skipped because a feature
+    cell did not parse as a finite number.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
@@ -326,14 +348,20 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         width = len(header) - 1
         feats: list[list[float]] = []
         labels: list[str] = []
+        skipped = 0
         for row in reader:
             if len(row) != width + 1:
                 raise SchemaError(
                     f"{path}: row has {len(row)} cells, expected {width + 1}")
-            feats.append([float(v) for v in row[:width]])
+            try:
+                feats.append([float(v) for v in row[:width]])
+            except ValueError:
+                skipped += 1
+                continue
             labels.append(row[width])
     features = np.array(feats, dtype=np.float64).reshape(len(feats), width)
-    return LabeledDataset(features, np.array(labels, dtype=str))
+    ds, n_bad = _finite_rows(features, labels)
+    return ds, skipped + n_bad
 
 
 @dataclass(frozen=True)
@@ -371,8 +399,9 @@ def load_csv(path: str | Path, schema: SchemaConfig
     """Ingest a raw flow CSV through the schema.
 
     Returns the dataset and the number of rows skipped because a numeric
-    cell failed to parse. Categorical values outside the declared
-    vocabulary one-hot to an all-zero block, keeping the width stable.
+    cell did not parse as a finite number. Categorical values outside the
+    declared vocabulary one-hot to an all-zero block, keeping the width
+    stable.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -419,4 +448,5 @@ def load_csv(path: str | Path, schema: SchemaConfig
                           else raw_label)
             feats.append(encoded)
     features = np.array(feats, dtype=np.float64).reshape(len(feats), width)
-    return LabeledDataset(features, np.array(labels, dtype=str)), skipped
+    ds, n_bad = _finite_rows(features, labels)
+    return ds, skipped + n_bad

@@ -14,10 +14,11 @@ strategies:
   gradient-history list of update summaries.
 
 Aggregation always iterates updates in client-id order so floating-point
-summation is independent of arrival order. With fewer than two arrived
-updates the server carries the previous global model forward (single-client
-federations lower that bar to one so they stay equivalent to centralized
-training).
+summation is independent of arrival order. With fewer than
+`min_participation` arrived updates (default two) the server carries the
+previous global model forward, under every strategy (single-client
+federations lower the default to one so they stay equivalent to
+centralized training).
 """
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ from .errors import (
     ShapeError,
 )
 from .numerics import (
-    AdamState,
     LayerSpec,
     derive_rng,
     derive_seed,
@@ -115,8 +115,6 @@ class ClientState:
     val: np.ndarray
     attack: np.ndarray
     rng_seed: int = 0
-    params: np.ndarray | None = None
-    optimizer: AdamState | None = None
 
     def __post_init__(self):
         self.train = np.asarray(self.train, dtype=np.float64)
@@ -242,18 +240,15 @@ def local_round(client: ClientState, global_params: np.ndarray,
                        shuffle_seed=derive_seed(client.rng_seed, round_index))
     state = round_tc.adam_state(global_params.shape[0])
     try:
-        trained, end_state, trace = train_epochs(params, client.train,
-                                                 round_tc, state)
+        trained, _, trace = train_epochs(params, client.train, round_tc,
+                                         state)
     except DivergenceError as err:
         err.client_id = client.client_id
         err.args = (f"client {client.client_id}: {err.args[0]}",)
         raise
     errors = reconstruction_errors(trained, client.train)
     threshold = compute_threshold(errors)
-    flat = pack(trained)
-    client.params = flat
-    client.optimizer = end_state
-    return ClientUpdate(client.client_id, round_index, flat,
+    return ClientUpdate(client.client_id, round_index, pack(trained),
                         float(trace[-1]), client.n_samples, float(threshold))
 
 
@@ -368,15 +363,16 @@ def apply_relevance(alpha: float, params: np.ndarray) -> np.ndarray:
 
 
 def fair_round(server: ServerState, updates: Sequence[ClientUpdate],
-               cfg: StrategyConfig) -> ServerState:
+               cfg: StrategyConfig, min_part: int = 2) -> ServerState:
     """One FairFedAvg aggregation step.
 
-    Branches: stable (or grown) participation with at least two updates
-    applies the plain reweighted update; shrunken participation follows it
-    with the relevance damping, scored against the previous round's stored
-    update summaries; fewer than two updates carries the global model
-    forward unchanged. Summaries of every received update are appended to
-    the gradient history either way (bounded by the configured window).
+    Branches: stable (or grown) participation with at least `min_part`
+    updates applies the plain reweighted update; shrunken participation
+    follows it with the relevance damping, scored against the previous
+    round's stored update summaries; fewer than `min_part` updates carries
+    the global model forward unchanged. Summaries of every received update
+    are appended to the gradient history either way (bounded by the
+    configured window).
     """
     if cfg.lipschitz is None:
         raise ConfigError("fair_round needs a concrete Lipschitz estimate")
@@ -391,7 +387,7 @@ def fair_round(server: ServerState, updates: Sequence[ClientUpdate],
     history = history[-cfg.relevance_window:]
     count = len(ordered)
     alpha = 1.0
-    if count < 2:
+    if count < min_part:
         new_global = server.global_params.copy()
         carried = True
     else:
@@ -503,8 +499,8 @@ def run_federated(clients: Sequence[ClientState],
     lipschitz = (strategy.lipschitz if strategy.lipschitz is not None
                  else 1.0 / base_train.schedule.base_rate)
     strategy = replace(strategy, lipschitz=lipschitz)
-    min_part = (min(2, len(clients)) if min_participation is None
-                else min_participation)
+    min_part = max(1, min(2, len(clients)) if min_participation is None
+                   else min_participation)
     specs = model_cfg.layer_specs()
     server = ServerState(global_params=pack(build(model_cfg)))
     collected: list[float] = []
@@ -517,11 +513,11 @@ def run_federated(clients: Sequence[ClientState],
                                epochs_per_round, base_train, t)
                    for cid in active]
         if strategy.kind is StrategyKind.FAIR_FEDAVG:
-            server = fair_round(server, updates, strategy)
+            server = fair_round(server, updates, strategy, min_part)
             alpha, carried = server.last_alpha, server.last_carried
         else:
             alpha = 1.0
-            if len(updates) < max(min_part, 1):
+            if len(updates) < min_part:
                 new_global = server.global_params.copy()
                 carried = True
             else:

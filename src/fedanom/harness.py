@@ -92,10 +92,12 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     if ds_cfg["schema"]:
         schema = SchemaConfig.from_file(resolve_data_path(ds_cfg["schema"]))
         ds, skipped = load_csv(path, schema)
-        if skipped:
-            log.warning("skipped %d rows with unparseable numerics", skipped)
-        return ds
-    return load_dataset(path)
+    else:
+        ds, skipped = load_dataset(path)
+    if skipped:
+        log.warning("skipped %d rows with unparseable or non-finite "
+                    "numerics", skipped)
+    return ds
 
 
 @dataclass

@@ -2,14 +2,20 @@
 
 Everything operates on float64 numpy arrays: layers, activations, inverted
 dropout, MSE loss, reverse-mode gradients, the Adam optimizer and a
-step-decay learning-rate schedule. Model parameters round-trip between a
-structured `ParameterSet` and a flat vector so aggregation code can treat a
-model as a single array.
+step-decay learning-rate schedule.
+
+A model's parameters live in one flat float64 vector laid out per layer as
+row-major weights then bias (`pack` writes it, `unpack` copies it back
+into layers). `param_views` builds a `ParameterSet` whose layer weights
+and biases are views into such a vector, so training updates the vector
+in place with `adam_update` and the layers see the new values without a
+rebuild. `loss_and_gradients` can likewise write each layer's gradient
+straight into its slice of a caller's flat buffer.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -131,22 +137,26 @@ class ParameterSet:
 
 def activate(kind: Activation, x: np.ndarray) -> np.ndarray:
     """Elementwise activation: ReLU, Tanh or identity pass-through."""
-    x = _as_f64(x)
-    kind = Activation(kind)
-    if kind is Activation.RELU:
-        return np.maximum(x, 0.0)
-    if kind is Activation.TANH:
-        return np.tanh(x)
-    return x.copy()
+    return _activate_inplace(Activation(kind), np.array(x, dtype=np.float64))
 
 
-def _activation_grad(kind: Activation, z: np.ndarray) -> np.ndarray:
+def _activate_inplace(kind: Activation, z: np.ndarray) -> np.ndarray:
     if kind is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    if kind is Activation.TANH:
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind is Activation.TANH:
+        np.tanh(z, out=z)
+    return z
+
+
+def _times_activation_grad(kind: Activation, h: np.ndarray,
+                           d: np.ndarray) -> np.ndarray:
+    """Multiply `d` in place by the activation's derivative, written in
+    terms of the activation's output `h` (ReLU: h > 0; Tanh: 1 - h^2)."""
+    if kind is Activation.RELU:
+        np.multiply(d, h > 0.0, out=d)
+    elif kind is Activation.TANH:
+        np.multiply(d, 1.0 - h * h, out=d)
+    return d
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -203,8 +213,8 @@ def feed_forward(params: ParameterSet, x: np.ndarray,
 
 def _forward_cached(params: ParameterSet, x: np.ndarray,
                     masks: Sequence[np.ndarray | None] | None = None):
-    """Forward pass keeping per-layer pre-activations and inputs for the
-    backward pass."""
+    """Forward pass keeping, per layer, its input and its activation output
+    before dropout, for the backward pass."""
     a = _as_f64(x)
     if a.shape[-1] != params.input_dim:
         raise ShapeError(
@@ -214,48 +224,55 @@ def _forward_cached(params: ParameterSet, x: np.ndarray,
         raise ShapeError(
             f"got {len(masks)} dropout masks for {len(params.layers)} layers")
     inputs = []    # post-dropout input fed to each layer
-    preacts = []   # z = W @ a + b per layer
+    outputs = []   # activation(W @ a + b) per layer, before dropout
     for i, layer in enumerate(params.layers):
         inputs.append(a)
-        z = a @ layer.weights.T + layer.bias
-        preacts.append(z)
-        a = activate(layer.activation, z)
-        if masks is not None and masks[i] is not None:
-            a = a * masks[i]
-    return a, inputs, preacts
+        h = a @ layer.weights.T
+        h += layer.bias
+        _activate_inplace(layer.activation, h)
+        outputs.append(h)
+        a = h if masks is None or masks[i] is None else h * masks[i]
+    return a, inputs, outputs
 
 
 def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
-                       masks: Sequence[np.ndarray | None] | None = None
+                       masks: Sequence[np.ndarray | None] | None = None,
+                       out: np.ndarray | None = None
                        ) -> tuple[float, np.ndarray]:
     """Mean reconstruction MSE of a batch and its gradient w.r.t. the
-    packed parameters (reverse-mode through the autoencoder graph)."""
+    packed parameters (reverse-mode through the autoencoder graph).
+
+    The gradient is written into `out`, a flat float64 buffer laid out as
+    `pack` lays out parameters, and `out` is returned; without one a new
+    buffer is allocated.
+    """
     batch = _as_f64(batch)
     if batch.ndim == 1:
         batch = batch[None, :]
     if batch.shape[0] == 0:
         raise DataError("cannot compute gradients on an empty batch")
-    out, inputs, preacts = _forward_cached(params, batch, masks)
-    diff = out - batch
+    if out is None:
+        out = np.empty(params.n_params)
+    grads = _layer_slices(out, [layer.weights.shape
+                                for layer in params.layers])
+    recon, inputs, outputs = _forward_cached(params, batch, masks)
+    diff = recon - batch
     loss = float(np.mean(diff * diff))
-    n_total = diff.size
     # d(loss)/d(post-dropout output of final layer)
-    d_h = (2.0 / n_total) * diff
-    grads_w = [None] * len(params.layers)
-    grads_b = [None] * len(params.layers)
+    d_h = (2.0 / diff.size) * diff
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        d_a = d_h
+        d_z = d_h
         if masks is not None and masks[i] is not None:
-            d_a = d_h * masks[i]
-        d_z = d_a * _activation_grad(layer.activation, preacts[i])
-        grads_w[i] = d_z.T @ inputs[i]
-        grads_b[i] = d_z.sum(axis=0)
-        d_h = d_z @ layer.weights
-    flat = np.concatenate(
-        [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)]
-    ) if params.layers else np.zeros(0)
-    return loss, flat
+            d_z = d_h * masks[i]
+        # d_z is a temporary of this pass, so it is scaled in place
+        _times_activation_grad(layer.activation, outputs[i], d_z)
+        grad_w, grad_b = grads[i]
+        np.matmul(d_z.T, inputs[i], out=grad_w)
+        np.add.reduce(d_z, axis=0, out=grad_b)
+        if i > 0:  # the gradient w.r.t. the model input is never used
+            d_h = d_z @ layer.weights
+    return loss, out
 
 
 def compute_gradients(params: ParameterSet, batch: np.ndarray,
@@ -268,7 +285,11 @@ def compute_gradients(params: ParameterSet, batch: np.ndarray,
 
 @dataclass
 class AdamState:
-    """Adam moment estimates plus the step counter."""
+    """Adam moment estimates plus the step counter.
+
+    `adam_update` advances a state in place; `copy` gives an independent
+    one.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -290,34 +311,71 @@ class AdamState:
               epsilon: float = 1e-8) -> "AdamState":
         return cls(np.zeros(n), np.zeros(n), 0, beta1, beta2, epsilon)
 
+    def copy(self) -> "AdamState":
+        return replace(self, first_moment=self.first_moment.copy(),
+                       second_moment=self.second_moment.copy())
+
+
+def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
+                rate: float, scratch: np.ndarray | None = None) -> None:
+    """One bias-corrected Adam update, in place.
+
+    Overwrites `params` and the moments of `state` and advances its step
+    counter. `scratch`, if given, is a (2, n) float64 work buffer reused
+    across calls; otherwise one is allocated. The arithmetic follows the
+    Adam paper's formulas term by term, so results do not depend on which
+    buffers hold them.
+    """
+    m, v = state.first_moment, state.second_moment
+    if params.shape != grads.shape or params.shape != m.shape:
+        raise ShapeError(
+            f"Adam size mismatch: params {params.shape}, grads "
+            f"{grads.shape}, moments {m.shape}")
+    if rate <= 0.0:
+        raise ConfigError(f"learning rate must be positive, got {rate}")
+    # A finite sum of squares means every entry is finite; only otherwise
+    # (a non-finite entry, or overflow) scan for the first bad coordinate.
+    if not math.isfinite(np.vdot(grads, grads)):
+        bad = ~np.isfinite(grads)
+        if bad.any():
+            coord = int(np.flatnonzero(bad)[0])
+            raise NumericError(
+                f"non-finite gradient at coordinate {coord}: {grads[coord]}")
+    if scratch is None:
+        scratch = np.empty((2,) + params.shape)
+    step, denom = scratch[0], scratch[1]
+    t = state.step_count + 1
+    b1, b2 = state.beta1, state.beta2
+    # m = b1 m + (1 - b1) g
+    np.multiply(m, b1, out=m)
+    np.multiply(grads, 1.0 - b1, out=step)
+    np.add(m, step, out=m)
+    # v = b2 v + ((1 - b2) g) g
+    np.multiply(v, b2, out=v)
+    np.multiply(grads, 1.0 - b2, out=step)
+    np.multiply(step, grads, out=step)
+    np.add(v, step, out=v)
+    # params -= (rate m_hat) / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    np.multiply(step, rate, out=step)
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, state.epsilon, out=denom)
+    np.divide(step, denom, out=step)
+    np.subtract(params, step, out=params)
+    state.step_count = t
+
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               rate: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update on a flat parameter vector.
 
     Pure: returns fresh arrays and a fresh state with the step counter
-    advanced by one.
+    advanced by one (`adam_update` on copies).
     """
-    params = _as_f64(params)
-    grads = _as_f64(grads)
-    if params.shape != grads.shape or params.shape != state.first_moment.shape:
-        raise ShapeError(
-            f"adam_step size mismatch: params {params.shape}, grads "
-            f"{grads.shape}, moments {state.first_moment.shape}")
-    if rate <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {rate}")
-    bad = ~np.isfinite(grads)
-    if bad.any():
-        coord = int(np.flatnonzero(bad)[0])
-        raise NumericError(
-            f"non-finite gradient at coordinate {coord}: {grads[coord]}")
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(m, v, t, state.beta1, state.beta2, state.epsilon)
+    new_params = np.array(params, dtype=np.float64)
+    new_state = state.copy()
+    adam_update(new_params, _as_f64(grads), new_state, rate)
     return new_params, new_state
 
 
@@ -346,30 +404,51 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
 
 def pack(params: ParameterSet) -> np.ndarray:
     """Flatten all layers: per layer, row-major weights then bias."""
-    if not params.layers:
-        return np.zeros(0)
-    return np.concatenate(
-        [np.concatenate([layer.weights.ravel(), layer.bias])
-         for layer in params.layers])
+    flat = np.empty(params.n_params)
+    shapes = [layer.weights.shape for layer in params.layers]
+    for (w, b), layer in zip(_layer_slices(flat, shapes), params.layers):
+        w[...] = layer.weights
+        b[...] = layer.bias
+    return flat
 
 
-def unpack(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
-    """Rebuild a ParameterSet from a flat vector and layer specs."""
-    flat = _as_f64(flat)
-    expected = sum(s.out_dim * s.in_dim + s.out_dim for s in specs)
+def _layer_slices(flat: np.ndarray, shapes: Sequence[tuple[int, int]]
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, (weights, bias) views into `flat` in `pack` layout."""
+    if (not isinstance(flat, np.ndarray) or flat.dtype != np.float64
+            or not flat.flags.c_contiguous):
+        raise ShapeError("parameter views need a contiguous float64 vector")
+    expected = sum(o * i + o for o, i in shapes)
     if flat.shape != (expected,):
         raise ShapeError(
             f"flat vector has length {flat.shape}, specs require {expected}")
-    layers = []
+    views = []
     pos = 0
-    for s in specs:
-        n_w = s.out_dim * s.in_dim
-        w = flat[pos:pos + n_w].reshape(s.out_dim, s.in_dim)
-        pos += n_w
-        b = flat[pos:pos + s.out_dim]
-        pos += s.out_dim
-        layers.append(DenseLayer(w.copy(), b.copy(), s.activation, s.dropout))
-    return ParameterSet(layers)
+    for out_dim, in_dim in shapes:
+        n_w = out_dim * in_dim
+        views.append((flat[pos:pos + n_w].reshape(out_dim, in_dim),
+                      flat[pos + n_w:pos + n_w + out_dim]))
+        pos += n_w + out_dim
+    return views
+
+
+def param_views(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
+    """A ParameterSet whose layer weights and biases are views into `flat`.
+
+    Nothing is copied: writing to `flat` changes the layers, and the other
+    way round. `flat` must be a contiguous 1-d float64 array.
+    """
+    views = _layer_slices(flat, [(s.out_dim, s.in_dim) for s in specs])
+    return ParameterSet([DenseLayer(w, b, s.activation, s.dropout)
+                         for (w, b), s in zip(views, specs)])
+
+
+def unpack(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
+    """Rebuild a ParameterSet from a flat vector and layer specs.
+
+    The layers are views into one private copy of `flat`.
+    """
+    return param_views(np.array(flat, dtype=np.float64), specs)
 
 
 def glorot_init(specs: Sequence[LayerSpec], seed: int) -> ParameterSet:

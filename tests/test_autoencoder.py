@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedanom.autoencoder import (
     AutoencoderConfig,
@@ -17,7 +19,12 @@ from fedanom.errors import ConfigError, DataError, ShapeError
 from fedanom.numerics import (
     Activation,
     LrSchedule,
+    adam_step,
     dense_forward,
+    derive_rng,
+    loss_and_gradients,
+    lr_at,
+    make_dropout_mask,
     mse,
     pack,
     unpack,
@@ -236,3 +243,86 @@ class TestInvariants:
         params = build(toy_config())
         x = np.random.default_rng(1).uniform(-1, 1, 6)
         assert reconstruct(params, x).shape == x.shape
+
+
+def reference_train_epochs(params, data, tc, state):
+    """The per-step loop train_epochs replaced: dropout masks drawn layer
+    by layer, an allocating gradient, the pure Adam step, then a rebuild
+    of every layer."""
+    rng = derive_rng(tc.shuffle_seed)
+    specs = params.specs()
+    flat = pack(params)
+    trace = []
+    for epoch in range(tc.epochs):
+        order = rng.permutation(data.shape[0])
+        rate = lr_at(tc.schedule, epoch)
+        losses = []
+        for start in range(0, data.shape[0], tc.batch_size):
+            idx = order[start:start + tc.batch_size]
+            masks = [make_dropout_mask((len(idx), s.out_dim), s.dropout, rng)
+                     if s.dropout > 0.0 else None for s in specs]
+            loss, grad = loss_and_gradients(params, data[idx], masks)
+            flat, state = adam_step(flat, grad, state, rate)
+            params = unpack(flat, specs)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return params, state, trace
+
+
+def assert_same_training(cfg, data, tc):
+    params = build(cfg)
+    state = tc.adam_state(pack(params).size)
+    got, got_state, got_trace = train_epochs(params, data, tc, state)
+    ref, ref_state, ref_trace = reference_train_epochs(params, data, tc,
+                                                       state)
+    np.testing.assert_array_equal(pack(got), pack(ref))
+    assert got_trace == ref_trace
+    np.testing.assert_array_equal(got_state.first_moment,
+                                  ref_state.first_moment)
+    np.testing.assert_array_equal(got_state.second_moment,
+                                  ref_state.second_moment)
+    assert got_state.step_count == ref_state.step_count
+
+
+class TestFlatTrainingCore:
+    @pytest.mark.parametrize("overrides", [
+        dict(dropout_p=0.2),
+        dict(dropout_p=0.0),
+        dict(dropout_p=0.3, mirror_dropout=False),
+    ])
+    def test_matches_reference_loop_with_partial_batch(self, overrides):
+        # 45 rows in batches of 8: the last batch of each epoch has 5 rows
+        tc = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
+        assert_same_training(toy_config(**overrides), toy_blob(45), tc)
+
+    @given(st.integers(1, 6), st.lists(st.integers(1, 5), max_size=2),
+           st.integers(1, 4), st.sampled_from([0.0, 0.2, 0.5]),
+           st.booleans(), st.integers(1, 40), st.integers(1, 16),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_loop_property(self, input_dim, hidden,
+                                             bottleneck, p, mirror, rows,
+                                             batch_size, seed):
+        cfg = AutoencoderConfig(input_dim=input_dim, hidden_dims=tuple(hidden),
+                                bottleneck_dim=bottleneck, dropout_p=p,
+                                seed=seed, mirror_dropout=mirror)
+        tc = TrainConfig(epochs=2, batch_size=batch_size,
+                         shuffle_seed=seed + 1)
+        assert_same_training(cfg, toy_blob(rows, input_dim, seed), tc)
+
+    def test_inputs_left_unmodified(self):
+        params = build(toy_config(dropout_p=0.2))
+        data = toy_blob(30)
+        tc = TrainConfig(epochs=2, batch_size=8, shuffle_seed=1)
+        # a warm state, so its moments and counter are not all zero
+        _, state, _ = train_epochs(params, data, tc,
+                                   tc.adam_state(pack(params).size))
+        flat_before = pack(params)
+        moments_before = (state.first_moment.copy(),
+                          state.second_moment.copy())
+        _, end_state, _ = train_epochs(params, data, tc, state)
+        np.testing.assert_array_equal(pack(params), flat_before)
+        np.testing.assert_array_equal(state.first_moment, moments_before[0])
+        np.testing.assert_array_equal(state.second_moment, moments_before[1])
+        assert state.step_count == 8
+        assert end_state.step_count == 16

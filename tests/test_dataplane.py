@@ -72,6 +72,13 @@ class TestScaler:
         with pytest.raises(DataError):
             fit_scaler(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fit_rejected(self, bad):
+        data = np.zeros((3, 2))
+        data[2, 1] = bad
+        with pytest.raises(DataError, match="row 2, column 1"):
+            fit_scaler(data)
+
     @given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_fitting_data_lands_in_range(self, n, d, seed):
@@ -237,9 +244,20 @@ class TestSynthGenerate:
     def test_dataset_round_trip(self, tmp_path):
         ds = synth_generate(SynthSpec(50, 10, dim=6, seed=2))
         save_dataset(ds, tmp_path / "ds.csv")
-        again = load_dataset(tmp_path / "ds.csv")
+        again, skipped = load_dataset(tmp_path / "ds.csv")
+        assert skipped == 0
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
+
+
+    def test_dataset_skips_unparseable_and_non_finite_rows(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,f1,label\n0.5,1.0,Normal\nnan,1.0,Normal\n"
+                        "0.1,-inf,attack\n0.2,x,attack\n0.3,0.4,attack\n")
+        ds, skipped = load_dataset(path)
+        assert skipped == 3
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.0], [0.3, 0.4]])
+        assert list(ds.labels) == [NORMAL_LABEL, "attack"]
 
 
 class TestLoadCsv:
@@ -252,6 +270,16 @@ class TestLoadCsv:
         assert ds.n_features == 4
         # first row: duration=1.5, proto one-hot (tcp, udp), bytes=100
         np.testing.assert_array_equal(ds.features[0], [1.5, 1.0, 0.0, 100.0])
+        assert list(ds.labels) == [NORMAL_LABEL, NORMAL_LABEL, "ddos", "mitm"]
+
+    def test_non_finite_rows_skipped(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_CSV + "a6,nan,tcp,10,Normal\n"
+                        "a7,1.0,udp,inf,ddos\na8,-Infinity,tcp,1,Normal\n")
+        ds, skipped = load_csv(path, RAW_SCHEMA)
+        assert skipped == 4  # 'oops' plus the three non-finite rows
+        assert len(ds) == 4
+        assert np.all(np.isfinite(ds.features))
         assert list(ds.labels) == [NORMAL_LABEL, NORMAL_LABEL, "ddos", "mitm"]
 
     def test_unknown_category_all_zero_block(self, tmp_path):

@@ -268,6 +268,13 @@ class TestFairRound:
         # the received update's summary still lands in the history
         assert len(out.gradient_history) == 1
 
+    def test_single_update_aggregated_when_bar_is_one(self):
+        server = ServerState(np.array([0.9, -0.9]), round_index=0)
+        out = fair_round(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(),
+                         min_part=1)
+        assert not out.last_carried
+        np.testing.assert_allclose(out.global_params, [0.1, 0.1])
+
     def test_growth_treated_as_stable(self):
         server = ServerState(np.array([1.0]), round_index=2,
                              prev_participants=2)
@@ -414,6 +421,27 @@ class TestRunFederated:
                                StrategyConfig(), rounds=2, epochs_per_round=1,
                                master_seed=4)
         assert not any(tr.carried_forward for tr in result.rounds)
+
+    def test_single_client_fair_strategy_trains(self):
+        result = run_federated(
+            toy_clients(1), toy_model_cfg(),
+            StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0),
+            rounds=3, epochs_per_round=1, master_seed=4)
+        assert not any(tr.carried_forward for tr in result.rounds)
+        norms = [tr.global_norm for tr in result.rounds]
+        assert len(set(norms)) == 3
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_min_participation_honored_by_every_strategy(self, kind):
+        # round 2 drops client 0, leaving two updates against a bar of three
+        latency = LatencyModel(per_round={2: {0: 9.0}}, drop_after=1.0)
+        result = run_federated(toy_clients(3), toy_model_cfg(),
+                               StrategyConfig(kind=kind, q=0.0), rounds=2,
+                               epochs_per_round=1, latency=latency,
+                               master_seed=7, min_participation=3)
+        assert [tr.carried_forward for tr in result.rounds] == [False, True]
+        np.testing.assert_array_equal(result.rounds[1].global_params,
+                                      result.rounds[0].global_params)
 
     def test_duplicate_ids_rejected(self):
         clients = toy_clients(2)

@@ -17,6 +17,7 @@ from fedanom.numerics import (
     ParameterSet,
     activate,
     adam_step,
+    adam_update,
     compute_gradients,
     dense_forward,
     derive_rng,
@@ -27,6 +28,7 @@ from fedanom.numerics import (
     lr_at,
     mse,
     pack,
+    param_views,
     unpack,
 )
 
@@ -325,3 +327,154 @@ class TestParameterSetInvariants:
     def test_bias_length_checked(self):
         with pytest.raises(ShapeError):
             DenseLayer(np.zeros((2, 3)), np.zeros(3), Activation.RELU)
+
+
+def reference_adam_step(params, grads, state, rate):
+    """Adam written out term by term, allocating every intermediate."""
+    t = state.step_count + 1
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    return params - rate * m_hat / (np.sqrt(v_hat) + state.epsilon), m, v
+
+
+def reference_loss_and_gradients(params, batch, masks=None):
+    """Backward pass from pre-activations, one concatenated gradient."""
+    inputs, preacts, a = [], [], batch
+    for i, layer in enumerate(params.layers):
+        inputs.append(a)
+        z = a @ layer.weights.T + layer.bias
+        preacts.append(z)
+        a = activate(layer.activation, z)
+        if masks is not None and masks[i] is not None:
+            a = a * masks[i]
+    diff = a - batch
+    d_h = (2.0 / diff.size) * diff
+    parts = []
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        d_a = d_h if masks is None or masks[i] is None else d_h * masks[i]
+        z = preacts[i]
+        if layer.activation is Activation.RELU:
+            d_z = d_a * (z > 0.0).astype(np.float64)
+        elif layer.activation is Activation.TANH:
+            d_z = d_a * (1.0 - np.tanh(z) * np.tanh(z))
+        else:
+            d_z = d_a * np.ones_like(z)
+        parts[:0] = [(d_z.T @ inputs[i]).ravel(), d_z.sum(axis=0)]
+        d_h = d_z @ layer.weights
+    return float(np.mean(diff * diff)), np.concatenate(parts)
+
+
+def chain_specs(dims, dropout=0.0):
+    chain = (*dims, *reversed(dims[:-1]))
+    return tuple(
+        LayerSpec(chain[i + 1], chain[i],
+                  Activation.TANH if i == len(chain) - 2 else Activation.RELU,
+                  dropout)
+        for i in range(len(chain) - 1))
+
+
+class TestFlatBuffers:
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           st.integers(1, 9), st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gradients_match_reference_bitwise(self, dims, rows, dropped,
+                                               seed):
+        specs = chain_specs(dims)
+        params = random_params(specs, seed)
+        rng = np.random.default_rng(seed + 1)
+        batch = rng.normal(size=(rows, dims[0]))
+        masks = None
+        if dropped:
+            masks = [(rng.random((rows, s.out_dim)) >= 0.3) / 0.7
+                     for s in specs[:-1]] + [None]
+        loss, grad = loss_and_gradients(params, batch, masks)
+        ref_loss, ref_grad = reference_loss_and_gradients(params, batch,
+                                                          masks)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_out_buffer_returned_and_equal(self):
+        specs = chain_specs((5, 4, 3))
+        params = random_params(specs, 3)
+        batch = np.random.default_rng(4).normal(size=(7, 5))
+        buf = np.full(pack(params).size, np.nan)
+        loss, grad = loss_and_gradients(params, batch, out=buf)
+        assert grad is buf
+        ref_loss, ref_grad = loss_and_gradients(params, batch)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(buf, ref_grad)
+
+    def test_out_buffer_must_fit(self):
+        specs = chain_specs((3, 2))
+        params = random_params(specs, 1)
+        with pytest.raises(ShapeError):
+            loss_and_gradients(params, np.zeros((2, 3)),
+                               out=np.empty(pack(params).size + 1))
+        with pytest.raises(ShapeError):
+            loss_and_gradients(params, np.zeros((2, 3)),
+                               out=np.empty(2 * pack(params).size)[::2])
+
+    @given(st.integers(1, 30), st.integers(0, 5), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_adam_matches_formula_bitwise(self, n, warm_steps, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=n)
+        state = AdamState.zeros(n)
+        for _ in range(warm_steps):
+            params, state = adam_step(params, rng.normal(size=n), state, 0.01)
+        grads = rng.normal(size=n)
+        expect, m, v = reference_adam_step(params, grads, state, 0.003)
+        got, new_state = adam_step(params, grads, state, 0.003)
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(new_state.first_moment, m)
+        np.testing.assert_array_equal(new_state.second_moment, v)
+
+    def test_adam_step_leaves_inputs(self):
+        params, grads = np.ones(3), np.array([0.5, -1.0, 2.0])
+        state = AdamState(np.full(3, 0.1), np.full(3, 0.2), 4)
+        adam_step(params, grads, state, 0.01)
+        np.testing.assert_array_equal(params, np.ones(3))
+        np.testing.assert_array_equal(state.first_moment, np.full(3, 0.1))
+        np.testing.assert_array_equal(state.second_moment, np.full(3, 0.2))
+        assert state.step_count == 4
+
+    def test_adam_update_in_place(self):
+        params, grads = np.zeros(2), np.array([1.0, -1.0])
+        state = AdamState.zeros(2)
+        expect, _ = adam_step(params, grads, state, 0.01)
+        adam_update(params, grads, state, 0.01, np.empty((2, 2)))
+        np.testing.assert_array_equal(params, expect)
+        assert state.step_count == 1
+
+    def test_adam_overflowing_finite_gradient_accepted(self):
+        # the squared sum overflows although every entry is finite
+        params, state = adam_step(np.zeros(2), np.array([1e154, -1e154]),
+                                  AdamState.zeros(2), 0.01)
+        np.testing.assert_allclose(params, [-0.01, 0.01])
+        assert np.all(np.isfinite(state.second_moment))
+
+    def test_param_views_share_memory(self):
+        specs = chain_specs((3, 2))  # 2x3 + 2, then 3x2 + 3: 17 values
+        flat = np.arange(17, dtype=float)
+        params = param_views(flat, specs)
+        flat += 1.0
+        np.testing.assert_array_equal(pack(params), flat)
+        params.layers[0].bias[0] = -5.0
+        assert flat[6] == -5.0
+
+    def test_param_views_reject_copies(self):
+        specs = chain_specs((3, 2))
+        with pytest.raises(ShapeError):
+            param_views(np.zeros(34)[::2], specs)
+        with pytest.raises(ShapeError):
+            param_views(np.zeros(17, dtype=np.float32), specs)
+
+    def test_unpack_copies(self):
+        specs = chain_specs((3, 2))
+        flat = np.zeros(17)
+        params = unpack(flat, specs)
+        flat += 1.0
+        np.testing.assert_array_equal(pack(params), np.zeros(17))
