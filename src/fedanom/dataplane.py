@@ -6,6 +6,16 @@ one-hot widths), min-max scaling into [-1, 1] to match the Tanh output
 head, normal/attack and train/validation splits, class-conditional
 Dirichlet partitioning across clients, and a seeded synthetic generator
 used as the desk-scale stand-in for the real dataset.
+
+Both CSV readers (`load_csv` for raw flows, `load_dataset` for the
+canonical format) share one parser that reads rows with `csv.reader` and
+encodes them a block of rows at a time into float64 arrays. Its skip
+rules: blank rows are ignored; a row is skipped and counted when it is too
+short for a feature column or the label, when a numeric cell does not
+parse as a float, or when a feature is `nan` or `inf`. `load_dataset`
+instead rejects a row whose cell count differs from the header's. A schema
+is rejected when it is read if a categorical vocabulary repeats an entry
+or a categorical column is also dropped or is the label column.
 """
 from __future__ import annotations
 
@@ -13,7 +23,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -321,6 +334,92 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
+# Rows parsed per block: bounds the Python floats a block stages before
+# they become one float64 array.
+_BLOCK_ROWS = 4096
+
+
+def _cell_picker(cells: Sequence[int]) -> Callable[[list[str]], tuple]:
+    """A callable returning the given cells of a row as a tuple (a bare
+    itemgetter returns a single cell unwrapped)."""
+    if len(cells) == 1:
+        only = cells[0]
+        return lambda row: (row[only],)
+    return itemgetter(*cells) if cells else lambda row: ()
+
+
+def _parse_rows(rows: Iterable[list[str]], width: int,
+                numeric: Sequence[tuple[int, int]],
+                categorical: Sequence[tuple[int, int, dict[str, int]]],
+                label: int, normal_value: str
+                ) -> tuple[LabeledDataset, int]:
+    """Encode csv rows into a dataset, _BLOCK_ROWS rows at a time.
+
+    `numeric` holds a (cell, feature column) pair per numeric feature;
+    `categorical` a (cell, first feature column, value -> offset) triple
+    per one-hot block, and values outside it leave the block zero. Labels
+    equal to `normal_value` become NORMAL_LABEL. Blank rows are ignored.
+    A row is skipped and counted when it is too short for a cell read,
+    when a numeric cell does not parse as a float, or when a feature is
+    not finite. Returns the dataset and the skip count.
+    """
+    categorical_cells = [c for c, _, _ in categorical]
+    need = 1 + max([label, *(c for c, _ in numeric), *categorical_cells])
+    pick_numeric = _cell_picker([c for c, _ in numeric])
+    # A kept row keeps only its label and categorical cells: holding
+    # whole rows until the block ends measured slower.
+    pick_text = _cell_picker([label, *categorical_cells])
+    blocks: list[np.ndarray] = []
+    labels: list[str] = []
+    skipped = 0
+    rows = iter(rows)
+    while True:
+        values: list[tuple[float, ...]] = []
+        texts: list[tuple[str, ...]] = []
+        seen = 0
+        for seen, row in enumerate(islice(rows, _BLOCK_ROWS), 1):
+            if len(row) < need:
+                skipped += bool(row)
+                continue
+            try:
+                values.append(tuple(map(float, pick_numeric(row))))
+            except ValueError:
+                skipped += 1
+                continue
+            texts.append(pick_text(row))
+        if not seen:
+            break
+        if values:
+            label_cells, *category_cells = zip(*texts)
+            blocks.append(_encode_block(values, category_cells, width,
+                                        numeric, categorical))
+            labels.extend([NORMAL_LABEL if v == normal_value else v
+                           for v in label_cells])
+    features = (np.concatenate(blocks) if blocks
+                else np.empty((0, width), dtype=np.float64))
+    ds, n_bad = _finite_rows(features, labels)
+    return ds, skipped + n_bad
+
+
+def _encode_block(values: list[tuple[float, ...]],
+                  category_cells: list[tuple[str, ...]], width: int,
+                  numeric: Sequence[tuple[int, int]],
+                  categorical: Sequence[tuple[int, int, dict[str, int]]]
+                  ) -> np.ndarray:
+    """One block's (rows, width) feature matrix from its parsed numeric
+    values and, per categorical column, its cells."""
+    n = len(values)
+    parsed = np.array(values, dtype=np.float64).reshape(n, len(numeric))
+    feats = np.zeros((n, width))
+    feats[:, [j for _, j in numeric]] = parsed
+    for cells, (_, first, index) in zip(category_cells, categorical):
+        hot = np.fromiter(map(index.get, cells, repeat(-1)),
+                          dtype=np.intp, count=n)
+        hit = np.flatnonzero(hot >= 0)
+        feats[hit, first + hot[hit]] = 1.0
+    return feats
+
+
 def _finite_rows(features: np.ndarray, labels: list[str]
                  ) -> tuple[LabeledDataset, int]:
     """The dataset without rows holding a nan or inf feature, and how many
@@ -333,11 +432,21 @@ def _finite_rows(features: np.ndarray, labels: list[str]
     return LabeledDataset(features, labels), n_bad
 
 
+def _exact_cells(rows: Iterable[list[str]], n: int, path: Path
+                 ) -> Iterator[list[str]]:
+    for row in rows:
+        if len(row) != n:
+            raise SchemaError(
+                f"{path}: row has {len(row)} cells, expected {n}")
+        yield row
+
+
 def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
     """Read the canonical columnar CSV written by save_dataset.
 
-    Returns the dataset and the number of rows skipped because a feature
-    cell did not parse as a finite number.
+    Lines starting with `#` are ignored and every row must have exactly
+    one cell per header column. Returns the dataset and the number of rows
+    skipped because a feature cell did not parse as a finite number.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -346,22 +455,9 @@ def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
         if header is None or header[-1] != "label":
             raise SchemaError(f"{path} is not a canonical dataset CSV")
         width = len(header) - 1
-        feats: list[list[float]] = []
-        labels: list[str] = []
-        skipped = 0
-        for row in reader:
-            if len(row) != width + 1:
-                raise SchemaError(
-                    f"{path}: row has {len(row)} cells, expected {width + 1}")
-            try:
-                feats.append([float(v) for v in row[:width]])
-            except ValueError:
-                skipped += 1
-                continue
-            labels.append(row[width])
-    features = np.array(feats, dtype=np.float64).reshape(len(feats), width)
-    ds, n_bad = _finite_rows(features, labels)
-    return ds, skipped + n_bad
+        return _parse_rows(_exact_cells(reader, width + 1, path), width,
+                           [(i, i) for i in range(width)], (), width,
+                           NORMAL_LABEL)
 
 
 @dataclass(frozen=True)
@@ -373,6 +469,20 @@ class SchemaConfig:
     drop_columns: tuple[str, ...] = ()
     categorical: dict[str, tuple[str, ...]] = field(default_factory=dict)
     expected_width: int | None = None
+
+    def __post_init__(self):
+        for col, vocab in self.categorical.items():
+            if col == self.label_column:
+                raise SchemaError(
+                    f"categorical column {col!r} is the label column")
+            if col in self.drop_columns:
+                raise SchemaError(
+                    f"categorical column {col!r} is also a dropped column")
+            repeated = sorted({v for v in vocab if vocab.count(v) > 1})
+            if repeated:
+                raise SchemaError(
+                    f"categorical column {col!r} repeats vocabulary "
+                    f"entries {repeated}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SchemaConfig":
@@ -398,10 +508,11 @@ def load_csv(path: str | Path, schema: SchemaConfig
              ) -> tuple[LabeledDataset, int]:
     """Ingest a raw flow CSV through the schema.
 
-    Returns the dataset and the number of rows skipped because a numeric
-    cell did not parse as a finite number. Categorical values outside the
-    declared vocabulary one-hot to an all-zero block, keeping the width
-    stable.
+    Returns the dataset and the number of rows skipped: rows too short to
+    hold every feature column and the label, and rows with a numeric cell
+    that does not parse as a finite number. Blank rows are ignored.
+    Categorical values outside the declared vocabulary one-hot to an
+    all-zero block, keeping the width stable.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -417,36 +528,24 @@ def load_csv(path: str | Path, schema: SchemaConfig
                 raise SchemaError(f"schema column {col!r} not found in {path}")
         col_index = {name: i for i, name in enumerate(header)}
         dropped = set(schema.drop_columns) | {schema.label_column}
-        feature_cols = [c for c in header if c not in dropped]
-        width = sum(len(schema.categorical[c]) if c in schema.categorical else 1
-                    for c in feature_cols)
+        numeric: list[tuple[int, int]] = []
+        categorical: list[tuple[int, int, dict[str, int]]] = []
+        width = 0
+        for col in header:
+            if col in dropped:
+                continue
+            vocab = schema.categorical.get(col)
+            if vocab is None:
+                numeric.append((col_index[col], width))
+                width += 1
+            else:
+                categorical.append((col_index[col], width,
+                                    {v: k for k, v in enumerate(vocab)}))
+                width += len(vocab)
         if schema.expected_width is not None and width != schema.expected_width:
             raise SchemaError(
                 f"schema produces width {width}, expected "
                 f"{schema.expected_width}")
-        label_i = col_index[schema.label_column]
-        feats: list[list[float]] = []
-        labels: list[str] = []
-        skipped = 0
-        for row in reader:
-            if not row:
-                continue
-            encoded: list[float] = []
-            try:
-                for col in feature_cols:
-                    cell = row[col_index[col]]
-                    if col in schema.categorical:
-                        vocab = schema.categorical[col]
-                        encoded.extend(1.0 if cell == v else 0.0 for v in vocab)
-                    else:
-                        encoded.append(float(cell))
-            except (ValueError, IndexError):
-                skipped += 1
-                continue
-            raw_label = row[label_i]
-            labels.append(NORMAL_LABEL if raw_label == schema.normal_value
-                          else raw_label)
-            feats.append(encoded)
-    features = np.array(feats, dtype=np.float64).reshape(len(feats), width)
-    ds, n_bad = _finite_rows(features, labels)
-    return ds, skipped + n_bad
+        return _parse_rows(reader, width, numeric, categorical,
+                           col_index[schema.label_column],
+                           schema.normal_value)

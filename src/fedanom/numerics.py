@@ -10,7 +10,9 @@ into layers). `param_views` builds a `ParameterSet` whose layer weights
 and biases are views into such a vector, so training updates the vector
 in place with `adam_update` and the layers see the new values without a
 rebuild. `loss_and_gradients` can likewise write each layer's gradient
-straight into its slice of a caller's flat buffer.
+straight into its slice of a caller's flat buffer. Only training keeps
+every layer's activations; `feed_forward` in eval mode keeps the current
+one.
 """
 from __future__ import annotations
 
@@ -206,20 +208,32 @@ def feed_forward(params: ParameterSet, x: np.ndarray,
                  masks: Sequence[np.ndarray | None] | None = None
                  ) -> np.ndarray:
     """Run the full layer chain. `masks` replays dropout (training mode);
-    None runs eval mode (no dropout)."""
-    out, _, _ = _forward_cached(params, x, masks)
-    return out
+    None runs eval mode (no dropout), which keeps only the current layer's
+    activation alive."""
+    if masks is not None:
+        return _forward_cached(params, x, masks)[0]
+    a = _model_input(params, x)
+    for layer in params.layers:
+        a = a @ layer.weights.T
+        a += layer.bias
+        _activate_inplace(layer.activation, a)
+    return a
+
+
+def _model_input(params: ParameterSet, x: np.ndarray) -> np.ndarray:
+    a = _as_f64(x)
+    if a.shape[-1] != params.input_dim:
+        raise ShapeError(
+            f"input width {a.shape[-1]} does not match model input "
+            f"{params.input_dim}")
+    return a
 
 
 def _forward_cached(params: ParameterSet, x: np.ndarray,
                     masks: Sequence[np.ndarray | None] | None = None):
     """Forward pass keeping, per layer, its input and its activation output
     before dropout, for the backward pass."""
-    a = _as_f64(x)
-    if a.shape[-1] != params.input_dim:
-        raise ShapeError(
-            f"input width {a.shape[-1]} does not match model input "
-            f"{params.input_dim}")
+    a = _model_input(params, x)
     if masks is not None and len(masks) != len(params.layers):
         raise ShapeError(
             f"got {len(masks)} dropout masks for {len(params.layers)} layers")

@@ -1,10 +1,15 @@
 """Unit tests for ingestion, scaling, splits and partitioning."""
 
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedanom import dataplane
 from fedanom.dataplane import (
     NORMAL_LABEL,
     LabeledDataset,
@@ -272,7 +277,10 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features[0], [1.5, 1.0, 0.0, 100.0])
         assert list(ds.labels) == [NORMAL_LABEL, NORMAL_LABEL, "ddos", "mitm"]
 
-    def test_non_finite_rows_skipped(self, tmp_path):
+    def test_non_finite_rows_skipped(self, tmp_path, monkeypatch):
+        # blocks of 3 rows: skipped rows land in every block, the last one
+        # partial
+        monkeypatch.setattr(dataplane, "_BLOCK_ROWS", 3)
         path = tmp_path / "raw.csv"
         path.write_text(RAW_CSV + "a6,nan,tcp,10,Normal\n"
                         "a7,1.0,udp,inf,ddos\na8,-Infinity,tcp,1,Normal\n")
@@ -322,6 +330,38 @@ class TestLoadCsv:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    def test_row_missing_only_its_label_is_skipped(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("id,x,c,y\n1,0.5,a,Normal\n2,0.7,b\n3,0.9,b,ddos\n")
+        schema = SchemaConfig(label_column="y", drop_columns=("id",),
+                              categorical={"c": ("a", "b")})
+        ds, skipped = load_csv(path, schema)
+        assert skipped == 1
+        np.testing.assert_array_equal(ds.features,
+                                      [[0.5, 1.0, 0.0], [0.9, 0.0, 1.0]])
+        assert list(ds.labels) == [NORMAL_LABEL, "ddos"]
+
+    def test_schema_rejects_repeated_vocabulary_entry(self):
+        with pytest.raises(SchemaError, match="'proto'.*'tcp'"):
+            SchemaConfig(label_column="y",
+                         categorical={"proto": ("tcp", "udp", "tcp")})
+
+    def test_schema_rejects_dropped_categorical_column(self):
+        with pytest.raises(SchemaError, match="'proto'"):
+            SchemaConfig(label_column="y", drop_columns=("proto",),
+                         categorical={"proto": ("tcp",)})
+
+    def test_schema_rejects_categorical_label_column(self):
+        with pytest.raises(SchemaError, match="'y'"):
+            SchemaConfig(label_column="y", categorical={"y": ("a", "b")})
+
+    def test_schema_file_checked_when_read(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text('{"label_column": "y", '
+                        '"categorical": {"c": ["a", "a"]}}')
+        with pytest.raises(SchemaError, match="'c'"):
+            SchemaConfig.from_file(path)
+
     def test_schema_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text('{"label_column": "x", "bogus": 1}')
@@ -348,3 +388,169 @@ class TestDatasetType:
     def test_label_length_checked(self):
         with pytest.raises(ShapeError):
             LabeledDataset(np.zeros((3, 2)), np.array(["Normal"] * 2))
+
+
+def reference_finite_rows(feats, labels, width, skipped):
+    features = np.array(feats, dtype=np.float64).reshape(len(feats), width)
+    finite = np.isfinite(features).all(axis=1)
+    labels = np.array(labels, dtype=str)
+    n_bad = int(finite.size - np.count_nonzero(finite))
+    if n_bad:
+        features, labels = features[finite], labels[finite]
+    return LabeledDataset(features, labels), skipped + n_bad
+
+
+def reference_load_dataset(path):
+    """The per-cell canonical reader the block parser replaced."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        header = next(reader, None)
+        if header is None or header[-1] != "label":
+            raise SchemaError(f"{path} is not a canonical dataset CSV")
+        width = len(header) - 1
+        feats, labels, skipped = [], [], 0
+        for row in reader:
+            if len(row) != width + 1:
+                raise SchemaError(
+                    f"{path}: row has {len(row)} cells, expected {width + 1}")
+            try:
+                feats.append([float(v) for v in row[:width]])
+            except ValueError:
+                skipped += 1
+                continue
+            labels.append(row[width])
+    return reference_finite_rows(feats, labels, width, skipped)
+
+
+def reference_load_csv(path, schema):
+    """The per-cell raw-flow reader the block parser replaced, except that
+    the label is read inside the `try`: a row missing only its label is
+    skipped like any other short row instead of raising IndexError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        col_index = {name: i for i, name in enumerate(header)}
+        dropped = set(schema.drop_columns) | {schema.label_column}
+        feature_cols = [c for c in header if c not in dropped]
+        width = sum(len(schema.categorical[c]) if c in schema.categorical
+                    else 1 for c in feature_cols)
+        label_i = col_index[schema.label_column]
+        feats, labels, skipped = [], [], 0
+        for row in reader:
+            if not row:
+                continue
+            encoded = []
+            try:
+                for col in feature_cols:
+                    cell = row[col_index[col]]
+                    if col in schema.categorical:
+                        encoded.extend(1.0 if cell == v else 0.0
+                                       for v in schema.categorical[col])
+                    else:
+                        encoded.append(float(cell))
+                raw_label = row[label_i]
+            except (ValueError, IndexError):
+                skipped += 1
+                continue
+            labels.append(NORMAL_LABEL if raw_label == schema.normal_value
+                          else raw_label)
+            feats.append(encoded)
+    return reference_finite_rows(feats, labels, width, skipped)
+
+
+def read_outcome(load, *args):
+    """Everything a reader returns, bit for bit, or the error it raised."""
+    try:
+        ds, skipped = load(*args)
+    except (SchemaError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype,
+            ds.labels.tolist(), skipped)
+
+
+NUMERIC_CELLS = ("0", "1.5", "-2", "-0", "3e2", "12345", "0.1", " 7 ",
+                 "\t8", "1_000", "nan", "inf", "-Infinity", "-", "",
+                 "#N/A", "1.2.3", "1__0", "4,5", "6\n7")
+CATEGORY_CELLS = ("tcp", "udp", "icmp", "", "t,c", "u\np", " tcp")
+LABEL_CELLS = ("Normal", "benign", "ddos", "", "a,b", "x\ny")
+ROW_SHAPES = ("full", "full", "full", "short", "long", "empty")
+
+
+@st.composite
+def csv_rows(draw, kinds, ragged=True):
+    """Rows of cells, one pool per column kind, some cut short, padded or
+    left empty."""
+    pools = {"numeric": NUMERIC_CELLS, "category": CATEGORY_CELLS,
+             "label": LABEL_CELLS, "id": ("r1", "#r2", "r,3")}
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        row = [draw(st.sampled_from(pools[k])) for k in kinds]
+        shape = draw(st.sampled_from(ROW_SHAPES)) if ragged else "full"
+        if shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(NUMERIC_CELLS), min_size=1,
+                                 max_size=2))
+        elif shape == "empty":
+            row = []
+        rows.append(row)
+    return rows
+
+
+def write_csv(path, header, rows, comments=()):
+    """csv.writer output, with `#` lines put before the given row numbers."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        if i in comments:
+            out.write("# note, with a comma\n")
+        writer.writerow(row)
+    path.write_text(out.getvalue(), newline="")
+
+
+@st.composite
+def raw_flow_files(draw):
+    """A header in random column order, its schema and its rows."""
+    n_numeric = draw(st.integers(1, 3))
+    vocabs = draw(st.lists(
+        st.lists(st.sampled_from(CATEGORY_CELLS[:5]), min_size=1,
+                 max_size=3, unique=True), max_size=2))
+    columns = ([("id", "id")] + [(f"n{i}", "numeric") for i in range(n_numeric)]
+               + [(f"c{i}", "category") for i in range(len(vocabs))]
+               + [("y", "label")])
+    columns = draw(st.permutations(columns))
+    schema = SchemaConfig(
+        label_column="y", normal_value=draw(st.sampled_from(LABEL_CELLS)),
+        drop_columns=("id",),
+        categorical={f"c{i}": tuple(v) for i, v in enumerate(vocabs)})
+    rows = draw(csv_rows([kind for _, kind in columns]))
+    return [name for name, _ in columns], schema, rows
+
+
+class TestReaderEquivalence:
+    """The block parser against the per-cell readers it replaced."""
+
+    @given(raw_flow_files(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_load_csv_matches_reference(self, tmp_path_factory, flow_file,
+                                        block_rows):
+        header, schema, rows = flow_file
+        path = tmp_path_factory.mktemp("raw") / "raw.csv"
+        write_csv(path, header, rows)
+        with mock.patch.object(dataplane, "_BLOCK_ROWS", block_rows):
+            got = read_outcome(load_csv, path, schema)
+        assert got == read_outcome(reference_load_csv, path, schema)
+
+    @given(st.integers(0, 3), st.booleans(), st.data(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_load_dataset_matches_reference(self, tmp_path_factory, width,
+                                            ragged, data, block_rows):
+        rows = data.draw(csv_rows(["numeric"] * width + ["label"], ragged))
+        comments = data.draw(st.sets(st.integers(0, len(rows))))
+        path = tmp_path_factory.mktemp("ds") / "ds.csv"
+        write_csv(path, [f"f{i}" for i in range(width)] + ["label"], rows,
+                  comments)
+        with mock.patch.object(dataplane, "_BLOCK_ROWS", block_rows):
+            got = read_outcome(load_dataset, path)
+        assert got == read_outcome(reference_load_dataset, path)

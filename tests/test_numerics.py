@@ -23,6 +23,7 @@ from fedanom.numerics import (
     derive_rng,
     derive_seed,
     dropout,
+    feed_forward,
     glorot_init,
     loss_and_gradients,
     lr_at,
@@ -395,6 +396,29 @@ class TestFlatBuffers:
                                                           masks)
         assert loss == ref_loss
         np.testing.assert_array_equal(grad, ref_grad)
+
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           st.integers(1, 9), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_forward_matches_cached_pass_bitwise(self, dims, rows, seed):
+        specs = chain_specs(dims)
+        params = random_params(specs, seed)
+        batch = np.random.default_rng(seed + 1).normal(size=(rows, dims[0]))
+        before = batch.copy()
+        got = feed_forward(params, batch)
+        # all-None masks take the training pass that caches every layer
+        cached = feed_forward(params, batch, [None] * len(specs))
+        a = batch
+        for layer in params.layers:
+            a = activate(layer.activation, a @ layer.weights.T + layer.bias)
+        np.testing.assert_array_equal(got, cached)
+        np.testing.assert_array_equal(got, a)
+        np.testing.assert_array_equal(batch, before)
+
+    def test_eval_forward_checks_width(self):
+        params = random_params(chain_specs((3, 2)), 1)
+        with pytest.raises(ShapeError, match="4"):
+            feed_forward(params, np.zeros((2, 4)))
 
     def test_out_buffer_returned_and_equal(self):
         specs = chain_specs((5, 4, 3))
