@@ -93,7 +93,6 @@ from .numerics import (
     dense_forward,
     derive_rng,
     derive_seed,
-    dropout,
     lr_at,
     mse,
     pack,

@@ -4,6 +4,12 @@ The default architecture is 66 -> 128 -> 64 -> 32 -> 16 -> 32 -> 64 -> 128
 -> 66 with ReLU hidden activations, a Tanh output head and dropout 0.2
 after each hidden layer. Inputs are expected pre-scaled to [-1, 1] so the
 Tanh head can actually reach them.
+
+`reconstruction_errors` scores rows in blocks of 2048, so scoring memory
+is bounded by the block, not the input. A short last block merges into
+the one before it: a forward pass over only a few rows can take another
+BLAS kernel that rounds differently, and scores must stay bit-identical
+to a single pass over the whole input.
 """
 from __future__ import annotations
 
@@ -139,14 +145,34 @@ def reconstruct(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     return feed_forward(params, x)
 
 
+# Rows per forward pass when scoring. The widest default layer's block of
+# activations is then 2 MiB, which stays in cache, and every pass is large
+# enough to use the BLAS kernels one pass over all rows would.
+_SCORE_ROWS = 2048
+
+
 def reconstruction_errors(params: ParameterSet, data: np.ndarray) -> np.ndarray:
-    """Per-sample MSE between each row and its reconstruction."""
+    """Per-sample MSE between each row and its reconstruction.
+
+    Each forward pass takes _SCORE_ROWS rows, the last one also the short
+    tail, so every pass gets at least _SCORE_ROWS rows or the whole input
+    and rounds each row as one pass over all rows does (a pass over a few
+    rows can take another BLAS kernel, gemv for one row).
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[None, :]
-    out = feed_forward(params, data)
-    diff = data - out
-    return np.mean(diff * diff, axis=1)
+    n = data.shape[0]
+    errors = np.empty(n)
+    n_blocks = max(n // _SCORE_ROWS, 1)
+    bounds = [k * _SCORE_ROWS for k in range(n_blocks)] + [n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = data[lo:hi]
+        diff = feed_forward(params, block)
+        np.subtract(block, diff, out=diff)
+        diff *= diff
+        np.mean(diff, axis=1, out=errors[lo:hi])
+    return errors
 
 
 def _batch_masks(specs, batch_size: int, rng: np.random.Generator):

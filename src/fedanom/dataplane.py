@@ -13,9 +13,10 @@ encodes them a block of rows at a time into float64 arrays. Its skip
 rules: blank rows are ignored; a row is skipped and counted when it is too
 short for a feature column or the label, when a numeric cell does not
 parse as a float, or when a feature is `nan` or `inf`. `load_dataset`
-instead rejects a row whose cell count differs from the header's. A schema
-is rejected when it is read if a categorical vocabulary repeats an entry
-or a categorical column is also dropped or is the label column.
+instead rejects a row whose cell count differs from the header's, and
+`load_csv` a header that repeats a column name. A schema is rejected when
+it is read if a categorical vocabulary repeats an entry or a categorical
+column is also dropped or is the label column.
 """
 from __future__ import annotations
 
@@ -135,10 +136,15 @@ def apply_scaler(scaler: ScalerParams, data: np.ndarray) -> np.ndarray:
             f"data width {data.shape[1]} does not match scaler width "
             f"{scaler.minimum.shape[0]}")
     span = scaler.maximum - scaler.minimum
-    safe_span = np.where(span > 0.0, span, 1.0)
-    scaled = 2.0 * (data - scaler.minimum) / safe_span - 1.0
-    scaled = np.where(span > 0.0, scaled, 0.0)
-    return np.clip(scaled, -1.0, 1.0)
+    live = span > 0.0
+    # clip(where(live, 2 * (data - min) / safe_span - 1, 0), -1, 1) in one
+    # buffer, its operations kept in that order so results match bit for bit
+    scaled = np.subtract(data, scaler.minimum)
+    scaled *= 2.0
+    scaled /= np.where(live, span, 1.0)
+    scaled -= 1.0
+    scaled[:, ~live] = 0.0
+    return np.clip(scaled, -1.0, 1.0, out=scaled)
 
 
 def split_by_label(ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
@@ -512,7 +518,8 @@ def load_csv(path: str | Path, schema: SchemaConfig
     hold every feature column and the label, and rows with a numeric cell
     that does not parse as a finite number. Blank rows are ignored.
     Categorical values outside the declared vocabulary one-hot to an
-    all-zero block, keeping the width stable.
+    all-zero block, keeping the width stable. A header that repeats a
+    column name raises SchemaError.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -520,6 +527,9 @@ def load_csv(path: str | Path, schema: SchemaConfig
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path} has no header row")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise SchemaError(f"{path} repeats header columns {repeated}")
         if schema.label_column not in header:
             raise SchemaError(
                 f"label column {schema.label_column!r} not found in {path}")

@@ -1,8 +1,8 @@
 """Dense neural-network math for the MLP autoencoder.
 
-Everything operates on float64 numpy arrays: layers, activations, inverted
-dropout, MSE loss, reverse-mode gradients, the Adam optimizer and a
-step-decay learning-rate schedule.
+Everything operates on float64 numpy arrays: layers, activations,
+replay of caller-drawn inverted-dropout masks, MSE loss, reverse-mode
+gradients, the Adam optimizer and a step-decay learning-rate schedule.
 
 A model's parameters live in one flat float64 vector laid out per layer as
 row-major weights then bias (`pack` writes it, `unpack` copies it back
@@ -169,29 +169,6 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
             f"input width {x.shape[-1]} does not match layer in size "
             f"{layer.in_dim}")
     return activate(layer.activation, x @ layer.weights.T + layer.bias)
-
-
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator,
-            training: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout. Returns (output, mask) so a backward pass can
-    replay the exact mask; mask entries are 0 or 1/(1-p), all ones in eval
-    mode or at p = 0."""
-    if p >= 1.0 or p < 0.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    x = _as_f64(x)
-    if not training:
-        return x.copy(), np.ones_like(x)
-    mask = make_dropout_mask(x.shape, p, rng)
-    return x * mask, mask
-
-
-def make_dropout_mask(shape, p: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Sample a {0, 1/(1-p)} mask with keep probability 1-p."""
-    if p >= 1.0 or p < 0.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    keep = rng.random(shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)
 
 
 def mse(x: np.ndarray, z: np.ndarray) -> float:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedanom import autoencoder
 from fedanom.autoencoder import (
+    _SCORE_ROWS,
     AutoencoderConfig,
     TrainConfig,
     build,
@@ -22,9 +24,9 @@ from fedanom.numerics import (
     adam_step,
     dense_forward,
     derive_rng,
+    feed_forward,
     loss_and_gradients,
     lr_at,
-    make_dropout_mask,
     mse,
     pack,
     unpack,
@@ -169,6 +171,50 @@ class TestReconstructionErrors:
         assert reconstruct(params, data).shape == data.shape
 
 
+B = _SCORE_ROWS
+# around one, two and three blocks: the tail merges into the block before
+SCORE_ROW_COUNTS = st.one_of(
+    st.sampled_from([0, 1, B - 1, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]),
+    st.integers(0, B - 1).map(lambda k: 3 * B + k))
+WIDTHS = st.one_of(st.just(1), st.integers(2, 130))
+
+
+class TestBlockedScoring:
+    """reconstruction_errors scores _SCORE_ROWS-row blocks. Blocks are
+    kept at full size on purpose: passes over fewer than about 1200 rows
+    can take other BLAS kernels, which round differently."""
+
+    @given(SCORE_ROW_COUNTS, WIDTHS, st.lists(WIDTHS, max_size=2),
+           st.integers(1, 16), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_one_pass_reference(self, n, input_dim, hidden,
+                                        bottleneck, seed):
+        params = build(AutoencoderConfig(
+            input_dim=input_dim, hidden_dims=tuple(hidden),
+            bottleneck_dim=bottleneck, dropout_p=0.0, seed=seed))
+        data = np.random.default_rng(seed).uniform(-1, 1, (n, input_dim))
+        d = data - feed_forward(params, data)
+        expected = np.mean(d * d, axis=1)
+        got = reconstruction_errors(params, data)
+        assert got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, 2 * B - 1, 2 * B,
+                                   2 * B + 1, 5 * B - 1])
+    def test_each_pass_gets_a_full_block(self, monkeypatch, n):
+        rows = []
+
+        def spy(params, x, masks=None):
+            rows.append(x.shape[0])
+            return feed_forward(params, x, masks)
+
+        monkeypatch.setattr(autoencoder, "feed_forward", spy)
+        reconstruction_errors(build(toy_config()), toy_blob(n))
+        assert sum(rows) == n
+        assert rows == [n] or min(rows) >= B
+        assert len(rows) == max(n // B, 1)
+
+
 class TestTrainEpochs:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
@@ -226,7 +272,6 @@ class TestTrainEpochs:
         cfg = toy_config(dropout_p=0.0)
         params = build(cfg)
         data = toy_blob(4)
-        from fedanom.numerics import feed_forward
         masks = [None] * len(params.layers)
         np.testing.assert_array_equal(feed_forward(params, data, masks),
                                       feed_forward(params, data))
@@ -259,7 +304,8 @@ def reference_train_epochs(params, data, tc, state):
         losses = []
         for start in range(0, data.shape[0], tc.batch_size):
             idx = order[start:start + tc.batch_size]
-            masks = [make_dropout_mask((len(idx), s.out_dim), s.dropout, rng)
+            masks = [(rng.random((len(idx), s.out_dim)) >= s.dropout)
+                     .astype(np.float64) / (1.0 - s.dropout)
                      if s.dropout > 0.0 else None for s in specs]
             loss, grad = loss_and_gradients(params, data[idx], masks)
             flat, state = adam_step(flat, grad, state, rate)

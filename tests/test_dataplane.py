@@ -14,6 +14,7 @@ from fedanom.dataplane import (
     NORMAL_LABEL,
     LabeledDataset,
     PartitionPlan,
+    ScalerParams,
     SchemaConfig,
     SynthSpec,
     apply_scaler,
@@ -90,6 +91,33 @@ class TestScaler:
         data = np.random.default_rng(seed).normal(size=(n, d)) * 10
         out = apply_scaler(fit_scaler(data), data)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
+
+    @given(st.integers(1, 6), st.integers(0, 8), st.floats(-6.0, 6.0),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_old_expression(self, width, rows, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        minimum = rng.normal(size=width) * scale
+        # about one column in four is constant
+        span = rng.exponential(size=width) * scale * (rng.random(width) < 0.75)
+        scaler = ScalerParams(minimum, minimum + span)
+        x = minimum + (span + scale) * rng.uniform(-0.5, 1.5, (rows, width))
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+        before = x.copy()
+        got = apply_scaler(scaler, x)
+        assert got.tobytes() == reference_apply_scaler(scaler, x).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
+def reference_apply_scaler(scaler, data):
+    """apply_scaler as one expression, before it worked in one buffer."""
+    span = scaler.maximum - scaler.minimum
+    safe_span = np.where(span > 0.0, span, 1.0)
+    scaled = 2.0 * (data - scaler.minimum) / safe_span - 1.0
+    scaled = np.where(span > 0.0, scaled, 0.0)
+    return np.clip(scaled, -1.0, 1.0)
 
 
 class TestSplits:
@@ -340,6 +368,14 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features,
                                       [[0.5, 1.0, 0.0], [0.9, 0.0, 1.0]])
         assert list(ds.labels) == [NORMAL_LABEL, "ddos"]
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        # each repeat of 'x' used to read the last 'x' cell: [[7.0, 7.0]]
+        path = tmp_path / "raw.csv"
+        path.write_text("id,x,x,y\n1,0.5,7,Normal\n")
+        schema = SchemaConfig(label_column="y", drop_columns=("id",))
+        with pytest.raises(SchemaError, match=r"\['x'\]"):
+            load_csv(path, schema)
 
     def test_schema_rejects_repeated_vocabulary_entry(self):
         with pytest.raises(SchemaError, match="'proto'.*'tcp'"):

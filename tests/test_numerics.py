@@ -22,7 +22,6 @@ from fedanom.numerics import (
     dense_forward,
     derive_rng,
     derive_seed,
-    dropout,
     feed_forward,
     glorot_init,
     loss_and_gradients,
@@ -112,36 +111,6 @@ class TestActivate:
     def test_identity(self):
         x = np.array([1.5, -2.5])
         np.testing.assert_array_equal(activate(Activation.IDENTITY, x), x)
-
-
-class TestDropout:
-    def test_p_zero_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        out, mask = dropout(x, 0.0, derive_rng(1), training=True)
-        np.testing.assert_array_equal(out, x)
-        np.testing.assert_array_equal(mask, np.ones(3))
-
-    def test_eval_passthrough(self):
-        x = np.array([1.0, 2.0])
-        out, mask = dropout(x, 0.2, derive_rng(1), training=False)
-        np.testing.assert_array_equal(out, x)
-        np.testing.assert_array_equal(mask, np.ones(2))
-
-    def test_inverted_scaling(self):
-        x = np.array([2.0, 2.0, 2.0, 2.0])
-        out, mask = dropout(x, 0.5, derive_rng(99), training=True)
-        survivors = out[out != 0.0]
-        assert survivors.size > 0
-        np.testing.assert_array_equal(survivors, 4.0)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ConfigError):
-            dropout(np.zeros(2), 1.0, derive_rng(0))
-
-    def test_mask_replays_forward(self):
-        x = np.arange(8, dtype=float)
-        out, mask = dropout(x, 0.3, derive_rng(5), training=True)
-        np.testing.assert_array_equal(out, x * mask)
 
 
 class TestMse:
