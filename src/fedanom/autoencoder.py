@@ -9,7 +9,9 @@ Tanh head can actually reach them.
 is bounded by the block, not the input. A short last block merges into
 the one before it: a forward pass over only a few rows can take another
 BLAS kernel that rounds differently, and scores must stay bit-identical
-to a single pass over the whole input.
+to a single pass over the whole input. A model with a one-unit layer
+scores in one pass, since numpy runs that layer through BLAS gemv, whose
+threaded rounding of a row moves with the row count.
 """
 from __future__ import annotations
 
@@ -158,6 +160,12 @@ def reconstruction_errors(params: ParameterSet, data: np.ndarray) -> np.ndarray:
     tail, so every pass gets at least _SCORE_ROWS rows or the whole input
     and rounds each row as one pass over all rows does (a pass over a few
     rows can take another BLAS kernel, gemv for one row).
+
+    A layer with one output unit also goes through gemv, for any row
+    count. Threaded gemv splits the rows between threads and rounds a row
+    by where it falls in its thread's share, so the same row can round
+    differently in a block than in the whole input: such a model scores
+    the whole input in one pass.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -165,6 +173,8 @@ def reconstruction_errors(params: ParameterSet, data: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     errors = np.empty(n)
     n_blocks = max(n // _SCORE_ROWS, 1)
+    if any(layer.out_dim == 1 for layer in params.layers):
+        n_blocks = 1
     bounds = [k * _SCORE_ROWS for k in range(n_blocks)] + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = data[lo:hi]

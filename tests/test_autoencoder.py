@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedanom import autoencoder
@@ -182,10 +182,15 @@ WIDTHS = st.one_of(st.just(1), st.integers(2, 130))
 class TestBlockedScoring:
     """reconstruction_errors scores _SCORE_ROWS-row blocks. Blocks are
     kept at full size on purpose: passes over fewer than about 1200 rows
-    can take other BLAS kernels, which round differently."""
+    can take other BLAS kernels, which round differently. A model with a
+    one-unit layer scores in one pass (threaded gemv rounds by row count)."""
 
     @given(SCORE_ROW_COUNTS, WIDTHS, st.lists(WIDTHS, max_size=2),
            st.integers(1, 16), st.integers(0, 2**31 - 1))
+    # the one-unit output layer here rounded row 7506 differently in the
+    # last block than in the whole input, with two BLAS threads
+    @example(n=7508, input_dim=1, hidden=[130], bottleneck=12,
+             seed=32050264)
     @settings(max_examples=25, deadline=None)
     def test_matches_one_pass_reference(self, n, input_dim, hidden,
                                         bottleneck, seed):
@@ -213,6 +218,23 @@ class TestBlockedScoring:
         assert sum(rows) == n
         assert rows == [n] or min(rows) >= B
         assert len(rows) == max(n // B, 1)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(input_dim=1),
+        dict(bottleneck_dim=1),
+        dict(hidden_dims=(5, 1)),
+    ])
+    def test_one_unit_layer_scores_in_one_pass(self, monkeypatch, overrides):
+        rows = []
+
+        def spy(params, x, masks=None):
+            rows.append(x.shape[0])
+            return feed_forward(params, x, masks)
+
+        cfg = toy_config(**overrides)
+        monkeypatch.setattr(autoencoder, "feed_forward", spy)
+        reconstruction_errors(build(cfg), toy_blob(3 * B + 5, cfg.input_dim))
+        assert rows == [3 * B + 5]
 
 
 class TestTrainEpochs:
