@@ -62,9 +62,9 @@ from .federation import (
     ServerState,
     StrategyConfig,
     StrategyKind,
+    aggregate,
     apply_relevance,
     assign_latencies,
-    fair_round,
     fedavg_aggregate,
     local_round,
     qffl_aggregate,

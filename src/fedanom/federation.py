@@ -2,23 +2,20 @@
 
 Each round the server samples clients, distributes the global parameter
 vector, collects locally trained updates (subject to a deterministic
-latency model that can drop stragglers), and aggregates with one of three
-strategies:
+latency model that can drop stragglers), and passes them to `aggregate`,
+the one server step of all three strategies. It works in this order:
 
-* fedavg: plain mean of the client parameter vectors (optionally
-  n_k-weighted),
-* qffl: fairness-reweighted dynamic averaging driven by each client's
-  local loss raised to the power q,
-* fairfedavg: qffl aggregation plus a relevance-score damping applied
-  when round participation shrinks, tracked through a bounded
-  gradient-history list of update summaries.
-
-Aggregation always iterates updates in client-id order so floating-point
-summation is independent of arrival order. With fewer than
-`min_participation` arrived updates (default two) the server carries the
-previous global model forward, under every strategy (single-client
-federations lower the default to one so they stay equivalent to
-centralized training).
+1. Sort the updates by client id, so floating-point summation does not
+   depend on arrival order, and check that their lengths agree.
+2. Carry the global model forward when fewer than `min_participation`
+   updates arrived (default two; one for a single-client federation, so
+   it stays equivalent to centralized training).
+3. Take the strategy step: fedavg is the plain (optionally n_k-weighted)
+   mean of the client vectors; qffl and fairfedavg apply the q-FFL
+   reweighted step driven by each client's local loss to the power q.
+4. For fairfedavg only, record each update's RMS summary in a bounded
+   gradient history and, when participation shrank, damp the new global
+   model by its relevance score.
 """
 from __future__ import annotations
 
@@ -56,6 +53,7 @@ from .errors import (
 )
 from .numerics import (
     LayerSpec,
+    ParameterSet,
     derive_rng,
     derive_seed,
     pack,
@@ -79,7 +77,6 @@ class StrategyConfig:
     kind: StrategyKind = StrategyKind.FEDAVG
     q: float = 0.0
     lipschitz: float | None = None  # None resolves to 1/learning-rate
-    client_weights: tuple[float, ...] | None = None
     sample_fraction: float = 1.0
     weighted_mean: bool = False
     relevance_window: int = 64
@@ -95,11 +92,6 @@ class StrategyConfig:
                 f"sample fraction must be in (0, 1], got {self.sample_fraction}")
         if self.relevance_window < 1:
             raise ConfigError("relevance window must hold at least one entry")
-        if self.client_weights is not None:
-            w = tuple(float(x) for x in self.client_weights)
-            if any(x <= 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-                raise ConfigError("client weights must be positive and sum to 1")
-            object.__setattr__(self, "client_weights", w)
 
 
 @dataclass
@@ -159,7 +151,6 @@ class ServerState:
     global_params: np.ndarray
     round_index: int = 0
     gradient_history: tuple[GHEntry, ...] = ()
-    hs_accumulator: tuple[float, ...] = ()
     prev_participants: int = 0
     last_alpha: float = 1.0
     last_carried: bool = False
@@ -252,23 +243,16 @@ def local_round(client: ClientState, global_params: np.ndarray,
                         float(trace[-1]), client.n_samples, float(threshold))
 
 
-def _check_update_lengths(updates: Sequence[ClientUpdate]) -> None:
-    lengths = {u.params.shape[0] for u in updates}
-    if len(lengths) > 1:
-        raise ShapeError(f"update vectors differ in length: {sorted(lengths)}")
-
-
 def fedavg_aggregate(updates: Sequence[ClientUpdate],
                      cfg: StrategyConfig | None = None) -> np.ndarray:
     """Plain mean of the client parameter vectors, or the n_k-weighted
-    mean when the weighted flag is set."""
+    mean when the weighted flag is set, summed in the order given
+    (`aggregate` passes them sorted by client id)."""
     if not updates:
         raise DataError("cannot aggregate zero updates")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    _check_update_lengths(ordered)
-    stack = np.stack([u.params for u in ordered])
+    stack = np.stack([u.params for u in updates])
     if cfg is not None and cfg.weighted_mean:
-        weights = np.array([u.n_samples for u in ordered], dtype=np.float64)
+        weights = np.array([u.n_samples for u in updates], dtype=np.float64)
         weights /= weights.sum()
         return weights @ stack
     return stack.mean(axis=0)
@@ -320,25 +304,6 @@ def qffl_aggregate(global_params: np.ndarray,
     return w - total_delta / total_h
 
 
-def qffl_objective(updates: Sequence[ClientUpdate], q: float,
-                   weights: Sequence[float] | None = None) -> float:
-    """Fairness objective sum_k p_k / (q+1) * F_k^(q+1); p_k defaults to
-    the sample-count shares n_k / sum(n)."""
-    if not updates:
-        raise DataError("objective needs at least one update")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    if weights is None:
-        total = sum(u.n_samples for u in ordered)
-        p = [u.n_samples / total for u in ordered]
-    else:
-        p = [float(x) for x in weights]
-        if len(p) != len(ordered):
-            raise ShapeError(
-                f"{len(p)} weights for {len(ordered)} updates")
-    return sum(pk / (q + 1.0) * u.local_loss ** (q + 1.0)
-               for pk, u in zip(p, ordered))
-
-
 def rms_summary(v: np.ndarray) -> float:
     """Scalar summary of an update vector: ||v||_2 / sqrt(d)."""
     v = np.asarray(v, dtype=np.float64)
@@ -362,38 +327,40 @@ def apply_relevance(alpha: float, params: np.ndarray) -> np.ndarray:
     return alpha * np.asarray(params, dtype=np.float64)
 
 
-def fair_round(server: ServerState, updates: Sequence[ClientUpdate],
-               cfg: StrategyConfig, min_part: int = 2) -> ServerState:
-    """One FairFedAvg aggregation step.
-
-    Branches: stable (or grown) participation with at least `min_part`
-    updates applies the plain reweighted update; shrunken participation
-    follows it with the relevance damping, scored against the previous
-    round's stored update summaries; fewer than `min_part` updates carries
-    the global model forward unchanged. Summaries of every received update
-    are appended to the gradient history either way (bounded by the
-    configured window).
-    """
-    if cfg.lipschitz is None:
-        raise ConfigError("fair_round needs a concrete Lipschitz estimate")
+def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
+              cfg: StrategyConfig, min_part: int) -> ServerState:
+    """One server step for every strategy, in the order the module
+    docstring gives. q-FFL deltas are computed only where they are used:
+    on every fairfedavg round (its history records carried rounds too)
+    and on non-carried qffl rounds."""
     ordered = sorted(updates, key=lambda u: u.client_id)
-    _check_update_lengths(ordered)
-    current_round = server.round_index + 1
-    deltas = [qffl_deltas(server.global_params, u, cfg.q, cfg.lipschitz)
-              for u in ordered]
-    summaries = [rms_summary(d) for d, _ in deltas]
-    history = list(server.gradient_history)
-    history.extend(GHEntry(current_round, s) for s in summaries)
-    history = history[-cfg.relevance_window:]
+    lengths = {u.params.shape[0] for u in ordered}
+    if len(lengths) > 1:
+        raise ShapeError(f"update vectors differ in length: {sorted(lengths)}")
     count = len(ordered)
-    alpha = 1.0
-    if count < min_part:
+    carried = count < min_part
+    fair = cfg.kind is StrategyKind.FAIR_FEDAVG
+    if cfg.kind is not StrategyKind.FEDAVG and cfg.lipschitz is None:
+        raise ConfigError(
+            f"{cfg.kind.value} aggregation needs a concrete Lipschitz estimate")
+    deltas = []
+    if fair or (cfg.kind is StrategyKind.QFFL and not carried):
+        deltas = [qffl_deltas(server.global_params, u, cfg.q, cfg.lipschitz)
+                  for u in ordered]
+    if carried:
         new_global = server.global_params.copy()
-        carried = True
+    elif cfg.kind is StrategyKind.FEDAVG:
+        new_global = fedavg_aggregate(ordered, cfg)
     else:
         new_global = qffl_aggregate(server.global_params, deltas)
-        carried = False
-        if 0 < server.prev_participants and count < server.prev_participants:
+    current_round = server.round_index + 1
+    history = server.gradient_history
+    alpha = 1.0
+    if fair:
+        history += tuple(GHEntry(current_round, rms_summary(d))
+                         for d, _ in deltas)
+        history = history[-cfg.relevance_window:]
+        if not carried and count < server.prev_participants:
             previous = [e.summary for e in history
                         if e.round_index == server.round_index]
             alpha = relevance_score(previous, rms_summary(new_global))
@@ -401,8 +368,7 @@ def fair_round(server: ServerState, updates: Sequence[ClientUpdate],
     return ServerState(
         global_params=new_global,
         round_index=current_round,
-        gradient_history=tuple(history),
-        hs_accumulator=tuple(h for _, h in deltas),
+        gradient_history=history,
         prev_participants=count,
         last_alpha=alpha,
         last_carried=carried,
@@ -444,12 +410,12 @@ class FederationResult:
     mean_round_accuracy: float | None
 
 
-def _evaluate_global(global_params: np.ndarray, specs: Sequence[LayerSpec],
-                     clients: Sequence[ClientState],
+def _evaluate_global(params: ParameterSet, clients: Sequence[ClientState],
                      detector: ThresholdDetector):
-    """Per-client confusion/metrics of the global model on local
-    validation + attack rows, plus the pooled (summed) confusion."""
-    params = unpack(global_params, specs)
+    """Per-client confusion/metrics of a model on local validation +
+    attack rows, in client-id order, plus the pooled (summed) confusion.
+    Clients with no such rows are left out; the pooled figures are None
+    when no client has any."""
     per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] = {}
     pooled = ConfusionMatrix(0, 0, 0, 0)
     for client in sorted(clients, key=lambda c: c.client_id):
@@ -481,7 +447,9 @@ def run_federated(clients: Sequence[ClientState],
     Per-round evaluation classifies with the running minimum of every
     local threshold seen so far; the returned detector is the minimum over
     all (round, client) thresholds. Everything is deterministic given the
-    master seed, the client seeds and the configs.
+    master seed, the client seeds and the configs. A `min_participation`
+    above the number of clients sampled per round is rejected before
+    round 1, since every round would carry the initial model forward.
     """
     if rounds < 1:
         raise ConfigError(f"need at least one round, got {rounds}")
@@ -501,6 +469,12 @@ def run_federated(clients: Sequence[ClientState],
     strategy = replace(strategy, lipschitz=lipschitz)
     min_part = max(1, min(2, len(clients)) if min_participation is None
                    else min_participation)
+    n_sampled = math.ceil(strategy.sample_fraction * len(clients))
+    if min_part > n_sampled:
+        raise ConfigError(
+            f"federation.min_participation is {min_part} but each round "
+            f"samples only {n_sampled} of {len(clients)} clients, so every "
+            f"round would carry the initial model forward")
     specs = model_cfg.layer_specs()
     server = ServerState(global_params=pack(build(model_cfg)))
     collected: list[float] = []
@@ -512,33 +486,14 @@ def run_federated(clients: Sequence[ClientState],
         updates = [local_round(by_id[cid], server.global_params, specs,
                                epochs_per_round, base_train, t)
                    for cid in active]
-        if strategy.kind is StrategyKind.FAIR_FEDAVG:
-            server = fair_round(server, updates, strategy, min_part)
-            alpha, carried = server.last_alpha, server.last_carried
-        else:
-            alpha = 1.0
-            if len(updates) < min_part:
-                new_global = server.global_params.copy()
-                carried = True
-            else:
-                carried = False
-                if strategy.kind is StrategyKind.QFFL:
-                    ordered = sorted(updates, key=lambda u: u.client_id)
-                    deltas = [qffl_deltas(server.global_params, u,
-                                          strategy.q, lipschitz)
-                              for u in ordered]
-                    new_global = qffl_aggregate(server.global_params, deltas)
-                else:
-                    new_global = fedavg_aggregate(updates, strategy)
-            server = ServerState(new_global, t, server.gradient_history,
-                                 tuple(), len(updates), alpha, carried)
+        server = aggregate(server, updates, strategy, min_part)
         by_update = {u.client_id: u for u in updates}
         collected.extend(u.local_threshold
                          for u in sorted(updates, key=lambda u: u.client_id))
         detector = min_round_threshold(collected) if collected else None
         if detector is not None:
             per_client, pooled_cm, pooled_metrics = _evaluate_global(
-                server.global_params, specs, clients, detector)
+                unpack(server.global_params, specs), clients, detector)
         else:
             per_client, pooled_cm, pooled_metrics = {}, None, None
         records = []
@@ -554,8 +509,8 @@ def run_federated(clients: Sequence[ClientState],
         traces.append(RoundTrace(
             round_index=t,
             records=records,
-            alpha=alpha,
-            carried_forward=carried,
+            alpha=server.last_alpha,
+            carried_forward=server.last_carried,
             global_params=server.global_params.copy(),
             global_norm=float(np.linalg.norm(server.global_params)),
             threshold_running_min=(detector.threshold if detector else None),

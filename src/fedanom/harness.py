@@ -62,6 +62,7 @@ from .federation import (
     ClientState,
     FederationResult,
     RoundTrace,
+    _evaluate_global,
     run_federated,
 )
 from .numerics import LayerSpec, ParameterSet, derive_rng, pack, unpack
@@ -484,36 +485,22 @@ def load_model(model_dir: str | Path) -> TrainedModel:
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
     """Re-run the evaluation stage of an experiment from a saved model."""
     if cfg.mode == MODE_FEDERATED:
-        clients = prepare_clients(cfg)
-        pooled = ConfusionMatrix(0, 0, 0, 0)
-        per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] = {}
-        for client in clients:
-            if client.val.shape[0] + client.attack.shape[0] == 0:
-                continue
-            cm, m, _ = _evaluate_split(model.params, model.detector,
-                                       client.val, client.attack)
-            per_client[client.client_id] = (cm, m)
-            pooled = pooled + cm
-        if pooled.total == 0:
+        per_client, cm, m = _evaluate_global(model.params, prepare_clients(cfg),
+                                             model.detector)
+        if cm is None:
             raise DataError("nothing to evaluate: no validation or attack rows")
-        pooled_metrics = metrics(pooled)
-        return EvaluationReport(
-            mode=cfg.mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
-            confusion=pooled, metrics=pooled_metrics,
-            threshold=model.detector.threshold,
-            detector_source=model.detector.source,
-            validation_fp_rate=pooled_metrics.fp_rate,
-            epoch_losses=None, round_traces=None, per_client=per_client,
-            mean_round_accuracy=None, config=cfg.canonical_dict(),
-        )
-    data = prepare_centralized(cfg, scaler=model.scaler)
-    attack_sample = _attack_test_sample(cfg, data.val.shape[0], data.attack)
-    cm, m, val_fp = _evaluate_split(model.params, model.detector,
-                                    data.val, attack_sample)
+        val_fp = m.fp_rate
+    else:
+        data = prepare_centralized(cfg, scaler=model.scaler)
+        attack_sample = _attack_test_sample(cfg, data.val.shape[0],
+                                            data.attack)
+        cm, m, val_fp = _evaluate_split(model.params, model.detector,
+                                        data.val, attack_sample)
+        per_client = None
     return EvaluationReport(
         mode=cfg.mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
         confusion=cm, metrics=m, threshold=model.detector.threshold,
         detector_source=model.detector.source, validation_fp_rate=val_fp,
-        epoch_losses=None, round_traces=None, per_client=None,
+        epoch_losses=None, round_traces=None, per_client=per_client,
         mean_round_accuracy=None, config=cfg.canonical_dict(),
     )

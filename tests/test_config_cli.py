@@ -286,6 +286,15 @@ class TestFederatedHarness:
         assert loaded.detector.source == "round_min"
         again = evaluate_saved(cfg, loaded)
         assert again.confusion == report.confusion
+        assert again.per_client == report.per_client
+
+    def test_unreachable_min_participation_rejected(self):
+        cfg = tiny_config(mode="federated",
+                          federation={"min_participation": 7})
+        with pytest.raises(ConfigError, match=r"federation\.min_participation "
+                                              r"is 7 but each round samples "
+                                              r"only 2"):
+            run_federated_experiment(cfg)
 
     def test_loss_trace_rows_equal_rounds(self, tmp_path):
         cfg = tiny_config(mode="federated")

@@ -1,10 +1,14 @@
 """Unit tests for aggregation strategies and the round loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedanom import federation
 from fedanom.autoencoder import AutoencoderConfig, TrainConfig
 from fedanom.errors import (
     ConfigError,
@@ -21,14 +25,13 @@ from fedanom.federation import (
     ServerState,
     StrategyConfig,
     StrategyKind,
+    aggregate,
     apply_relevance,
     assign_latencies,
-    fair_round,
     fedavg_aggregate,
     local_round,
     qffl_aggregate,
     qffl_deltas,
-    qffl_objective,
     relevance_score,
     rms_summary,
     run_federated,
@@ -97,16 +100,6 @@ class TestFedavgAggregate:
                                cfg)
         np.testing.assert_allclose(out, [3.0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            fedavg_aggregate([update(0, [1.0]), update(1, [1.0, 2.0])])
-
-    def test_order_independent(self):
-        a = update(0, [1.0, 2.0])
-        b = update(1, [5.0, -2.0])
-        np.testing.assert_array_equal(fedavg_aggregate([a, b]),
-                                      fedavg_aggregate([b, a]))
-
 
 class TestQfflDeltas:
     def test_q_zero_algebra(self):
@@ -146,19 +139,23 @@ class TestQfflAggregate:
         np.testing.assert_allclose(out, [0.5])
 
     def test_q_zero_reduces_to_fedavg(self):
+        # Li et al. state the reduction exactly, but w - sum(L (w - w_k)) /
+        # (K L) rounds differently from the plain mean: most random cases
+        # differ in the last bits, so this is allclose and not bitwise.
         rng = np.random.default_rng(5)
         for trial in range(20):
             dim = rng.integers(1, 12)
             k = rng.integers(1, 6)
-            w = rng.normal(size=dim)
+            server = ServerState(rng.normal(size=dim))
             ups = [update(i, rng.normal(size=dim),
                           loss=float(rng.uniform(0.1, 3)), n=int(rng.integers(1, 9)))
                    for i in range(k)]
             lipschitz = float(rng.uniform(0.5, 100))
-            deltas = [qffl_deltas(w, u, 0.0, lipschitz) for u in ups]
-            got = qffl_aggregate(w, deltas)
-            want = fedavg_aggregate(ups)
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            got = aggregate(server, ups, StrategyConfig(
+                kind=StrategyKind.QFFL, q=0.0, lipschitz=lipschitz), 1)
+            want = aggregate(server, ups, StrategyConfig(), 1)
+            np.testing.assert_allclose(got.global_params, want.global_params,
+                                       rtol=1e-9, atol=1e-12)
 
     def test_zero_deltas_keep_global(self):
         w = np.array([0.7, -0.2])
@@ -168,18 +165,6 @@ class TestQfflAggregate:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateAggregationError):
             qffl_aggregate(np.zeros(2), [(np.zeros(2), 0.0)])
-
-
-class TestQfflObjective:
-    def test_q_zero_is_weighted_mean_loss(self):
-        ups = [update(0, [0.0], loss=1.0, n=1), update(1, [0.0], loss=3.0, n=3)]
-        assert qffl_objective(ups, q=0.0) == pytest.approx(
-            0.25 * 1.0 + 0.75 * 3.0, abs=1e-12)
-
-    def test_explicit_weights(self):
-        ups = [update(0, [0.0], loss=2.0), update(1, [0.0], loss=2.0)]
-        assert qffl_objective(ups, q=1.0, weights=[0.5, 0.5]) == pytest.approx(
-            0.5 / 2 * 4 + 0.5 / 2 * 4, abs=1e-12)
 
 
 class TestRelevance:
@@ -223,6 +208,8 @@ class TestRelevance:
 
 
 class TestFairRound:
+    """FairFedAvg rounds through `aggregate`."""
+
     def cfg(self, **kw):
         base = dict(kind=StrategyKind.FAIR_FEDAVG, q=0.0, lipschitz=10.0,
                     relevance_window=64)
@@ -233,7 +220,7 @@ class TestFairRound:
         server = ServerState(np.array([1.0, 1.0]), round_index=1,
                              prev_participants=3)
         ups = [update(i, [0.5, 0.5], rnd=2) for i in range(3)]
-        out = fair_round(server, ups, self.cfg())
+        out = aggregate(server, ups, self.cfg(), 2)
         assert out.last_alpha == 1.0
         assert not out.last_carried
         np.testing.assert_allclose(out.global_params, [0.5, 0.5])
@@ -246,7 +233,7 @@ class TestFairRound:
                                                GHEntry(1, 0.1), GHEntry(1, 0.4)),
                              prev_participants=4)
         ups = [update(i, [0.5, 0.5], rnd=2) for i in range(3)]
-        out = fair_round(server, ups, self.cfg())
+        out = aggregate(server, ups, self.cfg(), 2)
         assert 0.0 < out.last_alpha < 1.0
         np.testing.assert_allclose(out.global_params,
                                    out.last_alpha * np.array([0.5, 0.5]))
@@ -256,13 +243,13 @@ class TestFairRound:
                              gradient_history=(GHEntry(1, 0.5),),
                              prev_participants=3)
         ups = [update(i, [0.5], rnd=2) for i in range(2)]
-        out = fair_round(server, ups, self.cfg())
+        out = aggregate(server, ups, self.cfg(), 2)
         assert 0.0 < out.last_alpha < 1.0
 
     def test_single_update_carries_forward(self):
         w = np.array([0.9, -0.9])
         server = ServerState(w.copy(), round_index=0, prev_participants=0)
-        out = fair_round(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg())
+        out = aggregate(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(), 2)
         assert out.last_carried
         np.testing.assert_array_equal(out.global_params, w)
         # the received update's summary still lands in the history
@@ -270,8 +257,8 @@ class TestFairRound:
 
     def test_single_update_aggregated_when_bar_is_one(self):
         server = ServerState(np.array([0.9, -0.9]), round_index=0)
-        out = fair_round(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(),
-                         min_part=1)
+        out = aggregate(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(),
+                        1)
         assert not out.last_carried
         np.testing.assert_allclose(out.global_params, [0.1, 0.1])
 
@@ -279,7 +266,7 @@ class TestFairRound:
         server = ServerState(np.array([1.0]), round_index=2,
                              prev_participants=2)
         ups = [update(i, [0.5], rnd=3) for i in range(4)]
-        out = fair_round(server, ups, self.cfg())
+        out = aggregate(server, ups, self.cfg(), 2)
         assert out.last_alpha == 1.0
 
     def test_gh_window_bound(self):
@@ -287,21 +274,109 @@ class TestFairRound:
         cfg = self.cfg(relevance_window=3)
         for rnd in range(1, 5):
             ups = [update(i, [0.5], rnd=rnd) for i in range(3)]
-            server = fair_round(server, ups, cfg)
+            server = aggregate(server, ups, cfg, 2)
             assert len(server.gradient_history) <= 3
-
-    def test_hs_accumulator_populated(self):
-        server = ServerState(np.array([1.0]), round_index=0)
-        ups = [update(i, [0.5], loss=2.0, rnd=1) for i in range(2)]
-        out = fair_round(server, ups, self.cfg(q=1.0))
-        assert len(out.hs_accumulator) == 2
-        assert all(h > 0 for h in out.hs_accumulator)
 
     def test_requires_lipschitz(self):
         server = ServerState(np.array([1.0]))
         with pytest.raises(ConfigError):
-            fair_round(server, [update(0, [0.5])],
-                       StrategyConfig(kind=StrategyKind.FAIR_FEDAVG))
+            aggregate(server, [update(0, [0.5])],
+                      StrategyConfig(kind=StrategyKind.FAIR_FEDAVG), 2)
+
+
+@st.composite
+def server_rounds(draw):
+    """A server state, a round of updates and a strategy, with seeded
+    generic values (drawn ids are distinct, in arbitrary order)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, 20), max_size=6, unique=True))
+    prev_round = draw(st.integers(0, 3))
+    history = tuple(GHEntry(prev_round, float(rng.uniform(0.0, 2.0)))
+                    for _ in range(draw(st.integers(0, 4))))
+    server = ServerState(rng.normal(size=dim), round_index=prev_round,
+                         gradient_history=history,
+                         prev_participants=draw(st.integers(0, 7)))
+    ups = [update(cid, rng.normal(size=dim) * 10 ** rng.uniform(-2, 2),
+                  loss=float(rng.uniform(0.1, 3.0)),
+                  n=int(rng.integers(1, 50)), rnd=prev_round + 1)
+           for cid in ids]
+    cfg = StrategyConfig(kind=draw(st.sampled_from(list(StrategyKind))),
+                         q=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         lipschitz=float(rng.uniform(0.5, 50.0)),
+                         weighted_mean=draw(st.booleans()),
+                         relevance_window=draw(st.integers(1, 8)))
+    return server, ups, cfg
+
+
+def assert_same_state(a, b):
+    assert a.global_params.tobytes() == b.global_params.tobytes()
+    assert (a.round_index, a.gradient_history, a.prev_participants,
+            a.last_alpha, a.last_carried) == (
+        b.round_index, b.gradient_history, b.prev_participants,
+        b.last_alpha, b.last_carried)
+
+
+class TestAggregate:
+    @settings(max_examples=60, deadline=None)
+    @given(server_rounds(), st.integers(1, 7), st.data())
+    def test_order_independent(self, drawn, min_part, data):
+        server, ups, cfg = drawn
+        shuffled = data.draw(st.permutations(ups))
+        assert_same_state(aggregate(server, ups, cfg, min_part),
+                          aggregate(server, shuffled, cfg, min_part))
+
+    def test_length_mismatch(self):
+        ups = [update(0, [1.0]), update(1, [1.0, 2.0])]
+        for kind in StrategyKind:
+            for min_part in (1, 3):  # checked on carried rounds too
+                with pytest.raises(ShapeError):
+                    aggregate(ServerState(np.zeros(1)), ups,
+                              StrategyConfig(kind=kind, lipschitz=1.0),
+                              min_part)
+
+    @settings(max_examples=60, deadline=None)
+    @given(server_rounds(), st.integers(1, 7))
+    def test_carries_forward_exactly_below_bar(self, drawn, min_part):
+        server, ups, cfg = drawn
+        out = aggregate(server, ups, cfg, min_part)
+        assert out.last_carried == (len(ups) < min_part)
+        assert out.prev_participants == len(ups)
+        assert out.round_index == server.round_index + 1
+        if out.last_carried:
+            assert out.last_alpha == 1.0
+            assert out.global_params is not server.global_params
+            assert (out.global_params.tobytes()
+                    == server.global_params.tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(server_rounds())
+    def test_fedavg_mean_in_hull(self, drawn):
+        # The float mean of k equal values can leave them by an ulp
+        # (three 0.1s average to 0.10000000000000002), so the hull is
+        # widened by the summation rounding bound k * eps * max|x|.
+        server, ups, _ = drawn
+        if not ups:
+            return
+        out = aggregate(server, ups, StrategyConfig(), 1)
+        stack = np.stack([u.params for u in ups])
+        tol = len(ups) * np.finfo(float).eps * np.abs(stack).max(axis=0)
+        assert np.all(out.global_params >= stack.min(axis=0) - tol)
+        assert np.all(out.global_params <= stack.max(axis=0) + tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(server_rounds(), st.data())
+    def test_fair_equals_qffl_without_shrink(self, drawn, data):
+        server, ups, cfg = drawn
+        min_part = data.draw(st.integers(1, max(len(ups), 1)))
+        server.prev_participants = data.draw(st.integers(0, len(ups)))
+        fair = aggregate(server, ups,
+                         replace(cfg, kind=StrategyKind.FAIR_FEDAVG), min_part)
+        qffl = aggregate(server, ups, replace(cfg, kind=StrategyKind.QFFL),
+                         min_part)
+        assert fair.global_params.tobytes() == qffl.global_params.tobytes()
+        assert fair.last_alpha == qffl.last_alpha == 1.0
+        assert fair.last_carried == qffl.last_carried
 
 
 class TestAssignLatencies:
@@ -442,6 +517,20 @@ class TestRunFederated:
         assert [tr.carried_forward for tr in result.rounds] == [False, True]
         np.testing.assert_array_equal(result.rounds[1].global_params,
                                       result.rounds[0].global_params)
+
+    @pytest.mark.parametrize("fraction, bar", [(1.0, 5), (0.5, 3)])
+    def test_unreachable_min_participation_rejected(self, monkeypatch,
+                                                    fraction, bar):
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(federation, "local_round", no_round)
+        with pytest.raises(ConfigError, match=r"federation\.min_participation "
+                                              r"is \d+ but each round samples "
+                                              r"only \d+"):
+            run_federated(toy_clients(3), toy_model_cfg(),
+                          StrategyConfig(sample_fraction=fraction), rounds=3,
+                          epochs_per_round=1, min_participation=bar)
 
     def test_duplicate_ids_rejected(self):
         clients = toy_clients(2)
