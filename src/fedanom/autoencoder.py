@@ -89,10 +89,6 @@ class AutoencoderConfig:
             ))
         return tuple(specs)
 
-    @property
-    def n_encoder_layers(self) -> int:
-        return len(self.hidden_dims) + 1
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -118,33 +114,6 @@ class TrainConfig:
 def build(config: AutoencoderConfig) -> ParameterSet:
     """Initialize the autoencoder parameters; deterministic per seed."""
     return glorot_init(config.layer_specs(), config.seed)
-
-
-def _split_point(params: ParameterSet) -> int:
-    n = len(params.layers)
-    if n % 2 != 0:
-        raise ConfigError(
-            f"expected a mirror architecture with an even layer count, got {n}")
-    return n // 2
-
-
-def encode(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Map input(s) to the bottleneck representation; dropout disabled."""
-    half = _split_point(params)
-    encoder = ParameterSet(params.layers[:half])
-    return feed_forward(encoder, x)
-
-
-def decode(params: ParameterSet, y: np.ndarray) -> np.ndarray:
-    """Map bottleneck vector(s) back to feature space; dropout disabled."""
-    half = _split_point(params)
-    decoder = ParameterSet(params.layers[half:])
-    return feed_forward(decoder, y)
-
-
-def reconstruct(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Full encode/decode pass in eval mode."""
-    return feed_forward(params, x)
 
 
 # Rows per forward pass when scoring. The widest default layer's block of

@@ -21,7 +21,7 @@ from .autoencoder import AutoencoderConfig, TrainConfig
 from .dataplane import SynthSpec
 from .errors import ConfigError
 from .federation import LatencyModel, StrategyConfig
-from .numerics import LrSchedule
+from .numerics import LrSchedule, derive_seed
 
 MODE_CENTRALIZED = "centralized"
 MODE_FEDERATED = "federated"
@@ -257,7 +257,6 @@ class ExperimentConfig:
                          seed=s["seed"])
 
     def derived_seed(self, *parts: int) -> int:
-        from .numerics import derive_seed
         return derive_seed(self.seed, *parts)
 
 
@@ -277,6 +276,10 @@ def build_config(user: dict | None) -> ExperimentConfig:
         user = {**user, "federation": federation}
     merged = _merge("", user, DEFAULT_CONFIG)
     merged["federation"]["latency"] = latency_raw
+    hidden = merged["model"]["hidden_dims"]
+    if not all(type(d) is int and d > 0 for d in hidden):  # bool is no int
+        raise ConfigError(
+            f"model.hidden_dims: expected positive ints, got {hidden!r}")
     mp = merged["federation"]["min_participation"]
     if mp is not None:
         if isinstance(mp, bool) or not isinstance(mp, int) or mp < 0:
@@ -295,9 +298,3 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {_type_name(raw)}")
     return build_config(raw)
-
-
-def emit_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    """Write the canonical form; re-parsing it reproduces the config."""
-    Path(path).write_text(
-        yaml.safe_dump(cfg.canonical_dict(), sort_keys=True))

@@ -38,27 +38,6 @@ NORMAL_LABEL = "Normal"
 ATTACK_LABEL = "attack"  # category used by the synthetic generator
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One network flow: encoded feature vector plus its label string.
-
-    The label is NORMAL_LABEL for benign flows and the attack category
-    name otherwise, so the category is empty exactly when the flow is
-    normal.
-    """
-
-    features: np.ndarray
-    label: str
-
-    @property
-    def is_attack(self) -> bool:
-        return self.label != NORMAL_LABEL
-
-    @property
-    def category(self) -> str:
-        return "" if self.label == NORMAL_LABEL else self.label
-
-
 @dataclass
 class LabeledDataset:
     """Columnar dataset: feature matrix plus per-row label strings."""
@@ -91,9 +70,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=int)
         return LabeledDataset(self.features[idx], self.labels[idx])
-
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(self.features[i], str(self.labels[i]))
 
 
 @dataclass(frozen=True)
@@ -199,11 +175,6 @@ class PartitionPlan:
             "seed": self.seed,
             "assignments": [list(a) for a in self.assignments],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionPlan":
-        return cls(tuple(tuple(a) for a in d["assignments"]),
-                   float(d["alpha"]), int(d["seed"]))
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:

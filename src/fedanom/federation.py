@@ -8,8 +8,9 @@ the one server step of all three strategies. It works in this order:
 1. Sort the updates by client id, so floating-point summation does not
    depend on arrival order, and check that their lengths agree.
 2. Carry the global model forward when fewer than `min_participation`
-   updates arrived (default two; one for a single-client federation, so
-   it stays equivalent to centralized training).
+   updates arrived (default two; one when each round samples a single
+   client, so a single-client federation stays equivalent to centralized
+   training).
 3. Take the strategy step: fedavg is the plain (optionally n_k-weighted)
    mean of the client vectors; qffl and fairfedavg apply the q-FFL
    reweighted step driven by each client's local loss to the power q.
@@ -19,6 +20,7 @@ the one server step of all three strategies. It works in this order:
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -390,7 +392,7 @@ class RoundTrace:
     records: list[ClientRoundRecord]
     alpha: float
     carried_forward: bool
-    global_params: np.ndarray
+    global_sha256: str  # SHA-256 hex of the global float64 parameter bytes
     global_norm: float
     threshold_running_min: float | None
     pooled_confusion: ConfusionMatrix | None
@@ -447,9 +449,9 @@ def run_federated(clients: Sequence[ClientState],
     Per-round evaluation classifies with the running minimum of every
     local threshold seen so far; the returned detector is the minimum over
     all (round, client) thresholds. Everything is deterministic given the
-    master seed, the client seeds and the configs. A `min_participation`
-    above the number of clients sampled per round is rejected before
-    round 1, since every round would carry the initial model forward.
+    master seed, the client seeds and the configs. `min_participation`
+    defaults to min(2, clients sampled per round); a larger one is rejected
+    before round 1, since every round would carry the initial model forward.
     """
     if rounds < 1:
         raise ConfigError(f"need at least one round, got {rounds}")
@@ -467,9 +469,9 @@ def run_federated(clients: Sequence[ClientState],
     lipschitz = (strategy.lipschitz if strategy.lipschitz is not None
                  else 1.0 / base_train.schedule.base_rate)
     strategy = replace(strategy, lipschitz=lipschitz)
-    min_part = max(1, min(2, len(clients)) if min_participation is None
-                   else min_participation)
     n_sampled = math.ceil(strategy.sample_fraction * len(clients))
+    min_part = max(1, min(2, n_sampled) if min_participation is None
+                   else min_participation)
     if min_part > n_sampled:
         raise ConfigError(
             f"federation.min_participation is {min_part} but each round "
@@ -511,7 +513,7 @@ def run_federated(clients: Sequence[ClientState],
             records=records,
             alpha=server.last_alpha,
             carried_forward=server.last_carried,
-            global_params=server.global_params.copy(),
+            global_sha256=hashlib.sha256(server.global_params).hexdigest(),
             global_norm=float(np.linalg.norm(server.global_params)),
             threshold_running_min=(detector.threshold if detector else None),
             pooled_confusion=pooled_cm,

@@ -349,7 +349,7 @@ def metrics_payload(report: EvaluationReport) -> dict:
 
 
 def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
-    """Write metrics, confusion matrix, loss traces and the manifest.
+    """Write each artifact the report holds data for, then the manifest.
 
     CSV files start with a `# seed=... fingerprint=...` comment line; the
     first non-comment line is the header.
@@ -373,24 +373,25 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
         writer.writerow([cm.tp, cm.fp, cm.tn, cm.fn])
     written.append(confusion_path)
 
-    loss_path = out / "loss_trace.csv"
-    with loss_path.open("w", newline="") as fh:
-        fh.write(stamp + "\n")
-        writer = csv.writer(fh)
-        if report.mode == MODE_CENTRALIZED:
-            writer.writerow(["epoch", "mean_loss"])
-            for epoch, loss in enumerate(report.epoch_losses or []):
-                writer.writerow([epoch, repr(float(loss))])
-        else:
-            writer.writerow(["round", "mean_loss"])
-            for trace in report.round_traces or []:
-                losses = [r.local_loss for r in trace.records
-                          if r.local_loss is not None]
-                value = repr(float(np.mean(losses))) if losses else ""
-                writer.writerow([trace.round_index, value])
-    written.append(loss_path)
+    if report.epoch_losses is not None or report.round_traces is not None:
+        loss_path = out / "loss_trace.csv"
+        with loss_path.open("w", newline="") as fh:
+            fh.write(stamp + "\n")
+            writer = csv.writer(fh)
+            if report.epoch_losses is not None:
+                writer.writerow(["epoch", "mean_loss"])
+                for epoch, loss in enumerate(report.epoch_losses):
+                    writer.writerow([epoch, repr(float(loss))])
+            else:
+                writer.writerow(["round", "mean_loss"])
+                for trace in report.round_traces:
+                    losses = [r.local_loss for r in trace.records
+                              if r.local_loss is not None]
+                    value = repr(float(np.mean(losses))) if losses else ""
+                    writer.writerow([trace.round_index, value])
+        written.append(loss_path)
 
-    if report.mode == MODE_FEDERATED and report.round_traces is not None:
+    if report.round_traces is not None:
         trace_path = out / "round_trace.csv"
         with trace_path.open("w", newline="") as fh:
             fh.write(stamp + "\n")
@@ -410,10 +411,11 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
                     ])
         written.append(trace_path)
 
+    if report.per_client is not None:
         per_client_path = out / "per_client_metrics.json"
         payload = {"seed": report.seed, "fingerprint": report.fingerprint,
                    "clients": {}}
-        for cid, (cm, m) in sorted((report.per_client or {}).items()):
+        for cid, (cm, m) in sorted(report.per_client.items()):
             payload["clients"][str(cid)] = {
                 "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
                 "accuracy": _metric_value(m.accuracy),

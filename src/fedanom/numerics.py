@@ -1,8 +1,8 @@
 """Dense neural-network math for the MLP autoencoder.
 
-Everything operates on float64 numpy arrays: layers, activations,
-replay of caller-drawn inverted-dropout masks, MSE loss, reverse-mode
-gradients, the Adam optimizer and a step-decay learning-rate schedule.
+Everything operates on float64 numpy arrays: layers, the eval forward
+pass, the reconstruction MSE and its reverse-mode gradient (replaying
+caller-drawn dropout masks), Adam and a step-decay learning-rate schedule.
 
 A model's parameters live in one flat float64 vector laid out per layer as
 row-major weights then bias (`pack` writes it, `unpack` copies it back
@@ -11,8 +11,8 @@ and biases are views into such a vector, so training updates the vector
 in place with `adam_update` and the layers see the new values without a
 rebuild. `loss_and_gradients` can likewise write each layer's gradient
 straight into its slice of a caller's flat buffer. Only training keeps
-every layer's activations; `feed_forward` in eval mode keeps the current
-one.
+every layer's activations; `feed_forward` (eval mode, no dropout) keeps
+the current one.
 """
 from __future__ import annotations
 
@@ -129,25 +129,15 @@ class ParameterSet:
     def input_dim(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def specs(self) -> tuple[LayerSpec, ...]:
         return tuple(layer.spec() for layer in self.layers)
 
 
-def activate(kind: Activation, x: np.ndarray) -> np.ndarray:
-    """Elementwise activation: ReLU, Tanh or identity pass-through."""
-    return _activate_inplace(Activation(kind), np.array(x, dtype=np.float64))
-
-
-def _activate_inplace(kind: Activation, z: np.ndarray) -> np.ndarray:
+def _activate_inplace(kind: Activation, z: np.ndarray) -> None:
     if kind is Activation.RELU:
         np.maximum(z, 0.0, out=z)
     elif kind is Activation.TANH:
         np.tanh(z, out=z)
-    return z
 
 
 def _times_activation_grad(kind: Activation, h: np.ndarray,
@@ -161,34 +151,9 @@ def _times_activation_grad(kind: Activation, h: np.ndarray,
     return d
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    """activation(W @ x + b). Accepts a vector or a (batch, in) matrix."""
-    x = _as_f64(x)
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match layer in size "
-            f"{layer.in_dim}")
-    return activate(layer.activation, x @ layer.weights.T + layer.bias)
-
-
-def mse(x: np.ndarray, z: np.ndarray) -> float:
-    """Mean squared error over the feature dimension."""
-    x = _as_f64(x)
-    z = _as_f64(z)
-    if x.shape != z.shape:
-        raise ShapeError(f"mse inputs differ in shape: {x.shape} vs {z.shape}")
-    d = x - z
-    return float(np.mean(d * d))
-
-
-def feed_forward(params: ParameterSet, x: np.ndarray,
-                 masks: Sequence[np.ndarray | None] | None = None
-                 ) -> np.ndarray:
-    """Run the full layer chain. `masks` replays dropout (training mode);
-    None runs eval mode (no dropout), which keeps only the current layer's
-    activation alive."""
-    if masks is not None:
-        return _forward_cached(params, x, masks)[0]
+def feed_forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
+    """Eval-mode pass (no dropout) over a vector or a (batch, in) matrix,
+    keeping only the current layer's activation alive."""
     a = _model_input(params, x)
     for layer in params.layers:
         a = a @ layer.weights.T
@@ -264,14 +229,6 @@ def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
         if i > 0:  # the gradient w.r.t. the model input is never used
             d_h = d_z @ layer.weights
     return loss, out
-
-
-def compute_gradients(params: ParameterSet, batch: np.ndarray,
-                      masks: Sequence[np.ndarray | None] | None = None
-                      ) -> np.ndarray:
-    """Gradient of the mean batch reconstruction MSE, packed flat."""
-    _, grad = loss_and_gradients(params, batch, masks)
-    return grad
 
 
 @dataclass
@@ -355,19 +312,6 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
     np.divide(step, denom, out=step)
     np.subtract(params, step, out=params)
     state.step_count = t
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              rate: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update on a flat parameter vector.
-
-    Pure: returns fresh arrays and a fresh state with the step counter
-    advanced by one (`adam_update` on copies).
-    """
-    new_params = np.array(params, dtype=np.float64)
-    new_state = state.copy()
-    adam_update(new_params, _as_f64(grads), new_state, rate)
-    return new_params, new_state
 
 
 @dataclass(frozen=True)

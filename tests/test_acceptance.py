@@ -230,8 +230,7 @@ def test_criterion_7_fairfedavg_relevance_and_carry_forward():
                               master_seed=13) for _ in range(2)]
         for tr_a, tr_b in zip(runs[0].rounds, runs[1].rounds):
             assert tr_a.alpha == tr_b.alpha
-            np.testing.assert_array_equal(tr_a.global_params,
-                                          tr_b.global_params)
+            assert tr_a.global_sha256 == tr_b.global_sha256
         alphas = {tr.round_index: tr.alpha for tr in runs[0].rounds}
         assert alphas[1] == 1.0 and alphas[3] == 1.0 and alphas[5] == 1.0
         assert 0.0 < alphas[2] < 1.0 and 0.0 < alphas[4] < 1.0
@@ -250,8 +249,7 @@ def test_criterion_7_fairfedavg_relevance_and_carry_forward():
         for rnd, carried in flags.items():
             assert carried == (arrivals[rnd] < 2)
         assert flags[2]
-        np.testing.assert_array_equal(result.rounds[1].global_params,
-                                      result.rounds[0].global_params)
+        assert result.rounds[1].global_sha256 == result.rounds[0].global_sha256
 
 
 EDGE_PATH = os.environ.get("EDGE_IIOTSET_CSV")

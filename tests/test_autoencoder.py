@@ -1,5 +1,7 @@
 """Unit tests for the autoencoder build/train/evaluate surface."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +13,6 @@ from fedanom.autoencoder import (
     AutoencoderConfig,
     TrainConfig,
     build,
-    decode,
-    encode,
-    reconstruct,
     reconstruction_errors,
     train_epochs,
 )
@@ -21,13 +20,12 @@ from fedanom.errors import ConfigError, DataError, ShapeError
 from fedanom.numerics import (
     Activation,
     LrSchedule,
-    adam_step,
-    dense_forward,
+    ParameterSet,
+    _forward_cached,
     derive_rng,
     feed_forward,
     loss_and_gradients,
     lr_at,
-    mse,
     pack,
     unpack,
 )
@@ -94,48 +92,59 @@ class TestBuild:
             AutoencoderConfig(input_dim=0)
 
 
+def halves(params):
+    """The encoder (input to bottleneck) and the decoder layers of a
+    mirror architecture, as two models."""
+    n = len(params.layers) // 2
+    return ParameterSet(params.layers[:n]), ParameterSet(params.layers[n:])
+
+
 class TestEncodeDecode:
     def test_zero_params_zero_input(self):
         cfg = toy_config()
         params = unpack(np.zeros(pack(build(cfg)).size), cfg.layer_specs())
-        np.testing.assert_array_equal(encode(params, np.zeros(6)), np.zeros(3))
-        np.testing.assert_array_equal(decode(params, np.zeros(3)), np.zeros(6))
+        enc, dec = halves(params)
+        np.testing.assert_array_equal(feed_forward(enc, np.zeros(6)),
+                                      np.zeros(3))
+        np.testing.assert_array_equal(feed_forward(dec, np.zeros(3)),
+                                      np.zeros(6))
 
     def test_default_bottleneck_width(self):
-        params = build(AutoencoderConfig())
+        enc, _ = halves(build(AutoencoderConfig()))
         x = np.random.default_rng(0).uniform(-1, 1, 66)
-        assert encode(params, x).shape == (16,)
+        assert feed_forward(enc, x).shape == (16,)
 
     def test_default_output_width(self):
-        params = build(AutoencoderConfig())
+        _, dec = halves(build(AutoencoderConfig()))
         y = np.random.default_rng(0).uniform(-1, 1, 16)
-        assert decode(params, y).shape == (66,)
+        assert feed_forward(dec, y).shape == (66,)
 
     def test_decode_inside_tanh_range(self):
-        params = build(toy_config(seed=5))
+        _, dec = halves(build(toy_config(seed=5)))
         rng = np.random.default_rng(2)
         for _ in range(5):
-            out = decode(params, rng.normal(size=3) * 3)
+            out = feed_forward(dec, rng.normal(size=3) * 3)
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_encode_deterministic(self):
-        params = build(toy_config())
+        enc, _ = halves(build(toy_config()))
         x = np.random.default_rng(1).uniform(-1, 1, 6)
-        np.testing.assert_array_equal(encode(params, x), encode(params, x))
+        np.testing.assert_array_equal(feed_forward(enc, x),
+                                      feed_forward(enc, x))
 
     def test_shape_errors(self):
-        params = build(toy_config())
+        enc, dec = halves(build(toy_config()))
         with pytest.raises(ShapeError):
-            encode(params, np.zeros(7))
+            feed_forward(enc, np.zeros(7))
         with pytest.raises(ShapeError):
-            decode(params, np.zeros(4))
+            feed_forward(dec, np.zeros(4))
 
     def test_reconstruct_matches_encode_decode(self):
         params = build(toy_config())
+        enc, dec = halves(params)
         x = np.random.default_rng(4).uniform(-1, 1, 6)
-        np.testing.assert_allclose(reconstruct(params, x),
-                                   decode(params, encode(params, x)),
-                                   rtol=0, atol=0)
+        np.testing.assert_array_equal(feed_forward(params, x),
+                                      feed_forward(dec, feed_forward(enc, x)))
 
 
 class TestReconstructionErrors:
@@ -154,8 +163,11 @@ class TestReconstructionErrors:
         for i, row in enumerate(data):
             out = row.copy()
             for layer in params.layers:
-                out = dense_forward(out, layer)
-            assert errors[i] == pytest.approx(mse(row, out), abs=1e-15)
+                out = out @ layer.weights.T + layer.bias
+                out = (np.tanh(out) if layer.activation is Activation.TANH
+                       else np.maximum(out, 0.0))
+            assert errors[i] == pytest.approx(np.mean((row - out) ** 2),
+                                              abs=1e-15)
 
     def test_identity_behaving_model_zero_error(self):
         # an effectively-identity single pair of layers on zero input
@@ -168,7 +180,7 @@ class TestReconstructionErrors:
     def test_reconstruction_keeps_width(self):
         params = build(toy_config())
         data = toy_blob(5)
-        assert reconstruct(params, data).shape == data.shape
+        assert feed_forward(params, data).shape == data.shape
 
 
 B = _SCORE_ROWS
@@ -209,9 +221,9 @@ class TestBlockedScoring:
     def test_each_pass_gets_a_full_block(self, monkeypatch, n):
         rows = []
 
-        def spy(params, x, masks=None):
+        def spy(params, x):
             rows.append(x.shape[0])
-            return feed_forward(params, x, masks)
+            return feed_forward(params, x)
 
         monkeypatch.setattr(autoencoder, "feed_forward", spy)
         reconstruction_errors(build(toy_config()), toy_blob(n))
@@ -227,9 +239,9 @@ class TestBlockedScoring:
     def test_one_unit_layer_scores_in_one_pass(self, monkeypatch, overrides):
         rows = []
 
-        def spy(params, x, masks=None):
+        def spy(params, x):
             rows.append(x.shape[0])
-            return feed_forward(params, x, masks)
+            return feed_forward(params, x)
 
         cfg = toy_config(**overrides)
         monkeypatch.setattr(autoencoder, "feed_forward", spy)
@@ -295,7 +307,7 @@ class TestTrainEpochs:
         params = build(cfg)
         data = toy_blob(4)
         masks = [None] * len(params.layers)
-        np.testing.assert_array_equal(feed_forward(params, data, masks),
+        np.testing.assert_array_equal(_forward_cached(params, data, masks)[0],
                                       feed_forward(params, data))
 
 
@@ -303,19 +315,31 @@ class TestInvariants:
     def test_output_always_in_tanh_range(self):
         params = build(toy_config(seed=17))
         rng = np.random.default_rng(11)
-        out = reconstruct(params, rng.uniform(-1, 1, size=(50, 6)))
+        out = feed_forward(params, rng.uniform(-1, 1, size=(50, 6)))
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_shape_contract(self):
         params = build(toy_config())
         x = np.random.default_rng(1).uniform(-1, 1, 6)
-        assert reconstruct(params, x).shape == x.shape
+        assert feed_forward(params, x).shape == x.shape
+
+
+def reference_adam_step(params, grads, state, rate):
+    """Adam written out term by term, allocating every intermediate; returns
+    the new vector and a new state."""
+    t = state.step_count + 1
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    return (params - rate * m_hat / (np.sqrt(v_hat) + state.epsilon),
+            replace(state, first_moment=m, second_moment=v, step_count=t))
 
 
 def reference_train_epochs(params, data, tc, state):
     """The per-step loop train_epochs replaced: dropout masks drawn layer
-    by layer, an allocating gradient, the pure Adam step, then a rebuild
-    of every layer."""
+    by layer, an allocating gradient, a pure Adam step, then a rebuild of
+    every layer."""
     rng = derive_rng(tc.shuffle_seed)
     specs = params.specs()
     flat = pack(params)
@@ -330,7 +354,7 @@ def reference_train_epochs(params, data, tc, state):
                      .astype(np.float64) / (1.0 - s.dropout)
                      if s.dropout > 0.0 else None for s in specs]
             loss, grad = loss_and_gradients(params, data[idx], masks)
-            flat, state = adam_step(flat, grad, state, rate)
+            flat, state = reference_adam_step(flat, grad, state, rate)
             params = unpack(flat, specs)
             losses.append(loss)
         trace.append(float(np.mean(losses)))

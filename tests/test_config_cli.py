@@ -11,7 +11,6 @@ from fedanom.cli import main
 from fedanom.config import (
     DEFAULT_CONFIG,
     build_config,
-    emit_config,
     parse_config,
 )
 from fedanom.errors import ConfigError, DataError
@@ -79,10 +78,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="train.epochs"):
             build_config({"train": {"epochs": "fifty"}})
 
+    @pytest.mark.parametrize("dims", [[64, "x"], [6.7, 4], [True, 4]])
+    def test_hidden_dims_entries_must_be_positive_ints(self, dims):
+        with pytest.raises(ConfigError, match=r"model\.hidden_dims"):
+            build_config({"model": {"hidden_dims": dims}})
+
     def test_round_trip_canonical_form(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "canonical.yaml"
-        emit_config(cfg, path)
+        path.write_text(yaml.safe_dump(cfg.canonical_dict(), sort_keys=True))
         again = parse_config(path)
         assert again.canonical_dict() == cfg.canonical_dict()
         assert again.fingerprint() == cfg.fingerprint()
@@ -147,10 +151,11 @@ class TestCentralizedHarness:
         assert report.metrics.recall >= 0.95
         assert report.metrics.fp_rate <= 0.05
 
-    def test_same_seed_byte_identical_reports(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["centralized", "federated"])
+    def test_same_seed_byte_identical_reports(self, tmp_path, mode):
         payloads = []
         for name in ("a", "b"):
-            report, _ = run_centralized(tiny_config())
+            report, _ = run_experiment(tiny_config(mode=mode))
             out = tmp_path / name
             emit_report(report, out)
             payloads.append({p.name: p.read_bytes()
@@ -296,6 +301,21 @@ class TestFederatedHarness:
                                               r"only 2"):
             run_federated_experiment(cfg)
 
+    def test_default_min_participation_follows_sampling(self):
+        # one of two clients is sampled per round, so the default bar is one
+        cfg = tiny_config(mode="federated", strategy={"sample_fraction": 0.5})
+        _, _, result = run_federated_experiment(cfg)
+        assert not any(tr.carried_forward for tr in result.rounds)
+        assert all(sum(r.participated for r in tr.records) == 1
+                   for tr in result.rounds)
+        set_bar = tiny_config(mode="federated",
+                              strategy={"sample_fraction": 0.5},
+                              federation={"min_participation": 2})
+        with pytest.raises(ConfigError, match=r"federation\.min_participation "
+                                              r"is 2 but each round samples "
+                                              r"only 1"):
+            run_federated_experiment(set_bar)
+
     def test_loss_trace_rows_equal_rounds(self, tmp_path):
         cfg = tiny_config(mode="federated")
         report, _, _ = run_federated_experiment(cfg)
@@ -410,6 +430,23 @@ class TestCli:
         original = json.loads((run_dir / "metrics.json").read_text())
         again = json.loads((out / "metrics.json").read_text())
         assert again["accuracy"] == original["accuracy"]
+        # an evaluation has no loss series to write
+        assert not (out / "loss_trace.csv").exists()
+
+    def test_evaluate_saved_federated_model(self, tmp_path):
+        config = write_tiny_yaml(tmp_path, mode="federated")
+        run_dir = tmp_path / "run"
+        main(["train-fed", "--config", str(config), "--out", str(run_dir)])
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(config),
+                     "--model", str(run_dir / "model"),
+                     "--out", str(out)]) == 0
+        name = "per_client_metrics.json"
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["confusion.csv", "metrics.json", name]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["artifacts"] + ["manifest.json"])
 
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

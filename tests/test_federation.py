@@ -1,5 +1,6 @@
 """Unit tests for aggregation strategies and the round loop."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedanom import federation
-from fedanom.autoencoder import AutoencoderConfig, TrainConfig
+from fedanom.autoencoder import AutoencoderConfig, TrainConfig, build
 from fedanom.errors import (
     ConfigError,
     DataError,
@@ -464,14 +465,18 @@ class TestRunFederated:
         assert results[0].detector.threshold == results[1].detector.threshold
         for ta, tb in zip(results[0].rounds, results[1].rounds):
             assert ta.alpha == tb.alpha
-            np.testing.assert_array_equal(ta.global_params, tb.global_params)
+            assert ta.global_sha256 == tb.global_sha256
+        # three trained rounds, three models; the last one is the result
+        digests = [tr.global_sha256 for tr in results[0].rounds]
+        assert len(set(digests)) == 3
+        assert digests[-1] == hashlib.sha256(
+            results[0].final_params.tobytes()).hexdigest()
 
     def test_param_length_invariant_across_rounds(self):
         result = run_federated(toy_clients(3), toy_model_cfg(),
                                StrategyConfig(), rounds=3, epochs_per_round=1,
                                master_seed=2)
-        sizes = {tr.global_params.size for tr in result.rounds}
-        assert sizes == {result.final_params.size}
+        assert result.final_params.size == build(toy_model_cfg()).n_params
 
     def test_detector_is_min_over_all_thresholds(self):
         result = run_federated(toy_clients(2), toy_model_cfg(),
@@ -488,8 +493,7 @@ class TestRunFederated:
                                latency=latency, master_seed=3)
         round2 = result.rounds[1]
         assert round2.carried_forward
-        np.testing.assert_array_equal(round2.global_params,
-                                      result.rounds[0].global_params)
+        assert round2.global_sha256 == result.rounds[0].global_sha256
 
     def test_single_client_min_participation_lowered(self):
         result = run_federated(toy_clients(1), toy_model_cfg(),
@@ -515,8 +519,8 @@ class TestRunFederated:
                                epochs_per_round=1, latency=latency,
                                master_seed=7, min_participation=3)
         assert [tr.carried_forward for tr in result.rounds] == [False, True]
-        np.testing.assert_array_equal(result.rounds[1].global_params,
-                                      result.rounds[0].global_params)
+        assert (result.rounds[1].global_sha256
+                == result.rounds[0].global_sha256)
 
     @pytest.mark.parametrize("fraction, bar", [(1.0, 5), (0.5, 3)])
     def test_unreachable_min_participation_rejected(self, monkeypatch,

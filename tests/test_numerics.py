@@ -15,22 +15,46 @@ from fedanom.numerics import (
     LayerSpec,
     LrSchedule,
     ParameterSet,
-    activate,
-    adam_step,
+    _forward_cached,
     adam_update,
-    compute_gradients,
-    dense_forward,
     derive_rng,
     derive_seed,
     feed_forward,
     glorot_init,
     loss_and_gradients,
     lr_at,
-    mse,
     pack,
     param_views,
     unpack,
 )
+
+
+def one_layer(layer, x):
+    """activation(W @ x + b) of a single layer, through the model pass."""
+    return feed_forward(ParameterSet([layer]), np.asarray(x, dtype=float))
+
+
+def activated(kind, x):
+    """The activation alone: one identity-weight, zero-bias layer."""
+    x = np.asarray(x, dtype=float)
+    return one_layer(DenseLayer(np.eye(x.size), np.zeros(x.size), kind), x)
+
+
+def reference_activate(kind, z):
+    if kind is Activation.RELU:
+        return np.maximum(z, 0.0)
+    if kind is Activation.TANH:
+        return np.tanh(z)
+    return z
+
+
+def batch_loss(recon, batch):
+    """The loss of one layer with zero weights whose bias is `recon`: the
+    model outputs `recon` for every row, so this is the batch MSE."""
+    recon = np.asarray(recon, dtype=float)
+    layer = DenseLayer(np.zeros((recon.size, np.shape(batch)[-1])), recon,
+                       Activation.IDENTITY)
+    return loss_and_gradients(ParameterSet([layer]), batch)[0]
 
 
 def random_params(specs, seed, scale=0.5):
@@ -61,29 +85,29 @@ class TestDenseForward:
     def test_hand_matrix_arithmetic(self):
         layer = DenseLayer([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5],
                            Activation.IDENTITY)
-        out = dense_forward(np.array([1.0, 1.0]), layer)
+        out = one_layer(layer, [1.0, 1.0])
         np.testing.assert_allclose(out, [3.5, 6.5])
 
     def test_zero_weights_zero_bias(self):
         for act in Activation:
             layer = DenseLayer(np.zeros((3, 2)), np.zeros(3), act)
-            out = dense_forward(np.array([4.0, -7.0]), layer)
+            out = one_layer(layer, [4.0, -7.0])
             np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_identity_weights_relu(self):
         layer = DenseLayer(np.eye(2), np.zeros(2), Activation.RELU)
-        out = dense_forward(np.array([-1.0, 2.0]), layer)
+        out = one_layer(layer, [-1.0, 2.0])
         np.testing.assert_array_equal(out, [0.0, 2.0])
 
     def test_dimension_mismatch_names_sizes(self):
         layer = DenseLayer(np.eye(2), np.zeros(2), Activation.RELU)
         with pytest.raises(ShapeError, match="3"):
-            dense_forward(np.zeros(3), layer)
+            one_layer(layer, np.zeros(3))
 
     def test_batch_input(self):
         layer = DenseLayer([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
                            Activation.IDENTITY)
-        out = dense_forward(np.array([[1.0, 2.0], [3.0, 4.0]]), layer)
+        out = one_layer(layer, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(out, [[2.0, 3.0], [4.0, 5.0]])
 
     def test_linear_before_activation(self):
@@ -91,39 +115,42 @@ class TestDenseForward:
         layer = DenseLayer(rng.normal(size=(4, 3)), np.zeros(4),
                            Activation.IDENTITY)
         x = rng.normal(size=3)
-        np.testing.assert_allclose(dense_forward(2.5 * x, layer),
-                                   2.5 * dense_forward(x, layer))
+        np.testing.assert_allclose(one_layer(layer, 2.5 * x),
+                                   2.5 * one_layer(layer, x))
 
 
 class TestActivate:
     def test_relu(self):
         np.testing.assert_array_equal(
-            activate(Activation.RELU, np.array([-1.0, 0.0, 2.0])),
+            activated(Activation.RELU, [-1.0, 0.0, 2.0]),
             [0.0, 0.0, 2.0])
 
     def test_tanh_zero(self):
-        assert activate(Activation.TANH, np.array([0.0]))[0] == 0.0
+        assert activated(Activation.TANH, [0.0])[0] == 0.0
 
     def test_tanh_saturation(self):
-        out = activate(Activation.TANH, np.array([1e9]))
+        out = activated(Activation.TANH, [1e9])
         assert abs(out[0] - 1.0) < 1e-12
 
     def test_identity(self):
         x = np.array([1.5, -2.5])
-        np.testing.assert_array_equal(activate(Activation.IDENTITY, x), x)
+        np.testing.assert_array_equal(activated(Activation.IDENTITY, x), x)
 
 
 class TestMse:
     def test_equal_inputs(self):
-        assert mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert batch_loss([1.0, 2.0], np.array([[1.0, 2.0]])) == 0.0
 
     def test_hand_values(self):
-        assert mse(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
-        assert mse(np.array([3.0]), np.array([1.0])) == 4.0
+        assert batch_loss([1.0, 1.0], np.array([[0.0, 0.0]])) == 1.0
+        assert batch_loss([1.0], np.array([[3.0]])) == 4.0
+        # the mean runs over rows as well as features
+        assert batch_loss([1.0], np.array([[3.0], [1.0]])) == 2.0
 
     def test_length_mismatch(self):
+        layer = DenseLayer(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
-            mse(np.zeros(2), np.zeros(3))
+            loss_and_gradients(ParameterSet([layer]), np.zeros((1, 3)))
 
 
 class TestGradients:
@@ -131,7 +158,7 @@ class TestGradients:
         specs = (LayerSpec(2, 2, Activation.RELU),
                  LayerSpec(2, 2, Activation.TANH))
         params = unpack(np.zeros(12), specs)
-        grad = compute_gradients(params, np.zeros((4, 2)))
+        _, grad = loss_and_gradients(params, np.zeros((4, 2)))
         np.testing.assert_array_equal(grad, np.zeros(12))
 
     @pytest.mark.parametrize("seed,dims", [(7, (3, 2)), (11, (5, 4, 3)),
@@ -145,7 +172,7 @@ class TestGradients:
         params = random_params(specs, seed)
         assert pack(params).size <= 200
         batch = np.random.default_rng(seed + 1).normal(size=(6, dims[0])) * 0.8
-        grad = compute_gradients(params, batch)
+        _, grad = loss_and_gradients(params, batch)
         oracle = finite_difference_grad(params, batch)
         rel = np.abs(grad - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() <= 1e-4
@@ -156,15 +183,15 @@ class TestGradients:
         params = random_params(specs, 5)
         batch = np.random.default_rng(6).normal(size=(4, 3))
         doubled = np.vstack([batch, batch])
-        np.testing.assert_allclose(compute_gradients(params, batch),
-                                   compute_gradients(params, doubled),
+        np.testing.assert_allclose(loss_and_gradients(params, batch)[1],
+                                   loss_and_gradients(params, doubled)[1],
                                    rtol=0, atol=1e-15)
 
     def test_shape_mismatch(self):
         specs = (LayerSpec(2, 3, Activation.RELU),)
         params = random_params(specs, 1)
         with pytest.raises(ShapeError):
-            compute_gradients(params, np.zeros((4, 5)))
+            loss_and_gradients(params, np.zeros((4, 5)))
 
     def test_dropout_masks_enter_gradient(self):
         specs = (LayerSpec(4, 3, Activation.RELU, dropout=0.5),
@@ -173,37 +200,39 @@ class TestGradients:
         batch = np.random.default_rng(9).normal(size=(5, 3))
         masks = [np.zeros((5, 4)), None]
         # layer 0 output fully dropped: its weights get zero gradient
-        grad = compute_gradients(params, batch, masks)
+        _, grad = loss_and_gradients(params, batch, masks)
         n_w0 = 4 * 3 + 4
         np.testing.assert_array_equal(grad[:n_w0], np.zeros(n_w0))
 
 
 class TestAdam:
     def test_closed_form_first_step(self):
-        params, state = adam_step(np.zeros(1), np.ones(1),
-                                  AdamState.zeros(1), 0.001)
+        params, state = np.zeros(1), AdamState.zeros(1)
+        adam_update(params, np.ones(1), state, 0.001)
         assert abs(params[0] - (-0.001)) < 1e-6
         assert state.step_count == 1
 
     def test_zero_gradient_fixed_point(self):
         start = np.array([1.0, -2.0, 3.0])
-        params, state = adam_step(start, np.zeros(3), AdamState.zeros(3), 0.01)
+        params, state = start.copy(), AdamState.zeros(3)
+        adam_update(params, np.zeros(3), state, 0.01)
         np.testing.assert_array_equal(params, start)
         assert state.step_count == 1
 
     def test_statefulness(self):
-        p0 = np.zeros(2)
         g = np.array([1.0, -1.0])
-        p1, s1 = adam_step(p0, g, AdamState.zeros(2), 0.01)
-        p2, s2 = adam_step(p1, g, s1, 0.01)
-        p1_again, _ = adam_step(p1, g, AdamState.zeros(2), 0.01)
+        p2, s2 = np.zeros(2), AdamState.zeros(2)
+        adam_update(p2, g, s2, 0.01)
+        p1_again = p2.copy()
+        adam_update(p2, g, s2, 0.01)
+        adam_update(p1_again, g, AdamState.zeros(2), 0.01)
         assert s2.step_count == 2
         assert not np.array_equal(p2, p1_again)
 
     def test_non_finite_gradient_names_coordinate(self):
         with pytest.raises(NumericError, match="coordinate 1"):
-            adam_step(np.zeros(3), np.array([0.0, np.nan, 0.0]),
-                      AdamState.zeros(3), 0.01)
+            adam_update(np.zeros(3), np.array([0.0, np.nan, 0.0]),
+                        AdamState.zeros(3), 0.01)
 
 
 class TestLrSchedule:
@@ -316,7 +345,7 @@ def reference_loss_and_gradients(params, batch, masks=None):
         inputs.append(a)
         z = a @ layer.weights.T + layer.bias
         preacts.append(z)
-        a = activate(layer.activation, z)
+        a = reference_activate(layer.activation, z)
         if masks is not None and masks[i] is not None:
             a = a * masks[i]
     diff = a - batch
@@ -375,11 +404,12 @@ class TestFlatBuffers:
         batch = np.random.default_rng(seed + 1).normal(size=(rows, dims[0]))
         before = batch.copy()
         got = feed_forward(params, batch)
-        # all-None masks take the training pass that caches every layer
-        cached = feed_forward(params, batch, [None] * len(specs))
+        # the training pass, which caches every layer, without dropout
+        cached = _forward_cached(params, batch, [None] * len(specs))[0]
         a = batch
         for layer in params.layers:
-            a = activate(layer.activation, a @ layer.weights.T + layer.bias)
+            a = reference_activate(layer.activation,
+                                   a @ layer.weights.T + layer.bias)
         np.testing.assert_array_equal(got, cached)
         np.testing.assert_array_equal(got, a)
         np.testing.assert_array_equal(batch, before)
@@ -417,35 +447,36 @@ class TestFlatBuffers:
         params = rng.normal(size=n)
         state = AdamState.zeros(n)
         for _ in range(warm_steps):
-            params, state = adam_step(params, rng.normal(size=n), state, 0.01)
+            adam_update(params, rng.normal(size=n), state, 0.01)
         grads = rng.normal(size=n)
         expect, m, v = reference_adam_step(params, grads, state, 0.003)
-        got, new_state = adam_step(params, grads, state, 0.003)
-        np.testing.assert_array_equal(got, expect)
-        np.testing.assert_array_equal(new_state.first_moment, m)
-        np.testing.assert_array_equal(new_state.second_moment, v)
+        adam_update(params, grads, state, 0.003)
+        np.testing.assert_array_equal(params, expect)
+        np.testing.assert_array_equal(state.first_moment, m)
+        np.testing.assert_array_equal(state.second_moment, v)
+        assert state.step_count == warm_steps + 1
 
-    def test_adam_step_leaves_inputs(self):
+    def test_adam_update_leaves_gradients(self):
         params, grads = np.ones(3), np.array([0.5, -1.0, 2.0])
         state = AdamState(np.full(3, 0.1), np.full(3, 0.2), 4)
-        adam_step(params, grads, state, 0.01)
-        np.testing.assert_array_equal(params, np.ones(3))
-        np.testing.assert_array_equal(state.first_moment, np.full(3, 0.1))
-        np.testing.assert_array_equal(state.second_moment, np.full(3, 0.2))
-        assert state.step_count == 4
+        adam_update(params, grads, state, 0.01, np.empty((2, 3)))
+        np.testing.assert_array_equal(grads, [0.5, -1.0, 2.0])
+        assert state.step_count == 5
 
     def test_adam_update_in_place(self):
         params, grads = np.zeros(2), np.array([1.0, -1.0])
         state = AdamState.zeros(2)
-        expect, _ = adam_step(params, grads, state, 0.01)
+        expect, m, v = reference_adam_step(params, grads, state, 0.01)
         adam_update(params, grads, state, 0.01, np.empty((2, 2)))
         np.testing.assert_array_equal(params, expect)
+        np.testing.assert_array_equal(state.first_moment, m)
+        np.testing.assert_array_equal(state.second_moment, v)
         assert state.step_count == 1
 
     def test_adam_overflowing_finite_gradient_accepted(self):
         # the squared sum overflows although every entry is finite
-        params, state = adam_step(np.zeros(2), np.array([1e154, -1e154]),
-                                  AdamState.zeros(2), 0.01)
+        params, state = np.zeros(2), AdamState.zeros(2)
+        adam_update(params, np.array([1e154, -1e154]), state, 0.01)
         np.testing.assert_allclose(params, [-0.01, 0.01])
         assert np.all(np.isfinite(state.second_moment))
 
