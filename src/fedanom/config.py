@@ -92,6 +92,53 @@ DEFAULT_CONFIG: dict = {
 
 _LATENCY_KEYS = {"delays", "per_round", "jitter", "drop_after"}
 
+# Allowed interval per numeric key: "[" and "]" include an end, "(" and ")"
+# exclude it. An unset optional key (None) is not checked.
+_RANGES = {
+    "dataset.synth.n_normal": "[0, inf)",
+    "dataset.synth.n_attack": "[0, inf)",
+    "dataset.synth.dim": "[1, inf)",
+    "model.input_dim": "[1, inf)",
+    "model.bottleneck_dim": "[1, inf)",
+    "model.dropout_p": "[0, 1)",
+    "split.train_fraction": "(0, 1)",
+    "train.epochs": "[1, inf)",
+    "train.batch_size": "[1, inf)",
+    "train.learning_rate": "(0, inf)",
+    "train.lr_step": "[1, inf)",
+    "train.lr_gamma": "(0, 1]",
+    "train.adam_beta1": "[0, 1)",
+    "train.adam_beta2": "[0, 1)",
+    "train.adam_epsilon": "(0, inf)",
+    "federation.n_clients": "[1, inf)",
+    "federation.rounds": "[1, inf)",
+    "federation.epochs_per_round": "[1, inf)",
+    "federation.alpha": "(0, inf)",
+    "federation.min_participation": "[0, inf)",
+    "strategy.q": "[0, inf)",
+    "strategy.lipschitz": "(0, inf)",
+    "strategy.sample_fraction": "(0, 1]",
+    "strategy.relevance_window": "[1, inf)",
+}
+
+
+def _in_interval(value: float, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    return above and below
+
+
+def _check_ranges(merged: dict) -> None:
+    for key, interval in _RANGES.items():
+        section, *rest = key.split(".")
+        value = merged[section]
+        for part in rest:
+            value = value[part]
+        if value is not None and not _in_interval(value, interval):
+            raise ConfigError(f"{key}: expected a value in {interval}, "
+                              f"got {value!r}")
+
 
 def _type_name(value) -> str:
     return type(value).__name__
@@ -281,13 +328,13 @@ def build_config(user: dict | None) -> ExperimentConfig:
         raise ConfigError(
             f"model.hidden_dims: expected positive ints, got {hidden!r}")
     mp = merged["federation"]["min_participation"]
-    if mp is not None:
-        if isinstance(mp, bool) or not isinstance(mp, int) or mp < 0:
-            raise ConfigError(
-                "federation.min_participation: expected nonnegative int")
+    if mp is not None and (isinstance(mp, bool) or not isinstance(mp, int)):
+        raise ConfigError(
+            "federation.min_participation: expected nonnegative int")
     lip = merged["strategy"]["lipschitz"]
     if lip is not None:
         merged["strategy"]["lipschitz"] = float(lip)
+    _check_ranges(merged)
     return ExperimentConfig(merged)
 
 

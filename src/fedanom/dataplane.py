@@ -67,10 +67,6 @@ class LabeledDataset:
     def is_attack(self) -> np.ndarray:
         return self.labels != NORMAL_LABEL
 
-    def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(self.features[idx], self.labels[idx])
-
 
 @dataclass(frozen=True)
 class ScalerParams:
@@ -101,9 +97,15 @@ def fit_scaler(train: np.ndarray) -> ScalerParams:
     return ScalerParams(train.min(axis=0), train.max(axis=0))
 
 
-def apply_scaler(scaler: ScalerParams, data: np.ndarray) -> np.ndarray:
+def apply_scaler(scaler: ScalerParams, data: np.ndarray,
+                 rows: np.ndarray | None = None) -> np.ndarray:
     """Affine map sending [min, max] to [-1, 1], clamped; constant columns
-    map to 0."""
+    map to 0.
+
+    With `rows`, only those rows of `data` are scaled. Either way the result
+    is one fresh buffer (`data[rows]`, or a copy of `data`) scaled in place,
+    and `data` itself is never written.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[None, :]
@@ -115,7 +117,8 @@ def apply_scaler(scaler: ScalerParams, data: np.ndarray) -> np.ndarray:
     live = span > 0.0
     # clip(where(live, 2 * (data - min) / safe_span - 1, 0), -1, 1) in one
     # buffer, its operations kept in that order so results match bit for bit
-    scaled = np.subtract(data, scaler.minimum)
+    scaled = data.copy() if rows is None else data[rows]
+    scaled -= scaler.minimum
     scaled *= 2.0
     scaled /= np.where(live, span, 1.0)
     scaled -= 1.0
@@ -123,24 +126,33 @@ def apply_scaler(scaler: ScalerParams, data: np.ndarray) -> np.ndarray:
     return np.clip(scaled, -1.0, 1.0, out=scaled)
 
 
-def split_by_label(ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
-    """Partition into (normal, attack) preserving row order."""
-    attack_mask = ds.is_attack
-    normal_idx = np.flatnonzero(~attack_mask)
-    attack_idx = np.flatnonzero(attack_mask)
-    return ds.subset(normal_idx), ds.subset(attack_idx)
+def split_by_label(ds: LabeledDataset, rows: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the (normal, attack) records of `ds`, in row order.
+
+    With `rows`, only those rows are split, and each part keeps their order.
+    """
+    if rows is None:
+        rows = np.arange(len(ds))
+        attack = ds.is_attack
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        attack = ds.labels[rows] != NORMAL_LABEL
+    return rows[~attack], rows[attack]
 
 
-def train_val_split(ds: LabeledDataset, fraction: float = 0.8,
-                    seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded shuffle then split; the train part gets floor(fraction * n)."""
+def train_val_split(rows: np.ndarray, fraction: float = 0.8,
+                    seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle of the row indices `rows`, then split; the train part
+    gets floor(fraction * n) of them."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
-    if len(ds) == 0:
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
         raise DataError("cannot split an empty dataset")
-    order = derive_rng(seed).permutation(len(ds))
-    n_train = int(math.floor(fraction * len(ds)))
-    return ds.subset(order[:n_train]), ds.subset(order[n_train:])
+    order = derive_rng(seed).permutation(rows.size)
+    n_train = int(math.floor(fraction * rows.size))
+    return rows[order[:n_train]], rows[order[n_train:]]
 
 
 @dataclass(frozen=True)
@@ -265,37 +277,55 @@ _SYNTH_OUTLIER_BOOST = 25.0
 _SYNTH_SQUASH = 3.0
 
 
-def _synth_raw(rng: np.random.Generator, n: int, mixing: np.ndarray,
-               prototypes: np.ndarray) -> np.ndarray:
-    rank, dim = mixing.shape
-    rows = rng.standard_normal((n, rank)) @ mixing
+def _synth_raw(rng: np.random.Generator, out: np.ndarray, mixing: np.ndarray,
+               prototypes: np.ndarray) -> None:
+    """Fill `out` with raw (unsquashed) rows: each row's latent or
+    prototype point plus its noise."""
+    n = out.shape[0]
+    rows = rng.standard_normal((n, mixing.shape[0])) @ mixing
     on_prototype = rng.random(n) < _SYNTH_PROTOTYPE_FRACTION
     pick = rng.integers(0, prototypes.shape[0], size=n)
-    rows[on_prototype] = prototypes[pick[on_prototype]]
+    # one prototype at a time: gathering every pick at once would stage a
+    # second (n, dim) buffer
+    for k, prototype in enumerate(prototypes):
+        rows[on_prototype & (pick == k)] = prototype
     scale = np.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal(n))
     saturated = rng.random(n) < _SYNTH_OUTLIER_FRACTION
     scale = np.where(saturated, scale * _SYNTH_OUTLIER_BOOST, scale)
     level = np.where(on_prototype & ~saturated, _SYNTH_PROTOTYPE_NOISE,
                      _SYNTH_NOISE * scale)
-    return rows + rng.standard_normal((n, dim)) * level[:, None]
+    # noise * level + rows: IEEE addition commutes, so this is bit for bit
+    # rows + noise * level
+    rng.standard_normal(out=out)
+    out *= level[:, None]
+    out += rows
 
 
 def synth_generate(spec: SynthSpec) -> LabeledDataset:
-    """Deterministic synthetic dataset; one seed, one byte-exact result."""
+    """Deterministic synthetic dataset; one seed, one byte-exact result.
+
+    Normal rows, then attack rows, are built in place in the one feature
+    matrix the dataset holds.
+    """
     rng = derive_rng(spec.seed)
     mixing = rng.standard_normal((_SYNTH_RANK, spec.dim)) / math.sqrt(_SYNTH_RANK)
     prototypes = rng.standard_normal((_SYNTH_PROTOTYPES, _SYNTH_RANK)) @ mixing
-    normal = _synth_raw(rng, spec.n_normal, mixing, prototypes)
-    attack = _synth_raw(rng, spec.n_attack, mixing, prototypes)
+    features = np.empty((spec.n_normal + spec.n_attack, spec.dim))
+    attack = features[spec.n_normal:]
+    _synth_raw(rng, features[:spec.n_normal], mixing, prototypes)
+    _synth_raw(rng, attack, mixing, prototypes)
     if spec.n_attack > 0:
         n_moved = max(1, spec.dim // 4)
         # per-row random coordinate subset and signs
         coords = np.argsort(rng.random((spec.n_attack, spec.dim)), axis=1)
         moved = np.zeros((spec.n_attack, spec.dim), dtype=bool)
         np.put_along_axis(moved, coords[:, :n_moved], True, axis=1)
-        signs = np.where(rng.random((spec.n_attack, spec.dim)) < 0.5, -1.0, 1.0)
-        attack = attack + spec.displacement * signs * moved
-    features = np.tanh(np.vstack([normal, attack]) / _SYNTH_SQUASH)
+        shift = np.where(rng.random((spec.n_attack, spec.dim)) < 0.5, -1.0, 1.0)
+        shift *= spec.displacement
+        shift *= moved
+        attack += shift
+    features /= _SYNTH_SQUASH
+    np.tanh(features, out=features)
     labels = np.array([NORMAL_LABEL] * spec.n_normal
                       + [ATTACK_LABEL] * spec.n_attack)
     return LabeledDataset(features, labels)
@@ -347,6 +377,7 @@ def _parse_rows(rows: Iterable[list[str]], width: int,
     # whole rows until the block ends measured slower.
     pick_text = _cell_picker([label, *categorical_cells])
     blocks: list[np.ndarray] = []
+    finite: list[np.ndarray] = []
     labels: list[str] = []
     skipped = 0
     rows = iter(rows)
@@ -368,14 +399,24 @@ def _parse_rows(rows: Iterable[list[str]], width: int,
             break
         if values:
             label_cells, *category_cells = zip(*texts)
-            blocks.append(_encode_block(values, category_cells, width,
-                                        numeric, categorical))
+            feats = _encode_block(values, category_cells, width, numeric,
+                                  categorical)
+            # drop non-finite rows block by block, so that the join below
+            # is the only full-size copy
+            ok = np.isfinite(feats).all(axis=1)
+            blocks.append(feats if ok.all() else feats[ok])
+            finite.append(ok)
             labels.extend([NORMAL_LABEL if v == normal_value else v
                            for v in label_cells])
     features = (np.concatenate(blocks) if blocks
                 else np.empty((0, width), dtype=np.float64))
-    ds, n_bad = _finite_rows(features, labels)
-    return ds, skipped + n_bad
+    kept = np.concatenate(finite) if finite else np.ones(0, dtype=bool)
+    n_bad = int(kept.size - np.count_nonzero(kept))
+    # the labels' string width counts the dropped rows' labels too
+    label_array = np.array(labels, dtype=str)
+    if n_bad:
+        label_array = label_array[kept]
+    return LabeledDataset(features, label_array), skipped + n_bad
 
 
 def _encode_block(values: list[tuple[float, ...]],
@@ -395,18 +436,6 @@ def _encode_block(values: list[tuple[float, ...]],
         hit = np.flatnonzero(hot >= 0)
         feats[hit, first + hot[hit]] = 1.0
     return feats
-
-
-def _finite_rows(features: np.ndarray, labels: list[str]
-                 ) -> tuple[LabeledDataset, int]:
-    """The dataset without rows holding a nan or inf feature, and how many
-    rows that drops."""
-    finite = np.isfinite(features).all(axis=1)
-    labels = np.array(labels, dtype=str)
-    n_bad = int(finite.size - np.count_nonzero(finite))
-    if n_bad:
-        features, labels = features[finite], labels[finite]
-    return LabeledDataset(features, labels), n_bad
 
 
 def _exact_cells(rows: Iterable[list[str]], n: int, path: Path

@@ -128,7 +128,6 @@ class ClientUpdate:
     """What a client sends back after one local round."""
 
     client_id: int
-    round_index: int
     params: np.ndarray
     local_loss: float
     n_samples: int
@@ -241,7 +240,7 @@ def local_round(client: ClientState, global_params: np.ndarray,
         raise
     errors = reconstruction_errors(trained, client.train)
     threshold = compute_threshold(errors)
-    return ClientUpdate(client.client_id, round_index, pack(trained),
+    return ClientUpdate(client.client_id, pack(trained),
                         float(trace[-1]), client.n_samples, float(threshold))
 
 

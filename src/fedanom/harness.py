@@ -142,21 +142,24 @@ class CentralizedData:
 def prepare_centralized(cfg: ExperimentConfig,
                         ds: LabeledDataset | None = None,
                         scaler: ScalerParams | None = None) -> CentralizedData:
+    """Split the dataset into scaled train/validation normals and attacks.
+
+    The splits are row indices; each output gathers its rows from
+    `ds.features` once and is scaled in place, and `ds` is never written.
+    """
     if ds is None:
         ds = load_experiment_dataset(cfg)
     normal, attack = split_by_label(ds)
-    if len(normal) == 0:
+    if normal.size == 0:
         raise DataError("dataset has no normal records to train on")
-    train_ds, val_ds = train_val_split(
-        normal, cfg.data["split"]["train_fraction"],
-        cfg.derived_seed(STREAM_SPLIT))
+    train, val = train_val_split(normal, cfg.data["split"]["train_fraction"],
+                                 cfg.derived_seed(STREAM_SPLIT))
     if scaler is None:
-        scaler = fit_scaler(train_ds.features)
+        scaler = fit_scaler(ds.features[train])
     return CentralizedData(
-        train=apply_scaler(scaler, train_ds.features),
-        val=apply_scaler(scaler, val_ds.features),
-        attack=apply_scaler(scaler, attack.features) if len(attack)
-        else np.zeros((0, train_ds.n_features)),
+        train=apply_scaler(scaler, ds.features, train),
+        val=apply_scaler(scaler, ds.features, val),
+        attack=apply_scaler(scaler, ds.features, attack),
         scaler=scaler,
     )
 
@@ -235,7 +238,9 @@ def prepare_clients(cfg: ExperimentConfig,
     """Partition the dataset and build per-client scaled data slices.
 
     Each client fits its own scaler on its local training normals; nothing
-    crosses the simulated privacy boundary.
+    crosses the simulated privacy boundary. A client's partition, label and
+    train/validation splits are row indices, so each of its slices is
+    gathered from `ds.features` once and scaled in place.
     """
     if ds is None:
         ds = load_experiment_dataset(cfg)
@@ -244,23 +249,21 @@ def prepare_clients(cfg: ExperimentConfig,
                                cfg.derived_seed(STREAM_PARTITION))
     clients = []
     for k, indices in enumerate(plan.assignments):
-        local = ds.subset(indices)
-        normal, attack = split_by_label(local)
-        if len(normal) < 2:
+        normal, attack = split_by_label(ds, indices)
+        if normal.size < 2:
             raise DataError(
-                f"client {k} received {len(normal)} normal records; needs at "
+                f"client {k} received {normal.size} normal records; needs at "
                 f"least 2 to split train/validation (try a larger alpha or "
                 f"another seed)")
-        train_ds, val_ds = train_val_split(
-            normal, cfg.data["split"]["train_fraction"],
-            cfg.derived_seed(STREAM_SPLIT, k))
-        scaler = fit_scaler(train_ds.features)
+        train, val = train_val_split(normal,
+                                     cfg.data["split"]["train_fraction"],
+                                     cfg.derived_seed(STREAM_SPLIT, k))
+        scaler = fit_scaler(ds.features[train])
         clients.append(ClientState(
             client_id=k,
-            train=apply_scaler(scaler, train_ds.features),
-            val=apply_scaler(scaler, val_ds.features),
-            attack=(apply_scaler(scaler, attack.features) if len(attack)
-                    else np.zeros((0, train_ds.n_features))),
+            train=apply_scaler(scaler, ds.features, train),
+            val=apply_scaler(scaler, ds.features, val),
+            attack=apply_scaler(scaler, ds.features, attack),
             rng_seed=cfg.derived_seed(STREAM_CLIENT, k),
         ))
     return clients

@@ -1,6 +1,7 @@
 """Tests for config parsing, the experiment harness and the CLI."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,32 @@ class TestParseConfig:
     def test_hidden_dims_entries_must_be_positive_ints(self, dims):
         with pytest.raises(ConfigError, match=r"model\.hidden_dims"):
             build_config({"model": {"hidden_dims": dims}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.dropout_p", 1.5), ("model.input_dim", 0),
+        ("train.batch_size", 0), ("train.epochs", 0),
+        ("federation.n_clients", 0), ("federation.rounds", 0),
+        ("split.train_fraction", 1.5), ("strategy.sample_fraction", 0),
+        ("dataset.synth.n_normal", -5), ("train.learning_rate", float("nan")),
+        ("federation.min_participation", -1), ("strategy.lipschitz", 0),
+    ])
+    def test_out_of_range_value_rejected_with_key(self, key, value):
+        *path, last = key.split(".")
+        user = node = {}
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            build_config(user)
+
+    def test_included_range_ends_accepted(self):
+        cfg = build_config({
+            "dataset": {"synth": {"n_attack": 0}},
+            "model": {"dropout_p": 0.0},
+            "train": {"lr_gamma": 1.0},
+            "federation": {"n_clients": 1, "min_participation": 0},
+            "strategy": {"sample_fraction": 1.0, "q": 0.0}})
+        assert cfg.data["strategy"]["sample_fraction"] == 1.0
 
     def test_round_trip_canonical_form(self, tmp_path):
         cfg = tiny_config()

@@ -125,8 +125,7 @@ class TestSplits:
     def test_all_normal_input(self):
         ds = two_class_dataset(5, 0)
         normal, attack = split_by_label(ds)
-        assert len(normal) == 5 and len(attack) == 0
-        np.testing.assert_array_equal(normal.features, ds.features)
+        assert normal.tolist() == [0, 1, 2, 3, 4] and attack.size == 0
 
     def test_attack_category_totals(self):
         counts = {"ransomware": 2000, "password": 2000, "scanning": 2000,
@@ -137,46 +136,54 @@ class TestSplits:
             labels.extend([cat] * n)
         ds = LabeledDataset(np.zeros((len(labels), 1)), np.array(labels))
         _, attack = split_by_label(ds)
-        assert len(attack) == 17043
+        assert attack.size == 17043
 
     def test_interleaved_order_stable(self):
         feats = np.arange(6, dtype=float).reshape(6, 1)
         labels = np.array([NORMAL_LABEL, "a", NORMAL_LABEL, "a",
                            NORMAL_LABEL, "a"])
         normal, attack = split_by_label(LabeledDataset(feats, labels))
-        np.testing.assert_array_equal(normal.features.ravel(), [0, 2, 4])
-        np.testing.assert_array_equal(attack.features.ravel(), [1, 3, 5])
+        assert normal.tolist() == [0, 2, 4]
+        assert attack.tolist() == [1, 3, 5]
+
+    def test_rows_keep_their_order(self):
+        labels = np.array([NORMAL_LABEL, "a", NORMAL_LABEL, "a",
+                           NORMAL_LABEL, "a"])
+        ds = LabeledDataset(np.zeros((6, 1)), labels)
+        normal, attack = split_by_label(ds, (5, 0, 2, 3))
+        assert normal.tolist() == [0, 2]
+        assert attack.tolist() == [5, 3]
 
     def test_sizes_sum(self):
         ds = two_class_dataset(13, 7)
         normal, attack = split_by_label(ds)
-        assert len(normal) + len(attack) == len(ds)
+        assert normal.size + attack.size == len(ds)
 
     def test_train_val_sizes(self):
-        ds = two_class_dataset(10, 0)
-        train, val = train_val_split(ds, 0.8, seed=1)
-        assert (len(train), len(val)) == (8, 2)
+        train, val = train_val_split(np.arange(10), 0.8, seed=1)
+        assert (train.size, val.size) == (8, 2)
 
     def test_train_val_deterministic(self):
-        ds = two_class_dataset(20, 0)
-        a_train, a_val = train_val_split(ds, 0.8, seed=5)
-        b_train, b_val = train_val_split(ds, 0.8, seed=5)
-        np.testing.assert_array_equal(a_train.features, b_train.features)
-        np.testing.assert_array_equal(a_val.features, b_val.features)
+        rows = np.arange(100, 120)
+        a_train, a_val = train_val_split(rows, 0.8, seed=5)
+        b_train, b_val = train_val_split(rows, 0.8, seed=5)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_val, b_val)
 
     def test_train_val_is_partition(self):
-        ds = two_class_dataset(17, 0, dim=1, seed=3)
-        train, val = train_val_split(ds, 0.8, seed=2)
-        combined = sorted(np.concatenate([train.features, val.features]).ravel())
-        np.testing.assert_array_equal(combined, sorted(ds.features.ravel()))
+        rows = np.array([3, 41, 5, 9, 26, 7, 11, 13, 2, 17, 19, 23, 8, 29,
+                         31, 1, 37])
+        train, val = train_val_split(rows, 0.8, seed=2)
+        assert train.size == 13
+        assert sorted(np.concatenate([train, val])) == sorted(rows)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            train_val_split(two_class_dataset(0, 0), 0.8, 0)
+            train_val_split(np.arange(0), 0.8, 0)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
-            train_val_split(two_class_dataset(4, 0), 1.0, 0)
+            train_val_split(np.arange(4), 1.0, 0)
 
 
 class TestDirichletPartition:
@@ -242,7 +249,46 @@ class TestDirichletPartition:
         assert again == plan
 
 
+def reference_synth_generate(spec):
+    """The generator as it was before it built its matrix in place."""
+    rng = dataplane.derive_rng(spec.seed)
+    mixing = rng.standard_normal((2, spec.dim)) / np.sqrt(2)
+    prototypes = rng.standard_normal((6, 2)) @ mixing
+
+    def raw(n):
+        rows = rng.standard_normal((n, 2)) @ mixing
+        on_prototype = rng.random(n) < 0.9
+        pick = rng.integers(0, 6, size=n)
+        rows[on_prototype] = prototypes[pick[on_prototype]]
+        scale = np.exp(1.25 * rng.standard_normal(n))
+        saturated = rng.random(n) < 0.005
+        scale = np.where(saturated, scale * 25.0, scale)
+        level = np.where(on_prototype & ~saturated, 0.01, 0.1 * scale)
+        return rows + rng.standard_normal((n, spec.dim)) * level[:, None]
+
+    normal = raw(spec.n_normal)
+    attack = raw(spec.n_attack)
+    if spec.n_attack > 0:
+        n_moved = max(1, spec.dim // 4)
+        coords = np.argsort(rng.random((spec.n_attack, spec.dim)), axis=1)
+        moved = np.zeros((spec.n_attack, spec.dim), dtype=bool)
+        np.put_along_axis(moved, coords[:, :n_moved], True, axis=1)
+        signs = np.where(rng.random((spec.n_attack, spec.dim)) < 0.5, -1.0, 1.0)
+        attack = attack + spec.displacement * signs * moved
+    return np.tanh(np.vstack([normal, attack]) / 3.0)
+
+
 class TestSynthGenerate:
+    @given(st.integers(0, 300), st.integers(0, 60), st.integers(1, 70),
+           st.sampled_from([0.0, 0.5, 2.0]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, n_normal, n_attack, dim, displacement,
+                               seed):
+        spec = SynthSpec(n_normal, n_attack, dim, displacement, seed)
+        got = synth_generate(spec).features
+        want = reference_synth_generate(spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_no_attacks(self):
         ds = synth_generate(SynthSpec(n_normal=10, n_attack=0, dim=5, seed=1))
         assert np.all(ds.labels == NORMAL_LABEL)
@@ -252,7 +298,8 @@ class TestSynthGenerate:
                          displacement=0.0, seed=3)
         ds = synth_generate(spec)
         normal, attack = split_by_label(ds)
-        diff = normal.features.mean(axis=0) - attack.features.mean(axis=0)
+        diff = (ds.features[normal].mean(axis=0)
+                - ds.features[attack].mean(axis=0))
         assert np.all(np.abs(diff) < 0.05)
 
     def test_byte_identical_csv(self, tmp_path):
@@ -273,7 +320,8 @@ class TestSynthGenerate:
                                       seed=5))
         normal, attack = split_by_label(ds)
         # attacks deviate from the normal manifold: larger mean abs values
-        assert np.abs(attack.features).mean() > np.abs(normal.features).mean()
+        assert (np.abs(ds.features[attack]).mean()
+                > np.abs(ds.features[normal]).mean())
 
     def test_dataset_round_trip(self, tmp_path):
         ds = synth_generate(SynthSpec(50, 10, dim=6, seed=2))

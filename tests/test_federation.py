@@ -41,8 +41,8 @@ from fedanom.federation import (
 from fedanom.numerics import derive_rng, pack
 
 
-def update(cid, params, loss=1.0, n=10, rnd=1, thr=0.5):
-    return ClientUpdate(cid, rnd, np.asarray(params, dtype=float), loss, n, thr)
+def update(cid, params, loss=1.0, n=10, thr=0.5):
+    return ClientUpdate(cid, np.asarray(params, dtype=float), loss, n, thr)
 
 
 def toy_model_cfg(dim=4, seed=3):
@@ -220,7 +220,7 @@ class TestFairRound:
     def test_stable_participation_no_relevance(self):
         server = ServerState(np.array([1.0, 1.0]), round_index=1,
                              prev_participants=3)
-        ups = [update(i, [0.5, 0.5], rnd=2) for i in range(3)]
+        ups = [update(i, [0.5, 0.5]) for i in range(3)]
         out = aggregate(server, ups, self.cfg(), 2)
         assert out.last_alpha == 1.0
         assert not out.last_carried
@@ -233,7 +233,7 @@ class TestFairRound:
                              gradient_history=(GHEntry(1, 0.2), GHEntry(1, 0.3),
                                                GHEntry(1, 0.1), GHEntry(1, 0.4)),
                              prev_participants=4)
-        ups = [update(i, [0.5, 0.5], rnd=2) for i in range(3)]
+        ups = [update(i, [0.5, 0.5]) for i in range(3)]
         out = aggregate(server, ups, self.cfg(), 2)
         assert 0.0 < out.last_alpha < 1.0
         np.testing.assert_allclose(out.global_params,
@@ -243,14 +243,14 @@ class TestFairRound:
         server = ServerState(np.array([1.0]), round_index=1,
                              gradient_history=(GHEntry(1, 0.5),),
                              prev_participants=3)
-        ups = [update(i, [0.5], rnd=2) for i in range(2)]
+        ups = [update(i, [0.5]) for i in range(2)]
         out = aggregate(server, ups, self.cfg(), 2)
         assert 0.0 < out.last_alpha < 1.0
 
     def test_single_update_carries_forward(self):
         w = np.array([0.9, -0.9])
         server = ServerState(w.copy(), round_index=0, prev_participants=0)
-        out = aggregate(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(), 2)
+        out = aggregate(server, [update(0, [0.1, 0.1])], self.cfg(), 2)
         assert out.last_carried
         np.testing.assert_array_equal(out.global_params, w)
         # the received update's summary still lands in the history
@@ -258,7 +258,7 @@ class TestFairRound:
 
     def test_single_update_aggregated_when_bar_is_one(self):
         server = ServerState(np.array([0.9, -0.9]), round_index=0)
-        out = aggregate(server, [update(0, [0.1, 0.1], rnd=1)], self.cfg(),
+        out = aggregate(server, [update(0, [0.1, 0.1])], self.cfg(),
                         1)
         assert not out.last_carried
         np.testing.assert_allclose(out.global_params, [0.1, 0.1])
@@ -266,15 +266,15 @@ class TestFairRound:
     def test_growth_treated_as_stable(self):
         server = ServerState(np.array([1.0]), round_index=2,
                              prev_participants=2)
-        ups = [update(i, [0.5], rnd=3) for i in range(4)]
+        ups = [update(i, [0.5]) for i in range(4)]
         out = aggregate(server, ups, self.cfg(), 2)
         assert out.last_alpha == 1.0
 
     def test_gh_window_bound(self):
         server = ServerState(np.array([1.0]), round_index=0)
         cfg = self.cfg(relevance_window=3)
-        for rnd in range(1, 5):
-            ups = [update(i, [0.5], rnd=rnd) for i in range(3)]
+        for _ in range(4):
+            ups = [update(i, [0.5]) for i in range(3)]
             server = aggregate(server, ups, cfg, 2)
             assert len(server.gradient_history) <= 3
 
@@ -300,7 +300,7 @@ def server_rounds(draw):
                          prev_participants=draw(st.integers(0, 7)))
     ups = [update(cid, rng.normal(size=dim) * 10 ** rng.uniform(-2, 2),
                   loss=float(rng.uniform(0.1, 3.0)),
-                  n=int(rng.integers(1, 50)), rnd=prev_round + 1)
+                  n=int(rng.integers(1, 50)))
            for cid in ids]
     cfg = StrategyConfig(kind=draw(st.sampled_from(list(StrategyKind))),
                          q=draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -440,7 +440,6 @@ class TestLocalRound:
         client = toy_clients(1)[0]
         upd = local_round(client, flat, cfg.layer_specs(), 3,
                           TrainConfig(epochs=1), 4)
-        assert upd.round_index == 4
         assert upd.n_samples == client.n_samples
         assert upd.local_threshold > 0.0
         assert upd.params.shape == flat.shape
