@@ -33,8 +33,6 @@ from .numerics import (
     glorot_init,
     loss_and_gradients,
     lr_at,
-    pack,
-    param_views,
 )
 
 
@@ -142,7 +140,7 @@ def reconstruction_errors(params: ParameterSet, data: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     errors = np.empty(n)
     n_blocks = max(n // _SCORE_ROWS, 1)
-    if any(layer.out_dim == 1 for layer in params.layers):
+    if any(s.out_dim == 1 for s in params.specs):
         n_blocks = 1
     bounds = [k * _SCORE_ROWS for k in range(n_blocks)] + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -185,9 +183,8 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
     Each epoch shuffles rows with the seeded stream, draws fresh dropout
     masks per batch, and records the mean training loss over its batches.
     Fully deterministic given (params, data, tc). `params` and `state` are
-    left as they are: training works on one flat copy of the parameters,
-    which the returned layers view, and on a copy of the optimizer state,
-    which is returned.
+    left as they are: training works on, and returns, one copy of the
+    parameters and one of the optimizer state.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -195,12 +192,11 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
     if data.shape[0] == 0:
         raise DataError("cannot train on an empty dataset")
     rng = derive_rng(tc.shuffle_seed)
-    specs = params.specs()
-    flat = pack(params)
-    current = param_views(flat, specs)
+    specs = params.specs
+    current = ParameterSet(params.flat.copy(), specs)
     state = state.copy()
-    grad = np.empty_like(flat)
-    scratch = np.empty((2, flat.size))
+    grads = ParameterSet.zeros(specs)
+    scratch = np.empty((2, current.n_params))
     trace: list[float] = []
     n = data.shape[0]
     for epoch in range(tc.epochs):
@@ -211,13 +207,13 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
             idx = order[start:start + tc.batch_size]
             batch = data[idx]
             masks = _batch_masks(specs, len(idx), rng)
-            loss, _ = loss_and_gradients(current, batch, masks, out=grad)
+            loss, _ = loss_and_gradients(current, batch, masks, out=grads)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss {loss} at epoch {epoch}, "
                     f"batch {start // tc.batch_size}",
                     epoch=epoch, batch=start // tc.batch_size)
-            adam_update(flat, grad, state, rate, scratch)
+            adam_update(current.flat, grads.flat, state, rate, scratch)
             batch_losses.append(loss)
         trace.append(float(np.mean(batch_losses)))
     return current, state, trace

@@ -12,7 +12,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -20,7 +22,7 @@ import yaml
 from .autoencoder import AutoencoderConfig, TrainConfig
 from .dataplane import SynthSpec
 from .errors import ConfigError
-from .federation import LatencyModel, StrategyConfig
+from .federation import LatencyModel, StrategyConfig, StrategyKind
 from .numerics import LrSchedule, derive_seed
 
 MODE_CENTRALIZED = "centralized"
@@ -121,6 +123,13 @@ _RANGES = {
     "strategy.relevance_window": "[1, inf)",
 }
 
+# Allowed values of each key that selects a variant.
+_CHOICES = {
+    "mode": (MODE_CENTRALIZED, MODE_FEDERATED),
+    "dataset.kind": ("synth", "csv"),
+    "strategy.kind": tuple(k.value for k in StrategyKind),
+}
+
 
 def _in_interval(value: float, interval: str) -> bool:
     low, high = (float(end) for end in interval[1:-1].split(","))
@@ -129,14 +138,19 @@ def _in_interval(value: float, interval: str) -> bool:
     return above and below
 
 
-def _check_ranges(merged: dict) -> None:
-    for key, interval in _RANGES.items():
+def _check_values(data: dict) -> None:
+    """Check every _RANGES and _CHOICES key; an error starts with the key."""
+    for key, allowed in (*_RANGES.items(), *_CHOICES.items()):
         section, *rest = key.split(".")
-        value = merged[section]
+        value = data[section]
         for part in rest:
             value = value[part]
-        if value is not None and not _in_interval(value, interval):
-            raise ConfigError(f"{key}: expected a value in {interval}, "
+        if isinstance(allowed, tuple):
+            if value not in allowed:
+                raise ConfigError(f"{key}: expected one of "
+                                  f"{' | '.join(allowed)}, got {value!r}")
+        elif value is not None and not _in_interval(value, allowed):
+            raise ConfigError(f"{key}: expected a value in {allowed}, "
                               f"got {value!r}")
 
 
@@ -193,6 +207,33 @@ def _merge(path: str, user: dict, defaults: dict) -> dict:
     return merged
 
 
+def _latency_map(key: str, raw, value) -> dict:
+    """`raw` (None for empty) as a dict from int ids, or their decimal text
+    as in JSON, to `value(key, v)` of each entry."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"federation.latency.{key}: expected mapping, "
+                          f"got {_type_name(raw)}")
+    out = {}
+    for k, v in raw.items():
+        if isinstance(k, str) and k.isdecimal():
+            k = int(k)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ConfigError(
+                f"federation.latency.{key}: expected int ids, got {k!r}")
+        out[k] = value(key, v)
+    return out
+
+
+def _latency_time(key: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 <= value < math.inf):
+        raise ConfigError(f"federation.latency.{key}: expected a finite "
+                          f"number >= 0, got {value!r}")
+    return float(value)
+
+
 def _validate_latency(raw) -> dict | None:
     if raw is None:
         return None
@@ -202,16 +243,15 @@ def _validate_latency(raw) -> dict | None:
     if unknown:
         raise ConfigError(
             f"unknown config key 'federation.latency.{sorted(unknown)[0]}'")
-    out = {
-        "delays": {int(k): float(v)
-                   for k, v in (raw.get("delays") or {}).items()},
-        "per_round": {int(r): {int(k): float(v) for k, v in (m or {}).items()}
-                      for r, m in (raw.get("per_round") or {}).items()},
-        "jitter": float(raw.get("jitter") or 0.0),
-        "drop_after": (None if raw.get("drop_after") is None
-                       else float(raw["drop_after"])),
+    jitter, drop_after = raw.get("jitter"), raw.get("drop_after")
+    return {
+        "delays": _latency_map("delays", raw.get("delays"), _latency_time),
+        "per_round": _latency_map("per_round", raw.get("per_round"),
+                                  partial(_latency_map, value=_latency_time)),
+        "jitter": 0.0 if jitter is None else _latency_time("jitter", jitter),
+        "drop_after": (None if drop_after is None
+                       else _latency_time("drop_after", drop_after)),
     }
-    return out
 
 
 @dataclass(frozen=True)
@@ -221,15 +261,9 @@ class ExperimentConfig:
     data: dict
 
     def __post_init__(self):
-        mode = self.data["mode"]
-        if mode not in (MODE_CENTRALIZED, MODE_FEDERATED):
-            raise ConfigError(
-                f"mode: expected '{MODE_CENTRALIZED}' or '{MODE_FEDERATED}', "
-                f"got {mode!r}")
-        kind = self.data["dataset"]["kind"]
-        if kind not in ("synth", "csv"):
-            raise ConfigError(f"dataset.kind: expected 'synth' or 'csv', got {kind!r}")
-        if kind == "csv" and not self.data["dataset"]["path"]:
+        _check_values(self.data)
+        dataset = self.data["dataset"]
+        if dataset["kind"] == "csv" and not dataset["path"]:
             raise ConfigError("dataset.kind is 'csv' but dataset.path is unset")
 
     @property
@@ -290,12 +324,7 @@ class ExperimentConfig:
 
     def latency_model(self) -> LatencyModel | None:
         raw = self.data["federation"]["latency"]
-        if raw is None:
-            return None
-        return LatencyModel(delays=dict(raw["delays"]),
-                            per_round={r: dict(m) for r, m in raw["per_round"].items()},
-                            jitter=raw["jitter"],
-                            drop_after=raw["drop_after"])
+        return None if raw is None else LatencyModel(**copy.deepcopy(raw))
 
     def synth_spec(self) -> SynthSpec:
         s = self.data["dataset"]["synth"]
@@ -334,7 +363,6 @@ def build_config(user: dict | None) -> ExperimentConfig:
     lip = merged["strategy"]["lipschitz"]
     if lip is not None:
         merged["strategy"]["lipschitz"] = float(lip)
-    _check_ranges(merged)
     return ExperimentConfig(merged)
 
 

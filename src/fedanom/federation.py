@@ -58,8 +58,6 @@ from .numerics import (
     ParameterSet,
     derive_rng,
     derive_seed,
-    pack,
-    unpack,
 )
 
 _STREAM_SAMPLE = 101
@@ -226,11 +224,11 @@ def local_round(client: ClientState, global_params: np.ndarray,
     """
     if epochs < 1:
         raise ConfigError(f"local epochs must be >= 1, got {epochs}")
-    global_params = np.asarray(global_params, dtype=np.float64)
-    params = unpack(global_params, specs)
+    params = ParameterSet(np.ascontiguousarray(global_params, np.float64),
+                          specs)
     round_tc = replace(tc, epochs=epochs,
                        shuffle_seed=derive_seed(client.rng_seed, round_index))
-    state = round_tc.adam_state(global_params.shape[0])
+    state = round_tc.adam_state(params.n_params)
     try:
         trained, _, trace = train_epochs(params, client.train, round_tc,
                                          state)
@@ -240,7 +238,7 @@ def local_round(client: ClientState, global_params: np.ndarray,
         raise
     errors = reconstruction_errors(trained, client.train)
     threshold = compute_threshold(errors)
-    return ClientUpdate(client.client_id, pack(trained),
+    return ClientUpdate(client.client_id, trained.flat,
                         float(trace[-1]), client.n_samples, float(threshold))
 
 
@@ -477,7 +475,7 @@ def run_federated(clients: Sequence[ClientState],
             f"samples only {n_sampled} of {len(clients)} clients, so every "
             f"round would carry the initial model forward")
     specs = model_cfg.layer_specs()
-    server = ServerState(global_params=pack(build(model_cfg)))
+    server = ServerState(global_params=build(model_cfg).flat)
     collected: list[float] = []
     traces: list[RoundTrace] = []
     for t in range(1, rounds + 1):
@@ -494,7 +492,7 @@ def run_federated(clients: Sequence[ClientState],
         detector = min_round_threshold(collected) if collected else None
         if detector is not None:
             per_client, pooled_cm, pooled_metrics = _evaluate_global(
-                unpack(server.global_params, specs), clients, detector)
+                ParameterSet(server.global_params, specs), clients, detector)
         else:
             per_client, pooled_cm, pooled_metrics = {}, None, None
         records = []
@@ -528,7 +526,7 @@ def run_federated(clients: Sequence[ClientState],
                   and tr.pooled_metrics.accuracy is not None]
     last = traces[-1]
     return FederationResult(
-        final_params=server.global_params.copy(),
+        final_params=server.global_params,
         detector=final_detector,
         rounds=traces,
         collected_thresholds=collected,

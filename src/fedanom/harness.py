@@ -65,7 +65,7 @@ from .federation import (
     _evaluate_global,
     run_federated,
 )
-from .numerics import LayerSpec, ParameterSet, derive_rng, pack, unpack
+from .numerics import LayerSpec, ParameterSet, derive_rng, unpack
 
 log = logging.getLogger("fedanom")
 
@@ -203,7 +203,7 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
     tc = cfg.train_config(epochs=cfg.data["train"]["epochs"],
                           shuffle_seed=cfg.derived_seed(STREAM_TRAIN))
     params = build(model_cfg)
-    state = tc.adam_state(pack(params).shape[0])
+    state = tc.adam_state(params.n_params)
     log.info("centralized: training %d epochs on %d rows",
              tc.epochs, data.train.shape[0])
     trained, _, losses = train_epochs(params, data.train, tc, state)
@@ -310,9 +310,9 @@ def run_federated_experiment(cfg: ExperimentConfig
         mean_round_accuracy=result.mean_round_accuracy,
         config=cfg.canonical_dict(),
     )
-    specs = model_cfg.layer_specs()
-    model = TrainedModel(unpack(result.final_params, specs), result.detector,
-                         None, cfg.fingerprint(), cfg.seed)
+    params = ParameterSet(result.final_params, model_cfg.layer_specs())
+    model = TrainedModel(params, result.detector, None, cfg.fingerprint(),
+                         cfg.seed)
     return report, model, result
 
 
@@ -448,7 +448,7 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
     """Persist trained parameters, detector and scaler for later use."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = {"flat": pack(model.params)}
+    arrays = {"flat": model.params.flat}
     if model.scaler is not None:
         arrays["scaler_min"] = model.scaler.minimum
         arrays["scaler_max"] = model.scaler.maximum
@@ -462,7 +462,7 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
         "layers": [
             {"out_dim": s.out_dim, "in_dim": s.in_dim,
              "activation": s.activation.value, "dropout": s.dropout}
-            for s in model.params.specs()
+            for s in model.params.specs
         ],
     }
     (out / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -470,12 +470,13 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
+    """Read a bundle written by `save_model`. A malformed layer is a
+    `FedAnomError` naming the layer and the field."""
     model_dir = Path(model_dir)
     meta = json.loads((model_dir / "model.json").read_text())
     arrays = np.load(model_dir / "model.npz")
-    specs = [LayerSpec(int(l["out_dim"]), int(l["in_dim"]),
-                       l["activation"], float(l["dropout"]))
-             for l in meta["layers"]]
+    specs = [LayerSpec(*(layer.get(f) for f in LayerSpec._fields))
+             for layer in meta["layers"]]
     params = unpack(arrays["flat"], specs)
     per_round = meta.get("per_round_thresholds")
     detector = ThresholdDetector(float(meta["threshold"]),

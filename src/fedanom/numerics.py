@@ -1,23 +1,22 @@
 """Dense neural-network math for the MLP autoencoder.
 
-Everything operates on float64 numpy arrays: layers, the eval forward
-pass, the reconstruction MSE and its reverse-mode gradient (replaying
-caller-drawn dropout masks), Adam and a step-decay learning-rate schedule.
+Everything operates on float64 numpy arrays: the eval forward pass, the
+reconstruction MSE and its reverse-mode gradient (replaying caller-drawn
+dropout masks), Adam and a step-decay learning-rate schedule.
 
-A model's parameters live in one flat float64 vector laid out per layer as
-row-major weights then bias (`pack` writes it, `unpack` copies it back
-into layers). `param_views` builds a `ParameterSet` whose layer weights
-and biases are views into such a vector, so training updates the vector
-in place with `adam_update` and the layers see the new values without a
-rebuild. `loss_and_gradients` can likewise write each layer's gradient
-straight into its slice of a caller's flat buffer. Only training keeps
-every layer's activations; `feed_forward` (eval mode, no dropout) keeps
-the current one.
+A model is a `ParameterSet`: one flat float64 vector laid out per layer as
+row-major weights then bias, with each layer's weights and bias built once
+as views into it. Training updates the vector in place with `adam_update`
+and the layers see the new values without a rebuild; `loss_and_gradients`
+writes each layer's gradient into the views of a gradient set of the same
+layout. `pack` and `unpack` copy a vector out of and into a set. Only
+training keeps every layer's activations; `feed_forward` (eval mode, no
+dropout) keeps the current one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -33,7 +32,9 @@ class Activation(str, Enum):
 
 
 class LayerSpec(NamedTuple):
-    """Shape and metadata of one dense layer, enough to rebuild it."""
+    """One dense layer, activation(W @ x + b) with W of shape (out_dim,
+    in_dim); `dropout` is the probability applied to its output in
+    training (0 disables it)."""
 
     out_dim: int
     in_dim: int
@@ -62,75 +63,84 @@ def derive_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-@dataclass
-class DenseLayer:
-    """One dense map: activation(weights @ x + bias).
+class ParameterSet:
+    """One model: a contiguous float64 vector `flat` and its layer specs.
 
-    `dropout` is the probability applied to this layer's *output* during
-    training (0 disables it); it travels with the layer so training code
-    needs no separate architecture description.
+    `flat` holds, per layer, the row-major weights then the bias, and
+    `weights[i]` and `biases[i]` are views into it, built once: writing to
+    `flat` changes the layers, and the other way round. Nothing is copied,
+    so `flat` must already be a contiguous 1-d float64 vector of the
+    length the specs need.
     """
 
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: Activation = Activation.IDENTITY
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        self.weights = _as_f64(self.weights)
-        self.bias = _as_f64(self.bias)
-        if self.weights.ndim != 2:
+    def __init__(self, flat: np.ndarray, specs: Sequence[LayerSpec]):
+        self.specs = _checked_specs(specs)
+        if (not isinstance(flat, np.ndarray) or flat.dtype != np.float64
+                or not flat.flags.c_contiguous):
+            raise ShapeError("parameters need a contiguous float64 vector")
+        expected = _n_params(self.specs)
+        if flat.shape != (expected,):
             raise ShapeError(
-                f"layer weights must be 2-d, got {self.weights.ndim}-d")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"bias length {self.bias.shape} does not match "
-                f"out size {self.weights.shape[0]}")
-        self.activation = Activation(self.activation)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(
-                f"dropout probability must be in [0, 1), got {self.dropout}")
+                f"flat vector has length {flat.shape}, specs require "
+                f"{expected}")
+        self.flat = flat
+        weights, biases = [], []
+        pos = 0
+        for s in self.specs:
+            n_w = s.out_dim * s.in_dim
+            weights.append(flat[pos:pos + n_w].reshape(s.out_dim, s.in_dim))
+            biases.append(flat[pos + n_w:pos + n_w + s.out_dim])
+            pos += n_w + s.out_dim
+        self.weights: tuple[np.ndarray, ...] = tuple(weights)
+        self.biases: tuple[np.ndarray, ...] = tuple(biases)
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
+    @classmethod
+    def zeros(cls, specs: Sequence[LayerSpec]) -> "ParameterSet":
+        return cls(np.zeros(_n_params(_checked_specs(specs))), specs)
 
     @property
     def n_params(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec(self.out_dim, self.in_dim, self.activation,
-                         self.dropout)
-
-
-@dataclass
-class ParameterSet:
-    """Ordered dense layers forming one model."""
-
-    layers: list[DenseLayer] = field(default_factory=list)
-
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeError(
-                    f"layer chain broken: out size {prev.out_dim} feeds "
-                    f"in size {nxt.in_dim}")
-
-    @property
-    def n_params(self) -> int:
-        return sum(layer.n_params for layer in self.layers)
+        return self.flat.size
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.specs[0].in_dim
 
-    def specs(self) -> tuple[LayerSpec, ...]:
-        return tuple(layer.spec() for layer in self.layers)
+
+def _n_params(specs: Sequence[LayerSpec]) -> int:
+    return sum(s.out_dim * s.in_dim + s.out_dim for s in specs)
+
+
+def _checked_specs(specs: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
+    """The specs, each activation as an `Activation`, once every layer has
+    positive int sizes, takes the previous layer's out size as its in size,
+    and has a known activation and a dropout in [0, 1). An error names the
+    layer and the field."""
+    if not specs:
+        raise ShapeError("a model needs at least one layer")
+    names = [a.value for a in Activation]
+    checked = []
+    for i, s in enumerate(specs):
+        for field, size in (("out_dim", s.out_dim), ("in_dim", s.in_dim)):
+            if (isinstance(size, bool)
+                    or not isinstance(size, (int, np.integer)) or size < 1):
+                raise ShapeError(
+                    f"layer {i}: {field} must be a positive int, got {size!r}")
+        if checked and s.in_dim != checked[-1].out_dim:
+            raise ShapeError(
+                f"layer {i}: in_dim {s.in_dim} does not match layer {i - 1}'s "
+                f"out_dim {checked[-1].out_dim}")
+        if s.activation not in names:
+            raise ConfigError(f"layer {i}: activation must be one of "
+                              f"{' | '.join(names)}, got {s.activation!r}")
+        if (isinstance(s.dropout, bool)
+                or not isinstance(s.dropout, (int, float))
+                or not 0.0 <= s.dropout < 1.0):
+            raise ConfigError(
+                f"layer {i}: dropout must be in [0, 1), got {s.dropout!r}")
+        checked.append(LayerSpec(int(s.out_dim), int(s.in_dim),
+                                 Activation(s.activation), float(s.dropout)))
+    return tuple(checked)
 
 
 def _activate_inplace(kind: Activation, z: np.ndarray) -> None:
@@ -155,10 +165,10 @@ def feed_forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
     """Eval-mode pass (no dropout) over a vector or a (batch, in) matrix,
     keeping only the current layer's activation alive."""
     a = _model_input(params, x)
-    for layer in params.layers:
-        a = a @ layer.weights.T
-        a += layer.bias
-        _activate_inplace(layer.activation, a)
+    for w, b, s in zip(params.weights, params.biases, params.specs):
+        a = a @ w.T
+        a += b
+        _activate_inplace(s.activation, a)
     return a
 
 
@@ -176,16 +186,17 @@ def _forward_cached(params: ParameterSet, x: np.ndarray,
     """Forward pass keeping, per layer, its input and its activation output
     before dropout, for the backward pass."""
     a = _model_input(params, x)
-    if masks is not None and len(masks) != len(params.layers):
+    if masks is not None and len(masks) != len(params.specs):
         raise ShapeError(
-            f"got {len(masks)} dropout masks for {len(params.layers)} layers")
+            f"got {len(masks)} dropout masks for {len(params.specs)} layers")
     inputs = []    # post-dropout input fed to each layer
     outputs = []   # activation(W @ a + b) per layer, before dropout
-    for i, layer in enumerate(params.layers):
+    for i, (w, b, s) in enumerate(zip(params.weights, params.biases,
+                                      params.specs)):
         inputs.append(a)
-        h = a @ layer.weights.T
-        h += layer.bias
-        _activate_inplace(layer.activation, h)
+        h = a @ w.T
+        h += b
+        _activate_inplace(s.activation, h)
         outputs.append(h)
         a = h if masks is None or masks[i] is None else h * masks[i]
     return a, inputs, outputs
@@ -193,14 +204,14 @@ def _forward_cached(params: ParameterSet, x: np.ndarray,
 
 def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
                        masks: Sequence[np.ndarray | None] | None = None,
-                       out: np.ndarray | None = None
+                       out: ParameterSet | None = None
                        ) -> tuple[float, np.ndarray]:
     """Mean reconstruction MSE of a batch and its gradient w.r.t. the
-    packed parameters (reverse-mode through the autoencoder graph).
+    flat parameter vector (reverse-mode through the autoencoder graph).
 
-    The gradient is written into `out`, a flat float64 buffer laid out as
-    `pack` lays out parameters, and `out` is returned; without one a new
-    buffer is allocated.
+    Each layer's gradient is written into the matching layer views of
+    `out`, a ParameterSet with the same specs as `params`, and `out.flat`
+    is returned; without one a new set is allocated.
     """
     batch = _as_f64(batch)
     if batch.ndim == 1:
@@ -208,27 +219,25 @@ def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
     if batch.shape[0] == 0:
         raise DataError("cannot compute gradients on an empty batch")
     if out is None:
-        out = np.empty(params.n_params)
-    grads = _layer_slices(out, [layer.weights.shape
-                                for layer in params.layers])
+        out = ParameterSet.zeros(params.specs)
+    elif out.specs != params.specs:
+        raise ShapeError("gradient buffer specs differ from the model's")
     recon, inputs, outputs = _forward_cached(params, batch, masks)
     diff = recon - batch
     loss = float(np.mean(diff * diff))
     # d(loss)/d(post-dropout output of final layer)
     d_h = (2.0 / diff.size) * diff
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
+    for i in range(len(params.specs) - 1, -1, -1):
         d_z = d_h
         if masks is not None and masks[i] is not None:
             d_z = d_h * masks[i]
         # d_z is a temporary of this pass, so it is scaled in place
-        _times_activation_grad(layer.activation, outputs[i], d_z)
-        grad_w, grad_b = grads[i]
-        np.matmul(d_z.T, inputs[i], out=grad_w)
-        np.add.reduce(d_z, axis=0, out=grad_b)
+        _times_activation_grad(params.specs[i].activation, outputs[i], d_z)
+        np.matmul(d_z.T, inputs[i], out=out.weights[i])
+        np.add.reduce(d_z, axis=0, out=out.biases[i])
         if i > 0:  # the gradient w.r.t. the model input is never used
-            d_h = d_z @ layer.weights
-    return loss, out
+            d_h = d_z @ params.weights[i]
+    return loss, out.flat
 
 
 @dataclass
@@ -338,61 +347,21 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
 
 
 def pack(params: ParameterSet) -> np.ndarray:
-    """Flatten all layers: per layer, row-major weights then bias."""
-    flat = np.empty(params.n_params)
-    shapes = [layer.weights.shape for layer in params.layers]
-    for (w, b), layer in zip(_layer_slices(flat, shapes), params.layers):
-        w[...] = layer.weights
-        b[...] = layer.bias
-    return flat
-
-
-def _layer_slices(flat: np.ndarray, shapes: Sequence[tuple[int, int]]
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, (weights, bias) views into `flat` in `pack` layout."""
-    if (not isinstance(flat, np.ndarray) or flat.dtype != np.float64
-            or not flat.flags.c_contiguous):
-        raise ShapeError("parameter views need a contiguous float64 vector")
-    expected = sum(o * i + o for o, i in shapes)
-    if flat.shape != (expected,):
-        raise ShapeError(
-            f"flat vector has length {flat.shape}, specs require {expected}")
-    views = []
-    pos = 0
-    for out_dim, in_dim in shapes:
-        n_w = out_dim * in_dim
-        views.append((flat[pos:pos + n_w].reshape(out_dim, in_dim),
-                      flat[pos + n_w:pos + n_w + out_dim]))
-        pos += n_w + out_dim
-    return views
-
-
-def param_views(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
-    """A ParameterSet whose layer weights and biases are views into `flat`.
-
-    Nothing is copied: writing to `flat` changes the layers, and the other
-    way round. `flat` must be a contiguous 1-d float64 array.
-    """
-    views = _layer_slices(flat, [(s.out_dim, s.in_dim) for s in specs])
-    return ParameterSet([DenseLayer(w, b, s.activation, s.dropout)
-                         for (w, b), s in zip(views, specs)])
+    """A copy of the model's flat vector: per layer, row-major weights
+    then bias."""
+    return params.flat.copy()
 
 
 def unpack(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
-    """Rebuild a ParameterSet from a flat vector and layer specs.
-
-    The layers are views into one private copy of `flat`.
-    """
-    return param_views(np.array(flat, dtype=np.float64), specs)
+    """A ParameterSet over a private float64 copy of `flat`."""
+    return ParameterSet(np.array(flat, dtype=np.float64), specs)
 
 
 def glorot_init(specs: Sequence[LayerSpec], seed: int) -> ParameterSet:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+    params = ParameterSet.zeros(specs)
     rng = derive_rng(seed)
-    layers = []
-    for s in specs:
+    for w, s in zip(params.weights, params.specs):
         limit = math.sqrt(6.0 / (s.in_dim + s.out_dim))
-        w = rng.uniform(-limit, limit, size=(s.out_dim, s.in_dim))
-        layers.append(DenseLayer(w, np.zeros(s.out_dim), s.activation,
-                                 s.dropout))
-    return ParameterSet(layers)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params

@@ -48,33 +48,35 @@ def toy_blob(n=80, dim=6, seed=0):
 class TestBuild:
     def test_default_architecture_shapes(self):
         params = build(AutoencoderConfig())
-        shapes = [layer.weights.shape for layer in params.layers]
+        shapes = [w.shape for w in params.weights]
         assert shapes == [(128, 66), (64, 128), (32, 64), (16, 32),
                           (32, 16), (64, 32), (128, 64), (66, 128)]
         assert len(shapes) == 8
 
     def test_default_packed_length(self):
         params = build(AutoencoderConfig())
-        encoder = sum(l.n_params for l in params.layers[:4])
-        decoder = sum(l.n_params for l in params.layers[4:])
+        sizes = [w.size + b.size for w, b in zip(params.weights,
+                                                   params.biases)]
+        encoder = sum(sizes[:4])
+        decoder = sum(sizes[4:])
         assert encoder == 19440
         assert decoder == 19490
         assert pack(params).size == 38930
 
     def test_activation_plan(self):
         params = build(AutoencoderConfig())
-        acts = [l.activation for l in params.layers]
+        acts = [s.activation for s in params.specs]
         assert acts[:-1] == [Activation.RELU] * 7
         assert acts[-1] is Activation.TANH
 
     def test_dropout_positions_mirrored(self):
         params = build(AutoencoderConfig())
-        assert [l.dropout for l in params.layers] == [
+        assert [s.dropout for s in params.specs] == [
             0.2, 0.2, 0.2, 0.0, 0.2, 0.2, 0.2, 0.0]
 
     def test_dropout_positions_encoder_only(self):
         params = build(AutoencoderConfig(mirror_dropout=False))
-        assert [l.dropout for l in params.layers] == [
+        assert [s.dropout for s in params.specs] == [
             0.2, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_tiny_architecture_packed_length(self):
@@ -95,8 +97,11 @@ class TestBuild:
 def halves(params):
     """The encoder (input to bottleneck) and the decoder layers of a
     mirror architecture, as two models."""
-    n = len(params.layers) // 2
-    return ParameterSet(params.layers[:n]), ParameterSet(params.layers[n:])
+    n = len(params.specs) // 2
+    cut = sum(w.size + b.size
+              for w, b in zip(params.weights[:n], params.biases[:n]))
+    return (ParameterSet(params.flat[:cut], params.specs[:n]),
+            ParameterSet(params.flat[cut:], params.specs[n:]))
 
 
 class TestEncodeDecode:
@@ -162,9 +167,9 @@ class TestReconstructionErrors:
         errors = reconstruction_errors(params, data)
         for i, row in enumerate(data):
             out = row.copy()
-            for layer in params.layers:
-                out = out @ layer.weights.T + layer.bias
-                out = (np.tanh(out) if layer.activation is Activation.TANH
+            for w, b, s in zip(params.weights, params.biases, params.specs):
+                out = out @ w.T + b
+                out = (np.tanh(out) if s.activation is Activation.TANH
                        else np.maximum(out, 0.0))
             assert errors[i] == pytest.approx(np.mean((row - out) ** 2),
                                               abs=1e-15)
@@ -306,7 +311,7 @@ class TestTrainEpochs:
         cfg = toy_config(dropout_p=0.0)
         params = build(cfg)
         data = toy_blob(4)
-        masks = [None] * len(params.layers)
+        masks = [None] * len(params.specs)
         np.testing.assert_array_equal(_forward_cached(params, data, masks)[0],
                                       feed_forward(params, data))
 
@@ -341,7 +346,7 @@ def reference_train_epochs(params, data, tc, state):
     by layer, an allocating gradient, a pure Adam step, then a rebuild of
     every layer."""
     rng = derive_rng(tc.shuffle_seed)
-    specs = params.specs()
+    specs = params.specs
     flat = pack(params)
     trace = []
     for epoch in range(tc.epochs):

@@ -14,8 +14,11 @@ from fedanom.config import (
     build_config,
     parse_config,
 )
-from fedanom.errors import ConfigError, DataError
+from fedanom.autoencoder import build
+from fedanom.detector import ThresholdDetector
+from fedanom.errors import ConfigError, DataError, FedAnomError
 from fedanom.harness import (
+    TrainedModel,
     emit_report,
     evaluate_saved,
     load_model,
@@ -91,6 +94,13 @@ class TestParseConfig:
         ("split.train_fraction", 1.5), ("strategy.sample_fraction", 0),
         ("dataset.synth.n_normal", -5), ("train.learning_rate", float("nan")),
         ("federation.min_participation", -1), ("strategy.lipschitz", 0),
+        ("federation.latency.delays", {"a": 1}),
+        ("federation.latency.delays", [1, 2]),
+        ("federation.latency.delays", {0: float("nan")}),
+        ("federation.latency.per_round", {1: {0: -1.0}}),
+        ("federation.latency.jitter", "fast"),
+        ("federation.latency.jitter", -1.0),
+        ("federation.latency.drop_after", -2),
     ])
     def test_out_of_range_value_rejected_with_key(self, key, value):
         *path, last = key.split(".")
@@ -153,6 +163,11 @@ class TestParseConfig:
         tiny_config()
         assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
 
+    def test_unknown_strategy_kind_lists_choices(self):
+        with pytest.raises(ConfigError, match=r"^strategy\.kind: .*"
+                           r"fedavg \| qffl \| fairfedavg.*'fedprox'"):
+            build_config({"strategy": {"kind": "fedprox"}})
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             build_config({"mode": "hybrid"})
@@ -209,6 +224,27 @@ class TestCentralizedHarness:
         again = evaluate_saved(cfg, loaded)
         assert again.confusion == report.confusion
         assert again.threshold == report.threshold
+
+
+    @pytest.mark.parametrize("layer, field, value", [
+        (2, "activation", "gelu"),
+        (0, "out_dim", None),
+        (3, "in_dim", 5),
+    ])
+    def test_malformed_model_json_names_layer_and_field(self, tmp_path,
+                                                        layer, field, value):
+        cfg = tiny_config()
+        model = TrainedModel(build(cfg.model_config()), ThresholdDetector(0.5),
+                             None, cfg.fingerprint())
+        save_model(model, tmp_path)
+        meta = json.loads((tmp_path / "model.json").read_text())
+        if value is None:
+            del meta["layers"][layer][field]
+        else:
+            meta["layers"][layer][field] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(FedAnomError, match=f"layer {layer}: {field} "):
+            load_model(tmp_path)
 
 
 class TestDataPathResolution:

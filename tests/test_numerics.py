@@ -11,7 +11,6 @@ from fedanom.errors import ConfigError, NumericError, ShapeError
 from fedanom.numerics import (
     Activation,
     AdamState,
-    DenseLayer,
     LayerSpec,
     LrSchedule,
     ParameterSet,
@@ -24,20 +23,26 @@ from fedanom.numerics import (
     loss_and_gradients,
     lr_at,
     pack,
-    param_views,
     unpack,
 )
 
 
+def dense(weights, bias, activation=Activation.IDENTITY):
+    """A one-layer model with the given weights and bias."""
+    weights = np.asarray(weights, dtype=float)
+    flat = np.concatenate([weights.ravel(), np.asarray(bias, dtype=float)])
+    return ParameterSet(flat, [LayerSpec(*weights.shape, activation)])
+
+
 def one_layer(layer, x):
     """activation(W @ x + b) of a single layer, through the model pass."""
-    return feed_forward(ParameterSet([layer]), np.asarray(x, dtype=float))
+    return feed_forward(layer, np.asarray(x, dtype=float))
 
 
 def activated(kind, x):
     """The activation alone: one identity-weight, zero-bias layer."""
     x = np.asarray(x, dtype=float)
-    return one_layer(DenseLayer(np.eye(x.size), np.zeros(x.size), kind), x)
+    return one_layer(dense(np.eye(x.size), np.zeros(x.size), kind), x)
 
 
 def reference_activate(kind, z):
@@ -52,9 +57,8 @@ def batch_loss(recon, batch):
     """The loss of one layer with zero weights whose bias is `recon`: the
     model outputs `recon` for every row, so this is the batch MSE."""
     recon = np.asarray(recon, dtype=float)
-    layer = DenseLayer(np.zeros((recon.size, np.shape(batch)[-1])), recon,
-                       Activation.IDENTITY)
-    return loss_and_gradients(ParameterSet([layer]), batch)[0]
+    layer = dense(np.zeros((recon.size, np.shape(batch)[-1])), recon)
+    return loss_and_gradients(layer, batch)[0]
 
 
 def random_params(specs, seed, scale=0.5):
@@ -67,7 +71,7 @@ def random_params(specs, seed, scale=0.5):
 
 def finite_difference_grad(params, batch, h=1e-5):
     """Independent oracle: central differences of the forward loss."""
-    specs = params.specs()
+    specs = params.specs
     flat = pack(params)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
@@ -83,37 +87,34 @@ def finite_difference_grad(params, batch, h=1e-5):
 
 class TestDenseForward:
     def test_hand_matrix_arithmetic(self):
-        layer = DenseLayer([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5],
-                           Activation.IDENTITY)
+        layer = dense([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
         out = one_layer(layer, [1.0, 1.0])
         np.testing.assert_allclose(out, [3.5, 6.5])
 
     def test_zero_weights_zero_bias(self):
         for act in Activation:
-            layer = DenseLayer(np.zeros((3, 2)), np.zeros(3), act)
+            layer = dense(np.zeros((3, 2)), np.zeros(3), act)
             out = one_layer(layer, [4.0, -7.0])
             np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_identity_weights_relu(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), Activation.RELU)
+        layer = dense(np.eye(2), np.zeros(2), Activation.RELU)
         out = one_layer(layer, [-1.0, 2.0])
         np.testing.assert_array_equal(out, [0.0, 2.0])
 
     def test_dimension_mismatch_names_sizes(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), Activation.RELU)
+        layer = dense(np.eye(2), np.zeros(2), Activation.RELU)
         with pytest.raises(ShapeError, match="3"):
             one_layer(layer, np.zeros(3))
 
     def test_batch_input(self):
-        layer = DenseLayer([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
-                           Activation.IDENTITY)
+        layer = dense([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         out = one_layer(layer, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(out, [[2.0, 3.0], [4.0, 5.0]])
 
     def test_linear_before_activation(self):
         rng = np.random.default_rng(3)
-        layer = DenseLayer(rng.normal(size=(4, 3)), np.zeros(4),
-                           Activation.IDENTITY)
+        layer = dense(rng.normal(size=(4, 3)), np.zeros(4))
         x = rng.normal(size=3)
         np.testing.assert_allclose(one_layer(layer, 2.5 * x),
                                    2.5 * one_layer(layer, x))
@@ -148,9 +149,9 @@ class TestMse:
         assert batch_loss([1.0], np.array([[3.0], [1.0]])) == 2.0
 
     def test_length_mismatch(self):
-        layer = DenseLayer(np.zeros((2, 2)), np.zeros(2))
+        layer = dense(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
-            loss_and_gradients(ParameterSet([layer]), np.zeros((1, 3)))
+            loss_and_gradients(layer, np.zeros((1, 3)))
 
 
 class TestGradients:
@@ -263,14 +264,15 @@ class TestPackUnpack:
                  LayerSpec(2, 3, Activation.TANH))
         params = random_params(specs, 42)
         rebuilt = unpack(pack(params), specs)
-        for a, b in zip(params.layers, rebuilt.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation is b.activation
-            assert a.dropout == b.dropout
+        for a, b in zip(params.weights, rebuilt.weights):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(params.biases, rebuilt.biases):
+            np.testing.assert_array_equal(a, b)
+        assert rebuilt.specs == params.specs == specs
 
     def test_empty_layer_list(self):
-        assert pack(ParameterSet([])).size == 0
+        with pytest.raises(ShapeError, match="at least one layer"):
+            ParameterSet(np.zeros(0), ())
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -305,27 +307,68 @@ class TestGlorotInit:
         specs = (LayerSpec(4, 3, Activation.RELU),)
         a = glorot_init(specs, 11)
         b = glorot_init(specs, 11)
-        np.testing.assert_array_equal(a.layers[0].weights, b.layers[0].weights)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_bounds_and_zero_bias(self):
         specs = (LayerSpec(8, 6, Activation.RELU),)
         p = glorot_init(specs, 2)
         limit = math.sqrt(6.0 / 14.0)
-        assert np.all(np.abs(p.layers[0].weights) <= limit)
-        np.testing.assert_array_equal(p.layers[0].bias, np.zeros(8))
+        assert np.all(np.abs(p.weights[0]) <= limit)
+        np.testing.assert_array_equal(p.biases[0], np.zeros(8))
+
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           st.floats(0.0, 0.9), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_views_of_one_vector_property(self, dims, dropout, seed):
+        specs = chain_specs(dims, dropout)
+        params = glorot_init(specs, seed)
+        np.testing.assert_array_equal(params.flat,
+                                      reference_glorot(specs, seed))
+        pos = 0
+        for w, b, s in zip(params.weights, params.biases, params.specs):
+            assert w.shape == (s.out_dim, s.in_dim)
+            assert np.shares_memory(w, params.flat)
+            assert np.shares_memory(b, params.flat)
+            np.testing.assert_array_equal(
+                np.concatenate([w.ravel(), b]),
+                params.flat[pos:pos + w.size + b.size])
+            pos += w.size + b.size
+        assert pos == params.n_params
+        flat = np.random.default_rng(seed).normal(size=pos)
+        assert pack(unpack(flat, specs)).tobytes() == flat.tobytes()
+
+
+def reference_glorot(specs, seed):
+    """The initializer drawing each layer's weights into its own array, in
+    layer order, then packed: the draw the fingerprints were taken with."""
+    rng = derive_rng(seed)
+    parts = []
+    for s in specs:
+        limit = math.sqrt(6.0 / (s.in_dim + s.out_dim))
+        w = rng.uniform(-limit, limit, size=(s.out_dim, s.in_dim))
+        parts += [w.ravel(), np.zeros(s.out_dim)]
+    return np.concatenate(parts)
 
 
 class TestParameterSetInvariants:
     def test_chain_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            ParameterSet([
-                DenseLayer(np.zeros((2, 3)), np.zeros(2), Activation.RELU),
-                DenseLayer(np.zeros((2, 5)), np.zeros(2), Activation.RELU),
-            ])
+        with pytest.raises(ShapeError, match="layer 1: in_dim 5"):
+            ParameterSet(np.zeros(8 + 12),
+                         [LayerSpec(2, 3, Activation.RELU),
+                          LayerSpec(2, 5, Activation.RELU)])
 
-    def test_bias_length_checked(self):
-        with pytest.raises(ShapeError):
-            DenseLayer(np.zeros((2, 3)), np.zeros(3), Activation.RELU)
+    @pytest.mark.parametrize("field, spec, error", [
+        ("out_dim", LayerSpec(0, 2, Activation.RELU), ShapeError),
+        ("in_dim", LayerSpec(2, 2.0, Activation.RELU), ShapeError),
+        ("out_dim", LayerSpec(None, 2, Activation.RELU), ShapeError),
+        ("activation", LayerSpec(2, 2, "gelu"), ConfigError),
+        ("dropout", LayerSpec(2, 2, Activation.RELU, 1.0), ConfigError),
+        ("dropout", LayerSpec(2, 2, Activation.RELU, None), ConfigError),
+    ])
+    def test_bad_spec_names_layer_and_field(self, field, spec, error):
+        specs = [LayerSpec(2, 2, Activation.RELU), spec]
+        with pytest.raises(error, match=f"^layer 1: {field} "):
+            ParameterSet.zeros(specs)
 
 
 def reference_adam_step(params, grads, state, rate):
@@ -341,28 +384,29 @@ def reference_adam_step(params, grads, state, rate):
 def reference_loss_and_gradients(params, batch, masks=None):
     """Backward pass from pre-activations, one concatenated gradient."""
     inputs, preacts, a = [], [], batch
-    for i, layer in enumerate(params.layers):
+    layers = list(zip(params.weights, params.biases, params.specs))
+    for i, (w, b, s) in enumerate(layers):
         inputs.append(a)
-        z = a @ layer.weights.T + layer.bias
+        z = a @ w.T + b
         preacts.append(z)
-        a = reference_activate(layer.activation, z)
+        a = reference_activate(s.activation, z)
         if masks is not None and masks[i] is not None:
             a = a * masks[i]
     diff = a - batch
     d_h = (2.0 / diff.size) * diff
     parts = []
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
+    for i in range(len(layers) - 1, -1, -1):
+        w, _, s = layers[i]
         d_a = d_h if masks is None or masks[i] is None else d_h * masks[i]
         z = preacts[i]
-        if layer.activation is Activation.RELU:
+        if s.activation is Activation.RELU:
             d_z = d_a * (z > 0.0).astype(np.float64)
-        elif layer.activation is Activation.TANH:
+        elif s.activation is Activation.TANH:
             d_z = d_a * (1.0 - np.tanh(z) * np.tanh(z))
         else:
             d_z = d_a * np.ones_like(z)
         parts[:0] = [(d_z.T @ inputs[i]).ravel(), d_z.sum(axis=0)]
-        d_h = d_z @ layer.weights
+        d_h = d_z @ w
     return float(np.mean(diff * diff)), np.concatenate(parts)
 
 
@@ -407,9 +451,8 @@ class TestFlatBuffers:
         # the training pass, which caches every layer, without dropout
         cached = _forward_cached(params, batch, [None] * len(specs))[0]
         a = batch
-        for layer in params.layers:
-            a = reference_activate(layer.activation,
-                                   a @ layer.weights.T + layer.bias)
+        for w, b, s in zip(params.weights, params.biases, params.specs):
+            a = reference_activate(s.activation, a @ w.T + b)
         np.testing.assert_array_equal(got, cached)
         np.testing.assert_array_equal(got, a)
         np.testing.assert_array_equal(batch, before)
@@ -423,22 +466,20 @@ class TestFlatBuffers:
         specs = chain_specs((5, 4, 3))
         params = random_params(specs, 3)
         batch = np.random.default_rng(4).normal(size=(7, 5))
-        buf = np.full(pack(params).size, np.nan)
+        buf = ParameterSet(np.full(params.n_params, np.nan), specs)
         loss, grad = loss_and_gradients(params, batch, out=buf)
-        assert grad is buf
+        assert grad is buf.flat
         ref_loss, ref_grad = loss_and_gradients(params, batch)
         assert loss == ref_loss
-        np.testing.assert_array_equal(buf, ref_grad)
+        np.testing.assert_array_equal(buf.flat, ref_grad)
 
     def test_out_buffer_must_fit(self):
         specs = chain_specs((3, 2))
         params = random_params(specs, 1)
-        with pytest.raises(ShapeError):
-            loss_and_gradients(params, np.zeros((2, 3)),
-                               out=np.empty(pack(params).size + 1))
-        with pytest.raises(ShapeError):
-            loss_and_gradients(params, np.zeros((2, 3)),
-                               out=np.empty(2 * pack(params).size)[::2])
+        for other in (chain_specs((3, 1)), chain_specs((2, 3))):
+            with pytest.raises(ShapeError):
+                loss_and_gradients(params, np.zeros((2, 3)),
+                                   out=ParameterSet.zeros(other))
 
     @given(st.integers(1, 30), st.integers(0, 5), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -480,21 +521,24 @@ class TestFlatBuffers:
         np.testing.assert_allclose(params, [-0.01, 0.01])
         assert np.all(np.isfinite(state.second_moment))
 
-    def test_param_views_share_memory(self):
+    def test_layer_views_share_memory(self):
         specs = chain_specs((3, 2))  # 2x3 + 2, then 3x2 + 3: 17 values
         flat = np.arange(17, dtype=float)
-        params = param_views(flat, specs)
+        params = ParameterSet(flat, specs)
+        assert params.flat is flat
         flat += 1.0
-        np.testing.assert_array_equal(pack(params), flat)
-        params.layers[0].bias[0] = -5.0
+        np.testing.assert_array_equal(params.weights[1][2], [13.0, 14.0])
+        params.biases[0][0] = -5.0
         assert flat[6] == -5.0
 
-    def test_param_views_reject_copies(self):
+    def test_layer_views_reject_copies(self):
         specs = chain_specs((3, 2))
         with pytest.raises(ShapeError):
-            param_views(np.zeros(34)[::2], specs)
+            ParameterSet(np.zeros(34)[::2], specs)
         with pytest.raises(ShapeError):
-            param_views(np.zeros(17, dtype=np.float32), specs)
+            ParameterSet(np.zeros(17, dtype=np.float32), specs)
+        with pytest.raises(ShapeError):
+            ParameterSet([0.0] * 17, specs)
 
     def test_unpack_copies(self):
         specs = chain_specs((3, 2))
