@@ -98,12 +98,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-
     def adam_state(self, n_params: int) -> AdamState:
         return AdamState.zeros(n_params, self.adam_beta1, self.adam_beta2,
                                self.adam_epsilon)

@@ -23,7 +23,7 @@ from .autoencoder import AutoencoderConfig, TrainConfig
 from .dataplane import SynthSpec
 from .errors import ConfigError
 from .federation import LatencyModel, StrategyConfig, StrategyKind
-from .numerics import LrSchedule, derive_seed
+from .numerics import LrSchedule, derive_seed, lr_at
 
 MODE_CENTRALIZED = "centralized"
 MODE_FEDERATED = "federated"
@@ -262,9 +262,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_values(self.data)
-        dataset = self.data["dataset"]
+        dataset, fed = self.data["dataset"], self.data["federation"]
         if dataset["kind"] == "csv" and not dataset["path"]:
             raise ConfigError("dataset.kind is 'csv' but dataset.path is unset")
+        n_sampled = math.ceil(self.data["strategy"]["sample_fraction"]
+                              * fed["n_clients"])
+        if (fed["min_participation"] or 0) > n_sampled:
+            raise ConfigError(
+                f"federation.min_participation is {fed['min_participation']} "
+                f"but each round samples only {n_sampled} of "
+                f"{fed['n_clients']} clients, so every round would carry the "
+                f"initial model forward")
+        # the rate decays within each training run: the whole centralized
+        # run, or one client's round
+        epochs = (fed["epochs_per_round"] if self.mode == MODE_FEDERATED
+                  else self.data["train"]["epochs"])
+        if lr_at(self.train_config(epochs).schedule, epochs - 1) == 0.0:
+            raise ConfigError(f"train.lr_gamma: the learning rate decays to 0 "
+                              f"within {epochs} epochs")
 
     @property
     def mode(self) -> str:
@@ -314,7 +329,7 @@ class ExperimentConfig:
     def strategy_config(self) -> StrategyConfig:
         s = self.data["strategy"]
         return StrategyConfig(
-            kind=s["kind"],
+            kind=StrategyKind(s["kind"]),
             q=s["q"],
             lipschitz=s["lipschitz"],
             sample_fraction=s["sample_fraction"],

@@ -145,8 +145,6 @@ def train_val_split(rows: np.ndarray, fraction: float = 0.8,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle of the row indices `rows`, then split; the train part
     gets floor(fraction * n) of them."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise DataError("cannot split an empty dataset")
@@ -157,35 +155,32 @@ def train_val_split(rows: np.ndarray, fraction: float = 0.8,
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Per-client record-index assignment: an exact set partition."""
+    """Per-client record-index assignment: an exact set partition, one
+    sorted intp array of row indices per client."""
 
-    assignments: tuple[tuple[int, ...], ...]
+    assignments: tuple[np.ndarray, ...]
     alpha: float
     seed: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assignments",
-            tuple(tuple(int(i) for i in a) for a in self.assignments))
 
     @property
     def n_clients(self) -> int:
         return len(self.assignments)
 
     def validate(self, n_records: int) -> None:
-        seen = [i for a in self.assignments for i in a]
-        if len(seen) != n_records or set(seen) != set(range(n_records)):
+        seen = np.sort(np.concatenate(self.assignments))
+        if not np.array_equal(seen, np.arange(n_records)):
             raise DataError(
-                f"partition is not exact: {len(seen)} assigned indices "
+                f"partition is not exact: {seen.size} assigned indices "
                 f"for {n_records} records")
-        if n_records >= self.n_clients and any(not a for a in self.assignments):
+        if (n_records >= self.n_clients
+                and any(a.size == 0 for a in self.assignments)):
             raise DataError("partition left a client empty")
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "seed": self.seed,
-            "assignments": [list(a) for a in self.assignments],
+            "assignments": [a.tolist() for a in self.assignments],
         }
 
 
@@ -211,30 +206,30 @@ def dirichlet_partition(ds: LabeledDataset, n_clients: int, alpha: float,
     is left empty unless there are fewer records than clients (a record is
     moved from the largest client when the draw leaves one empty).
     """
-    if n_clients < 1:
-        raise ConfigError(f"need at least one client, got {n_clients}")
-    if alpha <= 0.0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     if n_clients > len(ds):
         raise ConfigError(
             f"{n_clients} clients cannot split {len(ds)} records")
     rng = derive_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(n_clients)]
-    for label in np.unique(ds.labels):
-        idx = np.flatnonzero(ds.labels == label)
+    # return_inverse gives each row its class code; without it np.unique
+    # imports numpy.ma
+    classes, codes = np.unique(ds.labels, return_inverse=True)
+    pieces: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+    for code in range(classes.size):
+        idx = np.flatnonzero(codes == code)
         rng.shuffle(idx)
         proportions = rng.dirichlet(np.full(n_clients, alpha))
         counts = _largest_remainder(proportions, len(idx))
-        pos = 0
-        for k in range(n_clients):
-            buckets[k].extend(int(i) for i in idx[pos:pos + counts[k]])
-            pos += counts[k]
-    # repair: a skewed draw may leave clients empty
+        for k, piece in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
+            pieces[k].append(piece)
+    buckets = [np.concatenate(p) for p in pieces]
+    # repair: a skewed draw may leave clients empty; the donor gives up
+    # the record it received last
     for k in range(n_clients):
-        while not buckets[k]:
-            donor = max(range(n_clients), key=lambda j: len(buckets[j]))
-            buckets[k].append(buckets[donor].pop())
-    plan = PartitionPlan(tuple(tuple(sorted(b)) for b in buckets),
+        if buckets[k].size == 0:
+            donor = max(range(n_clients), key=lambda j: buckets[j].size)
+            buckets[k] = buckets[donor][-1:]
+            buckets[donor] = buckets[donor][:-1]
+    plan = PartitionPlan(tuple(np.sort(b) for b in buckets),
                          float(alpha), int(seed))
     plan.validate(len(ds))
     return plan

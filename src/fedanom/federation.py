@@ -81,18 +81,6 @@ class StrategyConfig:
     weighted_mean: bool = False
     relevance_window: int = 64
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", StrategyKind(self.kind))
-        if self.q < 0.0:
-            raise ConfigError(f"q must be nonnegative, got {self.q}")
-        if self.lipschitz is not None and self.lipschitz <= 0.0:
-            raise ConfigError(f"Lipschitz estimate must be positive, got {self.lipschitz}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError(
-                f"sample fraction must be in (0, 1], got {self.sample_fraction}")
-        if self.relevance_window < 1:
-            raise ConfigError("relevance window must hold at least one entry")
-
 
 @dataclass
 class ClientState:
@@ -131,12 +119,6 @@ class ClientUpdate:
     n_samples: int
     local_threshold: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64))
-        if not math.isfinite(self.local_loss):
-            raise DataError(
-                f"client {self.client_id} reported non-finite loss")
-
 
 class GHEntry(NamedTuple):
     round_index: int
@@ -153,9 +135,6 @@ class ServerState:
     prev_participants: int = 0
     last_alpha: float = 1.0
     last_carried: bool = False
-
-    def __post_init__(self):
-        self.global_params = np.asarray(self.global_params, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -181,8 +160,6 @@ def sample_clients(all_ids: Sequence[int], fraction: float,
     ids = sorted(all_ids)
     if not ids:
         raise DataError("cannot sample from an empty client set")
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     k = math.ceil(fraction * len(ids))
     chosen = rng.choice(len(ids), size=k, replace=False)
     return sorted(ids[int(i)] for i in chosen)
@@ -222,8 +199,6 @@ def local_round(client: ClientState, global_params: np.ndarray,
     shuffle/dropout stream is derived from (client seed, round) so runs
     replay exactly.
     """
-    if epochs < 1:
-        raise ConfigError(f"local epochs must be >= 1, got {epochs}")
     params = ParameterSet(np.ascontiguousarray(global_params, np.float64),
                           specs)
     round_tc = replace(tc, epochs=epochs,
@@ -266,10 +241,6 @@ def qffl_deltas(global_params: np.ndarray, update: ClientUpdate, q: float,
     if w.shape != wk.shape:
         raise ShapeError(
             f"update length {wk.shape} does not match global {w.shape}")
-    if lipschitz <= 0.0:
-        raise ConfigError(f"Lipschitz estimate must be positive, got {lipschitz}")
-    if q < 0.0:
-        raise ConfigError(f"q must be nonnegative, got {q}")
     loss = float(update.local_loss)
     if q > 0.0 and loss <= 0.0:
         raise DegenerateLossError(
@@ -447,14 +418,9 @@ def run_federated(clients: Sequence[ClientState],
     local threshold seen so far; the returned detector is the minimum over
     all (round, client) thresholds. Everything is deterministic given the
     master seed, the client seeds and the configs. `min_participation`
-    defaults to min(2, clients sampled per round); a larger one is rejected
-    before round 1, since every round would carry the initial model forward.
+    defaults to min(2, clients sampled per round); `build_config` rejects
+    one larger than the clients sampled per round.
     """
-    if rounds < 1:
-        raise ConfigError(f"need at least one round, got {rounds}")
-    if epochs_per_round < 1:
-        raise ConfigError(
-            f"need at least one local epoch, got {epochs_per_round}")
     if not clients:
         raise DataError("federation needs at least one client")
     ids = [c.client_id for c in clients]
@@ -469,11 +435,6 @@ def run_federated(clients: Sequence[ClientState],
     n_sampled = math.ceil(strategy.sample_fraction * len(clients))
     min_part = max(1, min(2, n_sampled) if min_participation is None
                    else min_participation)
-    if min_part > n_sampled:
-        raise ConfigError(
-            f"federation.min_participation is {min_part} but each round "
-            f"samples only {n_sampled} of {len(clients)} clients, so every "
-            f"round would carry the initial model forward")
     specs = model_cfg.layer_specs()
     server = ServerState(global_params=build(model_cfg).flat)
     collected: list[float] = []

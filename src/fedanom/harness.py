@@ -470,13 +470,24 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
-    """Read a bundle written by `save_model`. A malformed layer is a
-    `FedAnomError` naming the layer and the field."""
+    """Read a bundle written by `save_model`. A missing key or a `layers`
+    value that is not a list of mappings is a `FedAnomError` naming the
+    file and the key; a malformed layer is one naming the layer and the
+    field."""
     model_dir = Path(model_dir)
-    meta = json.loads((model_dir / "model.json").read_text())
+    meta_path = model_dir / "model.json"
+    meta = json.loads(meta_path.read_text())
+    for key in ("threshold", "fingerprint", "layers"):
+        if key not in meta:
+            raise DataError(f"{meta_path}: missing key {key!r}")
+    layers = meta["layers"]
+    if not (isinstance(layers, list)
+            and all(isinstance(layer, dict) for layer in layers)):
+        raise DataError(f"{meta_path}: layers: expected a list of mappings, "
+                        f"got {layers!r}")
     arrays = np.load(model_dir / "model.npz")
     specs = [LayerSpec(*(layer.get(f) for f in LayerSpec._fields))
-             for layer in meta["layers"]]
+             for layer in layers]
     params = unpack(arrays["flat"], specs)
     per_round = meta.get("per_round_thresholds")
     detector = ThresholdDetector(float(meta["threshold"]),

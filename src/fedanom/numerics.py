@@ -288,8 +288,6 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
         raise ShapeError(
             f"Adam size mismatch: params {params.shape}, grads "
             f"{grads.shape}, moments {m.shape}")
-    if rate <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {rate}")
     # A finite sum of squares means every entry is finite; only otherwise
     # (a non-finite entry, or overflow) scan for the first bad coordinate.
     if not math.isfinite(np.vdot(grads, grads)):
@@ -331,18 +329,8 @@ class LrSchedule:
     step_size: int = 1
     gamma: float = 0.9
 
-    def __post_init__(self):
-        if self.base_rate <= 0.0:
-            raise ConfigError(f"base rate must be positive, got {self.base_rate}")
-        if self.step_size < 1:
-            raise ConfigError(f"step size must be >= 1, got {self.step_size}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-
 
 def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ConfigError(f"epoch must be nonnegative, got {epoch}")
     return schedule.base_rate * schedule.gamma ** (epoch // schedule.step_size)
 
 

@@ -255,10 +255,6 @@ class TestBlockedScoring:
 
 
 class TestTrainEpochs:
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
-
     def test_empty_dataset_rejected(self):
         params = build(toy_config())
         with pytest.raises(DataError):

@@ -91,9 +91,15 @@ class TestParseConfig:
         ("model.dropout_p", 1.5), ("model.input_dim", 0),
         ("train.batch_size", 0), ("train.epochs", 0),
         ("federation.n_clients", 0), ("federation.rounds", 0),
-        ("split.train_fraction", 1.5), ("strategy.sample_fraction", 0),
+        ("federation.epochs_per_round", 0), ("federation.alpha", 0.0),
+        ("split.train_fraction", 1.5), ("split.train_fraction", 0.0),
+        ("strategy.sample_fraction", 0), ("strategy.sample_fraction", 1.5),
         ("dataset.synth.n_normal", -5), ("train.learning_rate", float("nan")),
+        ("train.learning_rate", 0.0), ("train.lr_step", 0),
+        ("train.lr_gamma", 0.0), ("train.lr_gamma", 1.5),
         ("federation.min_participation", -1), ("strategy.lipschitz", 0),
+        ("strategy.lipschitz", -1.0), ("strategy.q", -0.5),
+        ("strategy.relevance_window", 0),
         ("federation.latency.delays", {"a": 1}),
         ("federation.latency.delays", [1, 2]),
         ("federation.latency.delays", {0: float("nan")}),
@@ -110,6 +116,34 @@ class TestParseConfig:
         node[last] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
             build_config(user)
+
+    @pytest.mark.parametrize("n_clients, fraction, bar, sampled", [
+        (3, 1.0, 5, 3), (3, 0.5, 3, 2), (4, 0.5, 3, 2), (2, 0.5, 2, 1)])
+    @pytest.mark.parametrize("mode", ["centralized", "federated"])
+    def test_unreachable_min_participation_rejected(self, mode, n_clients,
+                                                    fraction, bar, sampled):
+        with pytest.raises(ConfigError, match=(
+                rf"^federation\.min_participation is {bar} but each round "
+                rf"samples only {sampled} of {n_clients} clients")):
+            build_config({"mode": mode,
+                          "federation": {"n_clients": n_clients,
+                                         "min_participation": bar},
+                          "strategy": {"sample_fraction": fraction}})
+
+    @pytest.mark.parametrize("mode, section, key", [
+        ("centralized", "train", "epochs"),
+        ("federated", "federation", "epochs_per_round")])
+    def test_learning_rate_decaying_to_zero_rejected(self, mode, section, key):
+        def three_epochs(gamma):
+            user = {"mode": mode, "train": {"lr_gamma": gamma}}
+            user.setdefault(section, {})[key] = 3
+            return user
+
+        # 1e-3 * (1e-200) ** 2 underflows to 0 at the third epoch
+        with pytest.raises(ConfigError, match=r"^train\.lr_gamma: .* 0 "
+                                              r"within 3 epochs"):
+            build_config(three_epochs(1e-200))
+        build_config(three_epochs(1e-150))
 
     def test_included_range_ends_accepted(self):
         cfg = build_config({
@@ -173,6 +207,14 @@ class TestParseConfig:
             build_config({"mode": "hybrid"})
 
 
+def save_untrained_model(model_dir):
+    """Save a freshly built tiny model; return its model.json contents."""
+    cfg = tiny_config()
+    save_model(TrainedModel(build(cfg.model_config()), ThresholdDetector(0.5),
+                            None, cfg.fingerprint()), model_dir)
+    return json.loads((model_dir / "model.json").read_text())
+
+
 class TestCentralizedHarness:
     def test_report_contents(self):
         report, model = run_centralized(tiny_config())
@@ -233,11 +275,7 @@ class TestCentralizedHarness:
     ])
     def test_malformed_model_json_names_layer_and_field(self, tmp_path,
                                                         layer, field, value):
-        cfg = tiny_config()
-        model = TrainedModel(build(cfg.model_config()), ThresholdDetector(0.5),
-                             None, cfg.fingerprint())
-        save_model(model, tmp_path)
-        meta = json.loads((tmp_path / "model.json").read_text())
+        meta = save_untrained_model(tmp_path)
         if value is None:
             del meta["layers"][layer][field]
         else:
@@ -245,6 +283,23 @@ class TestCentralizedHarness:
         (tmp_path / "model.json").write_text(json.dumps(meta))
         with pytest.raises(FedAnomError, match=f"layer {layer}: {field} "):
             load_model(tmp_path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("threshold", None, "missing key 'threshold'"),
+        ("fingerprint", None, "missing key 'fingerprint'"),
+        ("layers", 5, "layers: expected a list of mappings, got 5"),
+    ])
+    def test_malformed_model_json_names_file_and_key(self, tmp_path, key,
+                                                     value, message):
+        meta = save_untrained_model(tmp_path)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(FedAnomError) as err:
+            load_model(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'model.json'}: {message}"
 
 
 class TestDataPathResolution:
@@ -357,12 +412,10 @@ class TestFederatedHarness:
         assert again.per_client == report.per_client
 
     def test_unreachable_min_participation_rejected(self):
-        cfg = tiny_config(mode="federated",
-                          federation={"min_participation": 7})
         with pytest.raises(ConfigError, match=r"federation\.min_participation "
                                               r"is 7 but each round samples "
                                               r"only 2"):
-            run_federated_experiment(cfg)
+            tiny_config(mode="federated", federation={"min_participation": 7})
 
     def test_default_min_participation_follows_sampling(self):
         # one of two clients is sampled per round, so the default bar is one
@@ -371,13 +424,11 @@ class TestFederatedHarness:
         assert not any(tr.carried_forward for tr in result.rounds)
         assert all(sum(r.participated for r in tr.records) == 1
                    for tr in result.rounds)
-        set_bar = tiny_config(mode="federated",
-                              strategy={"sample_fraction": 0.5},
-                              federation={"min_participation": 2})
         with pytest.raises(ConfigError, match=r"federation\.min_participation "
                                               r"is 2 but each round samples "
                                               r"only 1"):
-            run_federated_experiment(set_bar)
+            tiny_config(mode="federated", strategy={"sample_fraction": 0.5},
+                        federation={"min_participation": 2})
 
     def test_loss_trace_rows_equal_rounds(self, tmp_path):
         cfg = tiny_config(mode="federated")

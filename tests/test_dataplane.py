@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedanom import dataplane
@@ -181,16 +181,56 @@ class TestSplits:
         with pytest.raises(DataError):
             train_val_split(np.arange(0), 0.8, 0)
 
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ConfigError):
-            train_val_split(np.arange(4), 1.0, 0)
+
+@st.composite
+def partition_inputs(draw):
+    """(labels, n_clients, alpha, seed): one to many string classes,
+    1 to len(labels) clients and alpha in [0.05, 1000]."""
+    names = draw(st.lists(st.text(max_size=5), min_size=1, max_size=12,
+                          unique=True))
+    labels = draw(st.lists(st.sampled_from(names), min_size=1, max_size=120))
+    n_clients = draw(st.integers(1, len(labels)))
+    alpha = draw(st.floats(0.05, 1000.0))
+    seed = draw(st.integers(0, 2**32))
+    return labels, n_clients, alpha, seed
+
+
+# 50 rows over 8 clients at alpha 0.05: the draw leaves a client empty
+REPAIRED = ([NORMAL_LABEL] * 40 + ["attack"] * 10, 8, 0.05, 3)
+
+
+def reference_dirichlet_partition(ds, n_clients, alpha, seed, repairs=None):
+    """The partition as it was when it built Python-int tuples."""
+    rng = dataplane.derive_rng(seed)
+    buckets = [[] for _ in range(n_clients)]
+    for label in np.unique(ds.labels):
+        idx = np.flatnonzero(ds.labels == label)
+        rng.shuffle(idx)
+        proportions = rng.dirichlet(np.full(n_clients, alpha))
+        scaled = proportions * len(idx)
+        counts = np.floor(scaled).astype(int)
+        missing = len(idx) - int(counts.sum())
+        order = np.lexsort((np.arange(n_clients), -(scaled - counts)))
+        counts[order[:missing]] += 1
+        pos = 0
+        for k in range(n_clients):
+            buckets[k].extend(int(i) for i in idx[pos:pos + counts[k]])
+            pos += counts[k]
+    for k in range(n_clients):
+        while not buckets[k]:
+            if repairs is not None:
+                repairs.append(k)
+            donor = max(range(n_clients), key=lambda j: len(buckets[j]))
+            buckets[k].append(buckets[donor].pop())
+    return tuple(tuple(sorted(b)) for b in buckets)
 
 
 class TestDirichletPartition:
     def test_single_client_gets_everything(self):
         ds = two_class_dataset(30, 10)
         plan = dirichlet_partition(ds, 1, 0.1, seed=0)
-        assert plan.assignments[0] == tuple(range(40))
+        assert plan.assignments[0].dtype == np.intp
+        np.testing.assert_array_equal(plan.assignments[0], np.arange(40))
 
     def test_exact_partition_many_settings(self):
         ds = two_class_dataset(101, 53)
@@ -240,13 +280,42 @@ class TestDirichletPartition:
         ds = two_class_dataset(100, 20)
         a = dirichlet_partition(ds, 3, 0.5, seed=9)
         b = dirichlet_partition(ds, 3, 0.5, seed=9)
-        assert a.assignments == b.assignments
+        assert a.to_dict() == b.to_dict()
 
     def test_plan_round_trip(self):
         ds = two_class_dataset(20, 5)
         plan = dirichlet_partition(ds, 2, 10.0, seed=4)
-        again = PartitionPlan(**json.loads(json.dumps(plan.to_dict())))
-        assert again == plan
+        d = json.loads(json.dumps(plan.to_dict()))
+        again = PartitionPlan(tuple(np.array(a, dtype=np.intp)
+                                    for a in d["assignments"]),
+                              d["alpha"], d["seed"])
+        assert again.to_dict() == plan.to_dict()
+        again.validate(len(ds))
+
+    @given(partition_inputs())
+    @example(REPAIRED)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_int_reference(self, inputs):
+        labels, n_clients, alpha, seed = inputs
+        ds = LabeledDataset(np.zeros((len(labels), 1)), np.array(labels))
+        plan = dirichlet_partition(ds, n_clients, alpha, seed)
+        want = reference_dirichlet_partition(ds, n_clients, alpha, seed)
+        assert len(plan.assignments) == len(want)
+        for got, expected in zip(plan.assignments, want):
+            assert got.dtype == np.intp
+            assert got.tobytes() == np.array(expected, np.intp).tobytes()
+            assert np.all(got[1:] > got[:-1])
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(plan.assignments)), np.arange(len(ds)))
+        assert all(a.size for a in plan.assignments)
+
+    def test_repaired_example_leaves_a_client_empty_before_repair(self):
+        labels, n_clients, alpha, seed = REPAIRED
+        repairs = []
+        reference_dirichlet_partition(
+            LabeledDataset(np.zeros((len(labels), 1)), np.array(labels)),
+            n_clients, alpha, seed, repairs)
+        assert repairs
 
 
 def reference_synth_generate(spec):

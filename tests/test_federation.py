@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedanom import federation
 from fedanom.autoencoder import AutoencoderConfig, TrainConfig, build
 from fedanom.errors import (
     ConfigError,
     DataError,
     DegenerateAggregationError,
     DegenerateLossError,
+    DivergenceError,
     ShapeError,
 )
 from fedanom.federation import (
@@ -411,13 +411,14 @@ class TestAssignLatencies:
 
 
 class TestLocalRound:
-    def test_zero_epochs_rejected(self):
-        clients = toy_clients(1)
+    def test_non_finite_loss_names_the_client(self):
+        # a client never reports a non-finite loss: training stops first
         cfg = toy_model_cfg()
-        from fedanom.autoencoder import build
-        flat = pack(build(cfg))
-        with pytest.raises(ConfigError):
-            local_round(clients[0], flat, cfg.layer_specs(), 0,
+        client = toy_clients(2)[1]
+        client.train[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match="^client 1: non-finite training loss"):
+            local_round(client, pack(build(cfg)), cfg.layer_specs(), 1,
                         TrainConfig(epochs=1), 1)
 
     def test_identical_clients_identical_updates(self):
@@ -446,11 +447,6 @@ class TestLocalRound:
 
 
 class TestRunFederated:
-    def test_zero_rounds_rejected(self):
-        with pytest.raises(ConfigError):
-            run_federated(toy_clients(2), toy_model_cfg(), StrategyConfig(),
-                          rounds=0, epochs_per_round=1)
-
     def test_deterministic_runs(self):
         kwargs = dict(clients=None, model_cfg=toy_model_cfg(),
                       strategy=StrategyConfig(), rounds=3, epochs_per_round=2,
@@ -520,20 +516,6 @@ class TestRunFederated:
         assert [tr.carried_forward for tr in result.rounds] == [False, True]
         assert (result.rounds[1].global_sha256
                 == result.rounds[0].global_sha256)
-
-    @pytest.mark.parametrize("fraction, bar", [(1.0, 5), (0.5, 3)])
-    def test_unreachable_min_participation_rejected(self, monkeypatch,
-                                                    fraction, bar):
-        def no_round(*args, **kwargs):
-            raise AssertionError("a round ran")
-
-        monkeypatch.setattr(federation, "local_round", no_round)
-        with pytest.raises(ConfigError, match=r"federation\.min_participation "
-                                              r"is \d+ but each round samples "
-                                              r"only \d+"):
-            run_federated(toy_clients(3), toy_model_cfg(),
-                          StrategyConfig(sample_fraction=fraction), rounds=3,
-                          epochs_per_round=1, min_participation=bar)
 
     def test_duplicate_ids_rejected(self):
         clients = toy_clients(2)

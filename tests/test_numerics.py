@@ -248,10 +248,6 @@ class TestLrSchedule:
         sched = LrSchedule(0.01, 1, 1.0)
         assert all(lr_at(sched, e) == 0.01 for e in range(10))
 
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ConfigError):
-            lr_at(LrSchedule(0.001, 1, 0.9), -1)
-
     def test_monotone_non_increasing(self):
         sched = LrSchedule(0.5, 3, 0.7)
         rates = [lr_at(sched, e) for e in range(30)]

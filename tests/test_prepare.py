@@ -3,7 +3,11 @@ scaled splits, and the peak memory of the preparation, the synthetic
 generator and the CSV reader."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +269,26 @@ class TestPeakMemory:
         assert skipped == (bad_cell is not None)
         assert len(ds) == n - skipped
         assert peak <= 2.3 * ds.features.nbytes
+
+
+def test_client_preparation_leaves_numpy_ma_unimported():
+    # A plain np.unique imports numpy.ma lazily. Imported in the middle of
+    # client preparation, its long-lived objects sat above the freed
+    # synthetic matrix, and perfbench's fed-rounds peak_rss_mb read 95 MB
+    # instead of 88 MB whenever the bytecode was compiled in the benchmark
+    # process.
+    code = (
+        "import sys\n"
+        "from fedanom.config import build_config\n"
+        "from fedanom.harness import prepare_clients\n"
+        "prepare_clients(build_config({'mode': 'federated', 'federation':"
+        " {'n_clients': 4, 'alpha': 1.0}, 'dataset': {'synth':"
+        " {'n_normal': 400, 'n_attack': 40, 'dim': 8}}}))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
