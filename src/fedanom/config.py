@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-import yaml
-
 from .autoencoder import AutoencoderConfig, TrainConfig
 from .dataplane import SynthSpec
 from .errors import ConfigError
@@ -383,6 +381,10 @@ def build_config(user: dict | None) -> ExperimentConfig:
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a config file; blank files mean all defaults."""
+    # imported here, the only place that reads YAML: PyYAML compiles its
+    # regexes on import, which every `import fedanom` would pay for
+    import yaml
+
     text = Path(path).read_text()
     raw = yaml.safe_load(text) if text.strip() else None
     if raw is not None and not isinstance(raw, dict):

@@ -8,13 +8,18 @@ Dirichlet partitioning across clients, and a seeded synthetic generator
 used as the desk-scale stand-in for the real dataset.
 
 Both CSV readers (`load_csv` for raw flows, `load_dataset` for the
-canonical format) share one parser that reads rows with `csv.reader` and
-encodes them a block of rows at a time into float64 arrays. Its skip
-rules: blank rows are ignored; a row is skipped and counted when it is too
-short for a feature column or the label, when a numeric cell does not
-parse as a float, or when a feature is `nan` or `inf`. `load_dataset`
-instead rejects a row whose cell count differs from the header's, and
-`load_csv` a header that repeats a column name. A schema is rejected when
+canonical format) share one parser that encodes a block of lines at a
+time into float64 arrays. numpy's compiled `np.loadtxt` reads a block of
+plain lines (printable ASCII without a quote, CR/LF line ends, none longer
+than csv's field size limit), and the row parser, `csv.reader` with
+`float()` per numeric cell, takes each line it rejects and every line from
+the first block that is not plain. A row comes out bit for bit as the row
+parser alone would give it. Its skip rules: blank rows are ignored; a row
+is skipped and counted when it is too short for a feature column or the
+label, when a numeric cell does not parse as a float, or when a feature
+is `nan` or `inf`. `load_dataset` instead rejects a row whose cell count
+differs from the header's, blank rows included, and `load_csv` a header
+that repeats a column name. A schema is rejected when
 it is read if a categorical vocabulary repeats an entry or a categorical
 column is also dropped or is the label column.
 """
@@ -24,8 +29,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import itemgetter
+from functools import partial
+from itertools import chain, islice
+from operator import itemgetter, length_hint
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -336,9 +342,33 @@ def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(label)])
 
 
-# Rows parsed per block: bounds the Python floats a block stages before
-# they become one float64 array.
+# Lines parsed per block; it bounds what a block stages (its lines, their
+# records and its feature matrix) before the final join. np.loadtxt reads a
+# block whose lines are all `_plain`, and the row parser (csv.reader, then
+# float() per numeric cell) takes each line it rejects. From the first block
+# that is not plain, csv.reader reads the rest of the file, since a quoted
+# cell may span lines. Either way each row comes out bit for bit as the row
+# parser alone would give it.
 _BLOCK_ROWS = 4096
+# Lines per np.loadtxt call. A call costs about as much as three lines, and
+# a line it rejects costs a second read of the lines before it in its chunk.
+_CHUNK_ROWS = 32
+
+# Characters np.loadtxt splits and converts exactly as csv.reader and
+# float() do: printable ASCII but the quote character, and CR/LF line ends.
+# It would read a control character such as "\x1e4" as 4.0, which float()
+# rejects.
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether np.loadtxt may read these lines: only _PLAIN characters, and
+    no line longer than csv's field size limit (csv.reader raises on a
+    longer field)."""
+    text = "".join(lines)
+    return (text.isascii()
+            and not text.encode("ascii").translate(None, _PLAIN)
+            and max(map(len, lines)) <= csv.field_size_limit())
 
 
 def _cell_picker(cells: Sequence[int]) -> Callable[[list[str]], tuple]:
@@ -350,12 +380,12 @@ def _cell_picker(cells: Sequence[int]) -> Callable[[list[str]], tuple]:
     return itemgetter(*cells) if cells else lambda row: ()
 
 
-def _parse_rows(rows: Iterable[list[str]], width: int,
+def _parse_rows(lines: Iterable[str], width: int,
                 numeric: Sequence[tuple[int, int]],
                 categorical: Sequence[tuple[int, int, dict[str, int]]],
-                label: int, normal_value: str
+                label: int, normal_value: str, strict: Path | None = None
                 ) -> tuple[LabeledDataset, int]:
-    """Encode csv rows into a dataset, _BLOCK_ROWS rows at a time.
+    """Encode csv lines into a dataset, _BLOCK_ROWS lines at a time.
 
     `numeric` holds a (cell, feature column) pair per numeric feature;
     `categorical` a (cell, first feature column, value -> offset) triple
@@ -363,24 +393,47 @@ def _parse_rows(rows: Iterable[list[str]], width: int,
     equal to `normal_value` become NORMAL_LABEL. Blank rows are ignored.
     A row is skipped and counted when it is too short for a cell read,
     when a numeric cell does not parse as a float, or when a feature is
-    not finite. Returns the dataset and the skip count.
+    not finite. With `strict`, the cells read are every cell of a row, in
+    order, and a row with another cell count raises SchemaError naming
+    that file. Returns the dataset and the skip count.
+
+    Which reader takes which lines is set out at _BLOCK_ROWS; the row
+    parser also takes any run of lines that np.loadtxt does not read as one
+    row per line, such as one holding a blank line, which it skips.
     """
-    categorical_cells = [c for c, _, _ in categorical]
-    need = 1 + max([label, *(c for c, _ in numeric), *categorical_cells])
-    pick_numeric = _cell_picker([c for c, _ in numeric])
-    # A kept row keeps only its label and categorical cells: holding
-    # whole rows until the block ends measured slower.
-    pick_text = _cell_picker([label, *categorical_cells])
+    cells = [c for c, _ in numeric] + [label] + [c for c, _, _ in categorical]
+    need = 1 + max(cells)
+    pick_numeric = _cell_picker(cells[:len(numeric)])
+    pick_text = _cell_picker(cells[len(numeric):])
+    numeric_columns = np.array([j for _, j in numeric], dtype=np.intp)
+    # A row's record: its numeric cells as one float64 field, then its label
+    # and categorical cells as text. np.loadtxt's record holds a categorical
+    # cell in a numpy string one character longer than its longest
+    # vocabulary entry, so that a longer cell, cut, still matches none.
+    fields = [("numbers", np.float64, (len(numeric),))] if numeric else []
+    fields.append(("label", object))
+    row_record = np.dtype(fields + [(f"c{k}", object)
+                                    for k in range(len(categorical))])
+    plain_record = np.dtype(fields + [
+        (f"c{k}", f"U{max(map(len, index), default=0) + 1}")
+        for k, (_, _, index) in enumerate(categorical)])
+    loadtxt = partial(np.loadtxt, dtype=plain_record, delimiter=",",
+                      comments=None, quotechar=None, ndmin=1,
+                      usecols=None if strict else cells)
     blocks: list[np.ndarray] = []
     finite: list[np.ndarray] = []
     labels: list[str] = []
     skipped = 0
-    rows = iter(rows)
-    while True:
+
+    def parse(rows: Iterable[list[str]], record: np.dtype) -> np.ndarray:
+        """The row parser: the kept csv rows as records."""
+        nonlocal skipped
         values: list[tuple[float, ...]] = []
-        texts: list[tuple[str, ...]] = []
-        seen = 0
-        for seen, row in enumerate(islice(rows, _BLOCK_ROWS), 1):
+        kept: list[tuple[str, ...]] = []
+        for row in rows:
+            if strict is not None and len(row) != need:
+                raise SchemaError(
+                    f"{strict}: row has {len(row)} cells, expected {need}")
             if len(row) < need:
                 skipped += bool(row)
                 continue
@@ -389,20 +442,78 @@ def _parse_rows(rows: Iterable[list[str]], width: int,
             except ValueError:
                 skipped += 1
                 continue
-            texts.append(pick_text(row))
-        if not seen:
+            kept.append(pick_text(row))
+        parsed = np.zeros(len(kept), record)
+        if kept:
+            if numeric:
+                parsed["numbers"] = values
+            for name, column in zip(record.names[bool(numeric):],
+                                    zip(*kept)):
+                parsed[name] = column
+        return parsed
+
+    def load(chunk: list[str]) -> Iterator[np.ndarray]:
+        """Records of plain lines, in order: np.loadtxt reads them, and the
+        row parser takes each line it rejects and any run it does not read
+        as one row per line. The lines before a rejected one are re-read the
+        same way, so exactness does not rest on where loadtxt stops."""
+        while chunk:
+            pending = iter(chunk)
+            try:
+                # loadtxt warns on input with no data
+                got = loadtxt(pending) if any(map(str.strip, chunk)) else None
+            except ValueError:
+                # it pulls lines up to the one it rejects; were it to pull
+                # more, the re-read of the lines before would reject again
+                stop = max(len(chunk) - length_hint(pending) - 1, 0)
+                yield from load(chunk[:stop])
+                yield parse(csv.reader(chunk[stop:stop + 1]), plain_record)
+                chunk = chunk[stop + 1:]
+                continue
+            if got is None or got.shape != (len(chunk),):
+                got = parse(csv.reader(chunk), plain_record)
+            yield got
+            return
+
+    def add(parsed: np.ndarray) -> None:
+        """Encode records into a feature block, keeping a mask of its finite
+        rows."""
+        feats = np.zeros((parsed.size, width))
+        if numeric:
+            feats[:, numeric_columns] = parsed["numbers"]
+        for k, (_, first, index) in enumerate(categorical):
+            column = parsed[f"c{k}"]
+            for value, offset in index.items():
+                # the value as the column holds it: a numpy string drops
+                # trailing NULs, and a plain cell holds none
+                key = np.array(value, dtype=column.dtype)
+                if key.item() == value:
+                    feats[:, first + offset] = column == key
+        # drop non-finite rows block by block, so that the join below is
+        # the only full-size copy
+        ok = np.isfinite(feats).all(axis=1)
+        blocks.append(feats if ok.all() else feats[ok])
+        finite.append(ok)
+        labels.extend([NORMAL_LABEL if v == normal_value else v
+                       for v in parsed["label"].tolist()])
+
+    lines = iter(lines)
+    for block in iter(lambda: list(islice(lines, _BLOCK_ROWS)), []):
+        if not _plain(block):
+            lines = chain(block, lines)
             break
-        if values:
-            label_cells, *category_cells = zip(*texts)
-            feats = _encode_block(values, category_cells, width, numeric,
-                                  categorical)
-            # drop non-finite rows block by block, so that the join below
-            # is the only full-size copy
-            ok = np.isfinite(feats).all(axis=1)
-            blocks.append(feats if ok.all() else feats[ok])
-            finite.append(ok)
-            labels.extend([NORMAL_LABEL if v == normal_value else v
-                           for v in label_cells])
+        # one buffer per block: np.concatenate of its many parts, and
+        # np.empty's filling of the label field, measured slower
+        parsed = np.zeros(len(block), plain_record)
+        n = 0
+        for start in range(0, len(block), _CHUNK_ROWS):
+            for part in load(block[start:start + _CHUNK_ROWS]):
+                parsed[n:n + part.size] = part
+                n += part.size
+        add(parsed[:n])
+    rows = csv.reader(lines)
+    for first in rows:
+        add(parse(chain([first], islice(rows, _BLOCK_ROWS - 1)), row_record))
     features = (np.concatenate(blocks) if blocks
                 else np.empty((0, width), dtype=np.float64))
     kept = np.concatenate(finite) if finite else np.ones(0, dtype=bool)
@@ -414,34 +525,6 @@ def _parse_rows(rows: Iterable[list[str]], width: int,
     return LabeledDataset(features, label_array), skipped + n_bad
 
 
-def _encode_block(values: list[tuple[float, ...]],
-                  category_cells: list[tuple[str, ...]], width: int,
-                  numeric: Sequence[tuple[int, int]],
-                  categorical: Sequence[tuple[int, int, dict[str, int]]]
-                  ) -> np.ndarray:
-    """One block's (rows, width) feature matrix from its parsed numeric
-    values and, per categorical column, its cells."""
-    n = len(values)
-    parsed = np.array(values, dtype=np.float64).reshape(n, len(numeric))
-    feats = np.zeros((n, width))
-    feats[:, [j for _, j in numeric]] = parsed
-    for cells, (_, first, index) in zip(category_cells, categorical):
-        hot = np.fromiter(map(index.get, cells, repeat(-1)),
-                          dtype=np.intp, count=n)
-        hit = np.flatnonzero(hot >= 0)
-        feats[hit, first + hot[hit]] = 1.0
-    return feats
-
-
-def _exact_cells(rows: Iterable[list[str]], n: int, path: Path
-                 ) -> Iterator[list[str]]:
-    for row in rows:
-        if len(row) != n:
-            raise SchemaError(
-                f"{path}: row has {len(row)} cells, expected {n}")
-        yield row
-
-
 def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
     """Read the canonical columnar CSV written by save_dataset.
 
@@ -451,14 +534,14 @@ def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        lines = (line for line in fh if not line.startswith("#"))
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None or header[-1] != "label":
             raise SchemaError(f"{path} is not a canonical dataset CSV")
         width = len(header) - 1
-        return _parse_rows(_exact_cells(reader, width + 1, path), width,
-                           [(i, i) for i in range(width)], (), width,
-                           NORMAL_LABEL)
+        return _parse_rows(lines, width, [(i, i) for i in range(width)], (),
+                           width, NORMAL_LABEL, strict=path)
 
 
 @dataclass(frozen=True)
@@ -551,6 +634,6 @@ def load_csv(path: str | Path, schema: SchemaConfig
             raise SchemaError(
                 f"schema produces width {width}, expected "
                 f"{schema.expected_width}")
-        return _parse_rows(reader, width, numeric, categorical,
+        return _parse_rows(fh, width, numeric, categorical,
                            col_index[schema.label_column],
                            schema.normal_value)

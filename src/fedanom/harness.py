@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -469,34 +470,50 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
     return out
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def load_model(model_dir: str | Path) -> TrainedModel:
-    """Read a bundle written by `save_model`. A missing key or a `layers`
-    value that is not a list of mappings is a `FedAnomError` naming the
-    file and the key; a malformed layer is one naming the layer and the
-    field."""
+    """Read a bundle written by `save_model`. A missing key, or a value of
+    the wrong type (`threshold` not a finite number, `per_round_thresholds`
+    not a list of them, `seed` not an int, `layers` not a list of mappings), is
+    a `DataError` naming the file and the key; a malformed layer is one
+    naming the layer and the field."""
     model_dir = Path(model_dir)
     meta_path = model_dir / "model.json"
     meta = json.loads(meta_path.read_text())
     for key in ("threshold", "fingerprint", "layers"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")
-    layers = meta["layers"]
-    if not (isinstance(layers, list)
-            and all(isinstance(layer, dict) for layer in layers)):
-        raise DataError(f"{meta_path}: layers: expected a list of mappings, "
-                        f"got {layers!r}")
+    threshold, layers = meta["threshold"], meta["layers"]
+    per_round = meta.get("per_round_thresholds")
+    seed = meta.get("seed", 0)
+    for key, ok, expected in (
+            ("threshold", _is_finite_number(threshold), "a finite number"),
+            ("per_round_thresholds", per_round is None or (
+                isinstance(per_round, list)
+                and all(map(_is_finite_number, per_round))),
+             "a list of finite numbers"),
+            ("seed", isinstance(seed, int) and not isinstance(seed, bool),
+             "an int"),
+            ("layers", isinstance(layers, list)
+             and all(isinstance(layer, dict) for layer in layers),
+             "a list of mappings")):
+        if not ok:
+            raise DataError(
+                f"{meta_path}: {key}: expected {expected}, got {meta[key]!r}")
     arrays = np.load(model_dir / "model.npz")
     specs = [LayerSpec(*(layer.get(f) for f in LayerSpec._fields))
              for layer in layers]
     params = unpack(arrays["flat"], specs)
-    per_round = meta.get("per_round_thresholds")
-    detector = ThresholdDetector(float(meta["threshold"]),
+    detector = ThresholdDetector(float(threshold),
                                  tuple(per_round) if per_round else None)
     scaler = None
     if "scaler_min" in arrays:
         scaler = ScalerParams(arrays["scaler_min"], arrays["scaler_max"])
-    return TrainedModel(params, detector, scaler, meta["fingerprint"],
-                        int(meta.get("seed", 0)))
+    return TrainedModel(params, detector, scaler, meta["fingerprint"], seed)
 
 
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:

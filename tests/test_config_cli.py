@@ -301,6 +301,28 @@ class TestCentralizedHarness:
             load_model(tmp_path)
         assert str(err.value) == f"{tmp_path / 'model.json'}: {message}"
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("threshold", "abc", "a finite number"),
+        ("threshold", True, "a finite number"),
+        ("threshold", float("nan"), "a finite number"),
+        ("seed", 1.5, "an int"),
+        ("seed", "7", "an int"),
+        ("per_round_thresholds", 0.5, "a list of finite numbers"),
+        ("per_round_thresholds", "abc", "a list of finite numbers"),
+        ("per_round_thresholds", [0.5, "x"], "a list of finite numbers"),
+        ("per_round_thresholds", [0.5, float("inf")],
+         "a list of finite numbers"),
+    ])
+    def test_mistyped_model_json_value_names_file_and_key(
+            self, tmp_path, key, value, expected):
+        meta = save_untrained_model(tmp_path)
+        meta[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError) as err:
+            load_model(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'model.json'}: {key}: "
+                                  f"expected {expected}, got {value!r}")
+
 
 class TestDataPathResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch):

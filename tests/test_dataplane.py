@@ -626,14 +626,25 @@ NUMERIC_CELLS = ("0", "1.5", "-2", "-0", "3e2", "12345", "0.1", " 7 ",
 CATEGORY_CELLS = ("tcp", "udp", "icmp", "", "t,c", "u\np", " tcp")
 LABEL_CELLS = ("Normal", "benign", "ddos", "", "a,b", "x\ny")
 ROW_SHAPES = ("full", "full", "full", "short", "long", "empty")
+CELL_POOLS = {"numeric": NUMERIC_CELLS, "category": CATEGORY_CELLS,
+              "label": LABEL_CELLS, "id": ("r1", "#r2", "r,3")}
+# Cells that need no quoting. The numeric pool is mostly what np.loadtxt
+# takes (the plain cells seven times over), and "\x1e4" and "\t8" send a
+# block to csv.reader.
+PLAIN_POOLS = {
+    "numeric": ("0", "1.5", "-2", "-0", "3e2", "0.1", " 7 ", "1_000", "nan",
+                "inf", "-Infinity", "-", "", "#N/A", "1.2.3", "0x1F") * 7
+    + ("\x1e4", "\t8"),
+    "category": ("tcp", "udp", "icmp", "", " tcp", "tcpx", "tc"),
+    "label": ("Normal", "benign", "ddos", "", "Normal ", "a b"),
+    "id": ("r1", "#r2", " ")}
+LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 @st.composite
-def csv_rows(draw, kinds, ragged=True):
+def csv_rows(draw, kinds, ragged=True, pools=CELL_POOLS):
     """Rows of cells, one pool per column kind, some cut short, padded or
     left empty."""
-    pools = {"numeric": NUMERIC_CELLS, "category": CATEGORY_CELLS,
-             "label": LABEL_CELLS, "id": ("r1", "#r2", "r,3")}
     rows = []
     for _ in range(draw(st.integers(0, 14))):
         row = [draw(st.sampled_from(pools[k])) for k in kinds]
@@ -641,8 +652,8 @@ def csv_rows(draw, kinds, ragged=True):
         if shape == "short":
             row = row[:draw(st.integers(0, len(row) - 1))]
         elif shape == "long":
-            row += draw(st.lists(st.sampled_from(NUMERIC_CELLS), min_size=1,
-                                 max_size=2))
+            row += draw(st.lists(st.sampled_from(pools["numeric"]),
+                                 min_size=1, max_size=2))
         elif shape == "empty":
             row = []
         rows.append(row)
@@ -661,8 +672,34 @@ def write_csv(path, header, rows, comments=()):
     path.write_text(out.getvalue(), newline="")
 
 
+def write_plain(path, header, lines, ends):
+    """The header and each line, joined by commas if it is a row of cells,
+    written with the given line ends; the last line may have none."""
+    text = "".join(
+        (line if isinstance(line, str) else ",".join(line)) + end
+        for line, end in zip([header, *lines], ends))
+    path.write_bytes(text.encode())
+
+
 @st.composite
-def raw_flow_files(draw):
+def plain_lines(draw, rows, blanks=True, comments=False):
+    """Quote-free lines for the rows, with a line end per line. With
+    `blanks`, some rows become blank or whitespace-only lines; with
+    `comments`, `#` lines go before some rows."""
+    lines = []
+    for row in rows:
+        if comments and draw(st.integers(0, 9)) == 0:
+            lines.append("# note, with a comma")
+        lines.append(draw(st.sampled_from([row] * 8 + ["", "   "]))
+                     if blanks else row)
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    ends[-1] = draw(st.sampled_from(LINE_ENDS + ("",)))
+    return lines, ends
+
+
+@st.composite
+def raw_flow_files(draw, pools=CELL_POOLS):
     """A header in random column order, its schema and its rows."""
     n_numeric = draw(st.integers(1, 3))
     vocabs = draw(st.lists(
@@ -676,7 +713,7 @@ def raw_flow_files(draw):
         label_column="y", normal_value=draw(st.sampled_from(LABEL_CELLS)),
         drop_columns=("id",),
         categorical={f"c{i}": tuple(v) for i, v in enumerate(vocabs)})
-    rows = draw(csv_rows([kind for _, kind in columns]))
+    rows = draw(csv_rows([kind for _, kind in columns], pools=pools))
     return [name for name, _ in columns], schema, rows
 
 
@@ -706,3 +743,137 @@ class TestReaderEquivalence:
         with mock.patch.object(dataplane, "_BLOCK_ROWS", block_rows):
             got = read_outcome(load_dataset, path)
         assert got == read_outcome(reference_load_dataset, path)
+
+    @pytest.mark.filterwarnings("error")
+    @given(raw_flow_files(PLAIN_POOLS), st.data(), st.integers(1, 5),
+           st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_quote_free_load_csv_matches_reference(
+            self, tmp_path_factory, flow_file, data, block_rows, chunk_rows):
+        header, schema, rows = flow_file
+        lines, ends = data.draw(plain_lines(rows))
+        path = tmp_path_factory.mktemp("plain") / "raw.csv"
+        write_plain(path, header, lines, ends)
+        with mock.patch.object(dataplane, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(dataplane, "_CHUNK_ROWS", chunk_rows):
+            got = read_outcome(load_csv, path, schema)
+        assert got == read_outcome(reference_load_csv, path, schema)
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.integers(0, 3), st.booleans(), st.data(), st.integers(1, 5),
+           st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_quote_free_load_dataset_matches_reference(
+            self, tmp_path_factory, width, ragged, data, block_rows,
+            chunk_rows):
+        rows = data.draw(csv_rows(["numeric"] * width + ["label"], ragged,
+                                  PLAIN_POOLS))
+        lines, ends = data.draw(plain_lines(rows, blanks=ragged,
+                                            comments=True))
+        path = tmp_path_factory.mktemp("plain") / "ds.csv"
+        write_plain(path, [f"f{i}" for i in range(width)] + ["label"], lines,
+                    ends)
+        with mock.patch.object(dataplane, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(dataplane, "_CHUNK_ROWS", chunk_rows):
+            got = read_outcome(load_dataset, path)
+        assert got == read_outcome(reference_load_dataset, path)
+
+
+PLAIN_SCHEMA = SchemaConfig(label_column="y", drop_columns=("id",),
+                            categorical={"c": ("tcp", "udp")})
+
+
+def read_plain(tmp_path, text, load, *args):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(text.encode())
+    return load(path, *args)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadtxtPath:
+    """The np.loadtxt path: lines that it alone would read otherwise than
+    csv.reader and float(), each case naming the check in the parser that
+    it needs, and rejected lines at each place in a chunk."""
+
+    def test_plain_file_is_read_by_loadtxt(self, tmp_path):
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            ds, skipped = read_plain(tmp_path, RAW_CSV, load_csv, RAW_SCHEMA)
+        assert spy.called
+        assert skipped == 1 and len(ds) == 4
+
+    def test_control_character_cell_is_skipped(self, tmp_path):
+        # _PLAIN leaves out control characters: loadtxt reads "\x1e4" as 4.0
+        ds, skipped = read_plain(
+            tmp_path, "id,x,c,y\n1,0.5,tcp,Normal\n2,\x1e4,udp,ddos\n",
+            load_csv, PLAIN_SCHEMA)
+        assert skipped == 1
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.0, 0.0]])
+        assert ds.labels.tolist() == [NORMAL_LABEL]
+
+    def test_whitespace_only_line_is_short(self, tmp_path, monkeypatch):
+        # a chunk with no data goes to the row parser: loadtxt warns on it,
+        # and dropping it would drop the whitespace-only line uncounted
+        monkeypatch.setattr(dataplane, "_CHUNK_ROWS", 1)
+        ds, skipped = read_plain(
+            tmp_path, "id,x,c,y\n1,0.5,tcp,Normal\n   \n\n2,0.7,udp,ddos\n",
+            load_csv, PLAIN_SCHEMA)
+        assert skipped == 1
+        np.testing.assert_array_equal(ds.features,
+                                      [[0.5, 1.0, 0.0], [0.7, 0.0, 1.0]])
+
+    def test_lone_cr_line_ends(self, tmp_path, monkeypatch):
+        # loadtxt skips the blank "\r" line, so the row count check hands
+        # that chunk to the row parser, for which it is a row without cells
+        monkeypatch.setattr(dataplane, "_CHUNK_ROWS", 2)
+        ds, skipped = read_plain(
+            tmp_path, "id,x,c,y\r1,0.5,tcp,Normal\r\r2,0.7,udp,ddos\r"
+            "3,oops,tcp,x\r4,0.9,icmp,x", load_csv, PLAIN_SCHEMA)
+        assert skipped == 1
+        np.testing.assert_array_equal(
+            ds.features, [[0.5, 1.0, 0.0], [0.7, 0.0, 1.0], [0.9, 0.0, 0.0]])
+        assert ds.labels.tolist() == [NORMAL_LABEL, "ddos", "x"]
+        with pytest.raises(SchemaError, match="row has 0 cells"):
+            read_plain(tmp_path, "f0,label\r0.5,Normal\r\r0.7,ddos\r",
+                       load_dataset)
+
+    def test_field_over_size_limit_raises(self, tmp_path):
+        # _plain's line length check: loadtxt has no field size limit
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_plain(tmp_path, f"id,x,c,y\n1,0.5,tcp,{big}\n", load_csv,
+                       PLAIN_SCHEMA)
+
+    def test_first_quote_after_block_one(self, tmp_path, monkeypatch):
+        # from the first block with a quote csv.reader reads the rest: the
+        # quoted label spans the line that starts block 3
+        monkeypatch.setattr(dataplane, "_BLOCK_ROWS", 2)
+        text = ('id,x,c,y\n1,0.5,tcp,Normal\n2,0.6,udp,Normal\n'
+                '3,0.7,tcp,Normal\n4,0.8,udp,"dd,\nos"\n5,0.9,tcp,x\n')
+        ds, skipped = read_plain(tmp_path, text, load_csv, PLAIN_SCHEMA)
+        assert skipped == 0
+        np.testing.assert_array_equal(ds.features[:, 0],
+                                      [0.5, 0.6, 0.7, 0.8, 0.9])
+        assert ds.labels.tolist() == [NORMAL_LABEL] * 3 + ["dd,\nos", "x"]
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_rejected_lines_at_chunk_edges(self, tmp_path, monkeypatch, at):
+        # the line loadtxt rejects is the last one it pulled: the row parser
+        # takes it alone, loadtxt re-reads the lines before it and resumes
+        # after it
+        monkeypatch.setattr(dataplane, "_CHUNK_ROWS", 3)
+        lines = [f"{i},{i}.5,{('tcp', 'udp')[i % 2]},y{i}\n" for i in range(9)]
+        bad = [i for i in range(9) if i % 3 == at]
+        for i in bad:
+            lines[i] = f"{i},-,tcp,y{i}\n"
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as spy:
+            ds, skipped = read_plain(tmp_path, "id,x,c,y\n" + "".join(lines),
+                                     load_csv, PLAIN_SCHEMA)
+        # the header and the file's rest go to csv.reader as iterators
+        taken = [line for call in spy.call_args_list
+                 if isinstance(call.args[0], list) for line in call.args[0]]
+        assert taken == [lines[i] for i in bad]
+        good = [i for i in range(9) if i not in bad]
+        assert skipped == len(bad)
+        np.testing.assert_array_equal(
+            ds.features, [[i + 0.5, i % 2 == 0, i % 2 == 1] for i in good])
+        assert ds.labels.tolist() == [f"y{i}" for i in good]

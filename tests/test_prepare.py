@@ -271,6 +271,18 @@ class TestPeakMemory:
         assert peak <= 2.3 * ds.features.nbytes
 
 
+def child_stdout(code):
+    """Run `code` in a fresh interpreter on this checkout's sources and
+    return what it printed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_client_preparation_leaves_numpy_ma_unimported():
     # A plain np.unique imports numpy.ma lazily. Imported in the middle of
     # client preparation, its long-lived objects sat above the freed
@@ -285,10 +297,13 @@ def test_client_preparation_leaves_numpy_ma_unimported():
         " {'n_clients': 4, 'alpha': 1.0}, 'dataset': {'synth':"
         " {'n_normal': 400, 'n_attack': 40, 'dim': 8}}}))\n"
         "print('numpy.ma' in sys.modules)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert child_stdout(code) == "False"
+
+
+def test_import_leaves_yaml_unimported():
+    # PyYAML compiles its regexes when imported; only config.parse_config
+    # reads YAML, and it imports yaml itself
+    code = ("import sys\n"
+            "import fedanom.harness, fedanom.cli\n"
+            "print('yaml' in sys.modules)\n")
+    assert child_stdout(code) == "False"
