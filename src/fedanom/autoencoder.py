@@ -98,10 +98,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
 
-    def adam_state(self, n_params: int) -> AdamState:
-        return AdamState.zeros(n_params, self.adam_beta1, self.adam_beta2,
-                               self.adam_epsilon)
-
 
 def build(config: AutoencoderConfig) -> ParameterSet:
     """Initialize the autoencoder parameters; deterministic per seed."""
@@ -169,16 +165,15 @@ def _batch_masks(specs, batch_size: int, rng: np.random.Generator):
     return masks
 
 
-def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
-                 state: AdamState
-                 ) -> tuple[ParameterSet, AdamState, list[float]]:
-    """Mini-batch Adam training for `tc.epochs` epochs.
+def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig
+                 ) -> tuple[ParameterSet, list[float]]:
+    """Mini-batch Adam training for `tc.epochs` epochs, from zero moments
+    with `tc`'s Adam constants.
 
     Each epoch shuffles rows with the seeded stream, draws fresh dropout
     masks per batch, and records the mean training loss over its batches.
-    Fully deterministic given (params, data, tc). `params` and `state` are
-    left as they are: training works on, and returns, one copy of the
-    parameters and one of the optimizer state.
+    Fully deterministic given (params, data, tc). `params` is left as it
+    is: training works on, and returns, one copy of it.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -188,7 +183,8 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
     rng = derive_rng(tc.shuffle_seed)
     specs = params.specs
     current = ParameterSet(params.flat.copy(), specs)
-    state = state.copy()
+    state = AdamState.zeros(current.n_params, tc.adam_beta1, tc.adam_beta2,
+                            tc.adam_epsilon)
     grads = ParameterSet.zeros(specs)
     scratch = np.empty((2, current.n_params))
     trace: list[float] = []
@@ -210,4 +206,4 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig,
             adam_update(current.flat, grads.flat, state, rate, scratch)
             batch_losses.append(loss)
         trace.append(float(np.mean(batch_losses)))
-    return current, state, trace
+    return current, trace

@@ -16,10 +16,11 @@ than csv's field size limit), and the row parser, `csv.reader` with
 the first block that is not plain. A row comes out bit for bit as the row
 parser alone would give it. Its skip rules: blank rows are ignored; a row
 is skipped and counted when it is too short for a feature column or the
-label, when a numeric cell does not parse as a float, or when a feature
-is `nan` or `inf`. `load_dataset` instead rejects a row whose cell count
-differs from the header's, blank rows included, and `load_csv` a header
-that repeats a column name. A schema is rejected when
+label, when a numeric cell does not parse as a float, when its label ends
+in a NUL character (`_plain` sends such a line to the row parser), or
+when a feature is `nan` or `inf`. `load_dataset` instead rejects a row
+whose cell count differs from the header's, blank rows included, and
+`load_csv` a header that repeats a column name. A schema is rejected when
 it is read if a categorical vocabulary repeats an entry or a categorical
 column is also dropped or is the label column.
 """
@@ -392,10 +393,11 @@ def _parse_rows(lines: Iterable[str], width: int,
     per one-hot block, and values outside it leave the block zero. Labels
     equal to `normal_value` become NORMAL_LABEL. Blank rows are ignored.
     A row is skipped and counted when it is too short for a cell read,
-    when a numeric cell does not parse as a float, or when a feature is
-    not finite. With `strict`, the cells read are every cell of a row, in
-    order, and a row with another cell count raises SchemaError naming
-    that file. Returns the dataset and the skip count.
+    when a numeric cell does not parse as a float, when its label ends in
+    a NUL character, or when a feature is not finite. With `strict`, the
+    cells read are every cell of a row, in order, and a row with another
+    cell count raises SchemaError naming that file. Returns the dataset
+    and the skip count.
 
     Which reader takes which lines is set out at _BLOCK_ROWS; the row
     parser also takes any run of lines that np.loadtxt does not read as one
@@ -438,11 +440,18 @@ def _parse_rows(lines: Iterable[str], width: int,
                 skipped += bool(row)
                 continue
             try:
-                values.append(tuple(map(float, pick_numeric(row))))
+                numbers = tuple(map(float, pick_numeric(row)))
             except ValueError:
                 skipped += 1
                 continue
-            kept.append(pick_text(row))
+            text = pick_text(row)
+            # a numpy string drops a label's trailing NULs, so that
+            # `Normal\0` would read as `Normal`
+            if text[0].endswith("\0"):
+                skipped += 1
+                continue
+            values.append(numbers)
+            kept.append(text)
         parsed = np.zeros(len(kept), record)
         if kept:
             if numeric:
@@ -530,7 +539,8 @@ def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
 
     Lines starting with `#` are ignored and every row must have exactly
     one cell per header column. Returns the dataset and the number of rows
-    skipped because a feature cell did not parse as a finite number.
+    skipped because a feature cell did not parse as a finite number or the
+    label ends in a NUL character.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -593,8 +603,9 @@ def load_csv(path: str | Path, schema: SchemaConfig
     """Ingest a raw flow CSV through the schema.
 
     Returns the dataset and the number of rows skipped: rows too short to
-    hold every feature column and the label, and rows with a numeric cell
-    that does not parse as a finite number. Blank rows are ignored.
+    hold every feature column and the label, rows with a numeric cell
+    that does not parse as a finite number, and rows whose label ends in a
+    NUL character. Blank rows are ignored.
     Categorical values outside the declared vocabulary one-hot to an
     all-zero block, keeping the width stable. A header that repeats a
     column name raises SchemaError.

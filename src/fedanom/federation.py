@@ -203,10 +203,8 @@ def local_round(client: ClientState, global_params: np.ndarray,
                           specs)
     round_tc = replace(tc, epochs=epochs,
                        shuffle_seed=derive_seed(client.rng_seed, round_index))
-    state = round_tc.adam_state(params.n_params)
     try:
-        trained, _, trace = train_epochs(params, client.train, round_tc,
-                                         state)
+        trained, trace = train_epochs(params, client.train, round_tc)
     except DivergenceError as err:
         err.client_id = client.client_id
         err.args = (f"client {client.client_id}: {err.args[0]}",)
@@ -374,18 +372,22 @@ class FederationResult:
     detector: ThresholdDetector
     rounds: list[RoundTrace]
     collected_thresholds: list[float]
-    final_confusion: ConfusionMatrix | None
-    final_metrics: MetricsReport | None
-    final_per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]]
     mean_round_accuracy: float | None
 
 
-def _evaluate_global(params: ParameterSet, clients: Sequence[ClientState],
-                     detector: ThresholdDetector):
-    """Per-client confusion/metrics of a model on local validation +
-    attack rows, in client-id order, plus the pooled (summed) confusion.
-    Clients with no such rows are left out; the pooled figures are None
-    when no client has any."""
+def evaluate_clients(
+        params: ParameterSet, clients: Sequence[ClientState],
+        detector: ThresholdDetector,
+) -> tuple[dict[int, tuple[ConfusionMatrix, MetricsReport]],
+           ConfusionMatrix | None, MetricsReport | None]:
+    """Score a model on each client's validation normals and attack rows.
+
+    The one scoring path of every run: each federated round, a centralized
+    run (one client holding the whole dataset) and a saved model. Returns
+    the per-client confusion and metrics, in client-id order, then the
+    pooled (summed) confusion and its metrics. Clients with no such rows
+    are left out; the pooled figures are None when no client has any.
+    """
     per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] = {}
     pooled = ConfusionMatrix(0, 0, 0, 0)
     for client in sorted(clients, key=lambda c: c.client_id):
@@ -416,10 +418,11 @@ def run_federated(clients: Sequence[ClientState],
 
     Per-round evaluation classifies with the running minimum of every
     local threshold seen so far; the returned detector is the minimum over
-    all (round, client) thresholds. Everything is deterministic given the
-    master seed, the client seeds and the configs. `min_participation`
-    defaults to min(2, clients sampled per round); `build_config` rejects
-    one larger than the clients sampled per round.
+    all (round, client) thresholds, the one the last round scored with, so
+    the run's final evaluation is `rounds[-1]`'s. Everything is
+    deterministic given the master seed, the client seeds and the configs.
+    `min_participation` defaults to min(2, clients sampled per round);
+    `build_config` rejects one larger than the clients sampled per round.
     """
     if not clients:
         raise DataError("federation needs at least one client")
@@ -452,7 +455,7 @@ def run_federated(clients: Sequence[ClientState],
                          for u in sorted(updates, key=lambda u: u.client_id))
         detector = min_round_threshold(collected) if collected else None
         if detector is not None:
-            per_client, pooled_cm, pooled_metrics = _evaluate_global(
+            per_client, pooled_cm, pooled_metrics = evaluate_clients(
                 ParameterSet(server.global_params, specs), clients, detector)
         else:
             per_client, pooled_cm, pooled_metrics = {}, None, None
@@ -485,14 +488,10 @@ def run_federated(clients: Sequence[ClientState],
     accuracies = [tr.pooled_metrics.accuracy for tr in traces
                   if tr.pooled_metrics is not None
                   and tr.pooled_metrics.accuracy is not None]
-    last = traces[-1]
     return FederationResult(
         final_params=server.global_params,
         detector=final_detector,
         rounds=traces,
         collected_thresholds=collected,
-        final_confusion=last.pooled_confusion,
-        final_metrics=last.pooled_metrics,
-        final_per_client=last.per_client_eval,
         mean_round_accuracy=(float(np.mean(accuracies)) if accuracies else None),
     )

@@ -1,13 +1,20 @@
 """Experiment pipelines and report emission.
 
-Centralized mode: separate normals from attacks, 80/20 split the normals,
-fit the scaler on training normals only, train the autoencoder, calibrate
-the threshold on training reconstruction errors, then test on the
-validation normals plus an attack sample of matching size.
+Centralized mode: the whole dataset is one client. Separate normals from
+attacks, 80/20 split the normals, draw a seeded attack sample of the
+validation size (capped), all as row indices, fit the scaler on training
+normals only, train the autoencoder, calibrate the threshold on training
+reconstruction errors, then test on the validation normals plus the
+attack sample.
 
 Federated mode: Dirichlet-partition the records across clients, run the
 round loop, fix the detector at the least local threshold over all
 (round, client) pairs, and evaluate per client and pooled.
+
+Every split leaves at least one training row, or preparation raises a
+DataError. Both modes, and a saved model's re-evaluation, are scored by
+`federation.evaluate_clients`; a federated run's result is its last
+round's evaluation, so no row is scored twice.
 
 All emitted artifacts are deterministic for a given config: no timestamps,
 seeded streams everywhere, and every file carries the master seed and the
@@ -25,7 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import build, reconstruction_errors, train_epochs
+from .autoencoder import (
+    AutoencoderConfig,
+    build,
+    reconstruction_errors,
+    train_epochs,
+)
 from .config import (
     MODE_CENTRALIZED,
     MODE_FEDERATED,
@@ -53,17 +65,14 @@ from .detector import (
     ConfusionMatrix,
     MetricsReport,
     ThresholdDetector,
-    classify,
     compute_threshold,
-    confusion,
-    metrics,
 )
 from .errors import DataError
 from .federation import (
     ClientState,
     FederationResult,
     RoundTrace,
-    _evaluate_global,
+    evaluate_clients,
     run_federated,
 )
 from .numerics import LayerSpec, ParameterSet, derive_rng, unpack
@@ -104,7 +113,12 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 @dataclass
 class EvaluationReport:
-    """Everything the reporting layer needs about one finished experiment."""
+    """Everything the reporting layer needs about one finished experiment.
+
+    `per_client` is set in federated mode only. `epoch_losses` is set by a
+    centralized training run, and `round_traces` and `mean_round_accuracy`
+    by a federated one.
+    """
 
     mode: str
     seed: int
@@ -113,12 +127,11 @@ class EvaluationReport:
     metrics: MetricsReport
     threshold: float
     detector_source: str
-    validation_fp_rate: float | None
-    epoch_losses: list[float] | None
-    round_traces: list[RoundTrace] | None
-    per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] | None
-    mean_round_accuracy: float | None
     config: dict
+    per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] | None = None
+    epoch_losses: list[float] | None = None
+    round_traces: list[RoundTrace] | None = None
+    mean_round_accuracy: float | None = None
 
 
 @dataclass
@@ -132,104 +145,95 @@ class TrainedModel:
     seed: int = 0
 
 
-@dataclass
-class CentralizedData:
-    train: np.ndarray
-    val: np.ndarray
-    attack: np.ndarray
-    scaler: ScalerParams
+def _split_normals(cfg: ExperimentConfig, normal: np.ndarray, seed: int,
+                   client: int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded train/validation split of the normal row indices `normal`.
+
+    A split that would leave no training row, floor(split.train_fraction
+    * normal rows) < 1, is a DataError naming the client, if any.
+    """
+    fraction = cfg.data["split"]["train_fraction"]
+    if math.floor(fraction * normal.size) < 1:
+        owner, hint = ("", "") if client is None else (
+            f"client {client}: ", " (try a larger alpha or another seed)")
+        raise DataError(
+            f"{owner}split.train_fraction {fraction} of {normal.size} normal "
+            f"rows leaves no training row{hint}")
+    return train_val_split(normal, fraction, seed)
 
 
 def prepare_centralized(cfg: ExperimentConfig,
                         ds: LabeledDataset | None = None,
-                        scaler: ScalerParams | None = None) -> CentralizedData:
-    """Split the dataset into scaled train/validation normals and attacks.
+                        scaler: ScalerParams | None = None
+                        ) -> tuple[ClientState, ScalerParams]:
+    """The whole dataset as one client, and the scaler of its slices.
 
-    The splits are row indices; each output gathers its rows from
-    `ds.features` once and is scaled in place, and `ds` is never written.
+    The client trains on the training normals. Its evaluation rows are the
+    validation normals and a seeded sample of min(n_val, n_attack) attack
+    rows. The splits and the sample are row indices, so each slice gathers
+    its rows from `ds.features` once and is scaled in place; `ds` is never
+    written. Without `scaler`, one is fit on the training normals.
     """
     if ds is None:
         ds = load_experiment_dataset(cfg)
     normal, attack = split_by_label(ds)
-    if normal.size == 0:
-        raise DataError("dataset has no normal records to train on")
-    train, val = train_val_split(normal, cfg.data["split"]["train_fraction"],
-                                 cfg.derived_seed(STREAM_SPLIT))
+    train, val = _split_normals(cfg, normal, cfg.derived_seed(STREAM_SPLIT))
+    sample = derive_rng(cfg.seed, STREAM_TEST).choice(
+        attack.size, size=min(val.size, attack.size), replace=False)
+    attack = attack[np.sort(sample)]
     if scaler is None:
         scaler = fit_scaler(ds.features[train])
-    return CentralizedData(
+    client = ClientState(
+        client_id=0,
         train=apply_scaler(scaler, ds.features, train),
         val=apply_scaler(scaler, ds.features, val),
         attack=apply_scaler(scaler, ds.features, attack),
-        scaler=scaler,
+        rng_seed=cfg.derived_seed(STREAM_TRAIN),
     )
+    return client, scaler
 
 
-def _attack_test_sample(cfg: ExperimentConfig, n_val: int,
-                        attack: np.ndarray) -> np.ndarray:
-    """Seeded attack sample matched to the validation size (capped)."""
-    n = min(n_val, attack.shape[0])
-    if n == 0:
-        return attack[:0]
-    idx = derive_rng(cfg.seed, STREAM_TEST).choice(attack.shape[0], size=n,
-                                                   replace=False)
-    return attack[np.sort(idx)]
+def _model_config(cfg: ExperimentConfig,
+                  client: ClientState) -> AutoencoderConfig:
+    """The config's model, checked against the width of `client`'s rows."""
+    model_cfg = cfg.model_config()
+    if model_cfg.input_dim != client.train.shape[1]:
+        raise DataError(
+            f"model input dim {model_cfg.input_dim} does not match dataset "
+            f"width {client.train.shape[1]}")
+    return model_cfg
 
 
-def _evaluate_split(params: ParameterSet, detector: ThresholdDetector,
-                    val: np.ndarray, attack: np.ndarray
-                    ) -> tuple[ConfusionMatrix, MetricsReport, float | None]:
-    data = np.vstack([val, attack])
-    if data.shape[0] == 0:
+def _report(cfg: ExperimentConfig, mode: str, detector: ThresholdDetector,
+            per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]],
+            cm: ConfusionMatrix | None, m: MetricsReport | None,
+            **extra) -> EvaluationReport:
+    """The report of a run scored by `evaluate_clients`."""
+    if cm is None:
         raise DataError("nothing to evaluate: no validation or attack rows")
-    pred = classify(detector, reconstruction_errors(params, data))
-    truth = np.concatenate([np.zeros(val.shape[0], bool),
-                            np.ones(attack.shape[0], bool)])
-    cm = confusion(pred, truth)
-    # validation FP share: the same classify+confusion path on normals only
-    val_fp = None
-    if val.shape[0] > 0:
-        val_cm = confusion(pred[:val.shape[0]], np.zeros(val.shape[0], bool))
-        val_fp = metrics(val_cm).fp_rate
-    return cm, metrics(cm), val_fp
+    return EvaluationReport(
+        mode=mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
+        confusion=cm, metrics=m, threshold=detector.threshold,
+        detector_source=detector.source, config=cfg.canonical_dict(),
+        per_client=per_client if mode == MODE_FEDERATED else None, **extra)
 
 
 def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedModel]:
-    data = prepare_centralized(cfg)
-    model_cfg = cfg.model_config()
-    if model_cfg.input_dim != data.train.shape[1]:
-        raise DataError(
-            f"model input dim {model_cfg.input_dim} does not match dataset "
-            f"width {data.train.shape[1]}")
+    client, scaler = prepare_centralized(cfg)
+    model_cfg = _model_config(cfg, client)
     tc = cfg.train_config(epochs=cfg.data["train"]["epochs"],
-                          shuffle_seed=cfg.derived_seed(STREAM_TRAIN))
-    params = build(model_cfg)
-    state = tc.adam_state(params.n_params)
+                          shuffle_seed=client.rng_seed)
     log.info("centralized: training %d epochs on %d rows",
-             tc.epochs, data.train.shape[0])
-    trained, _, losses = train_epochs(params, data.train, tc, state)
-    errors = reconstruction_errors(trained, data.train)
-    thr = compute_threshold(errors, cfg.data["detector"]["use_sample_std"])
-    detector = ThresholdDetector(thr)
-    attack_sample = _attack_test_sample(cfg, data.val.shape[0], data.attack)
-    cm, report_metrics, val_fp = _evaluate_split(trained, detector,
-                                                 data.val, attack_sample)
-    report = EvaluationReport(
-        mode=MODE_CENTRALIZED,
-        seed=cfg.seed,
-        fingerprint=cfg.fingerprint(),
-        confusion=cm,
-        metrics=report_metrics,
-        threshold=detector.threshold,
-        detector_source=detector.source,
-        validation_fp_rate=val_fp,
-        epoch_losses=losses,
-        round_traces=None,
-        per_client=None,
-        mean_round_accuracy=None,
-        config=cfg.canonical_dict(),
-    )
-    model = TrainedModel(trained, detector, data.scaler, cfg.fingerprint(),
+             tc.epochs, client.n_samples)
+    trained, losses = train_epochs(build(model_cfg), client.train, tc)
+    errors = reconstruction_errors(trained, client.train)
+    detector = ThresholdDetector(
+        compute_threshold(errors, cfg.data["detector"]["use_sample_std"]))
+    report = _report(cfg, MODE_CENTRALIZED, detector,
+                     *evaluate_clients(trained, [client], detector),
+                     epoch_losses=losses)
+    model = TrainedModel(trained, detector, scaler, cfg.fingerprint(),
                          cfg.seed)
     return report, model
 
@@ -251,14 +255,8 @@ def prepare_clients(cfg: ExperimentConfig,
     clients = []
     for k, indices in enumerate(plan.assignments):
         normal, attack = split_by_label(ds, indices)
-        if normal.size < 2:
-            raise DataError(
-                f"client {k} received {normal.size} normal records; needs at "
-                f"least 2 to split train/validation (try a larger alpha or "
-                f"another seed)")
-        train, val = train_val_split(normal,
-                                     cfg.data["split"]["train_fraction"],
-                                     cfg.derived_seed(STREAM_SPLIT, k))
+        train, val = _split_normals(cfg, normal,
+                                    cfg.derived_seed(STREAM_SPLIT, k), k)
         scaler = fit_scaler(ds.features[train])
         clients.append(ClientState(
             client_id=k,
@@ -274,11 +272,7 @@ def run_federated_experiment(cfg: ExperimentConfig
                              ) -> tuple[EvaluationReport, TrainedModel, FederationResult]:
     clients = prepare_clients(cfg)
     fed = cfg.data["federation"]
-    model_cfg = cfg.model_config()
-    if model_cfg.input_dim != clients[0].train.shape[1]:
-        raise DataError(
-            f"model input dim {model_cfg.input_dim} does not match dataset "
-            f"width {clients[0].train.shape[1]}")
+    model_cfg = _model_config(cfg, clients[0])
     base_tc = cfg.train_config(epochs=fed["epochs_per_round"])
     log.info("federated: %d clients, %d rounds x %d epochs, strategy %s",
              len(clients), fed["rounds"], fed["epochs_per_round"],
@@ -294,23 +288,12 @@ def run_federated_experiment(cfg: ExperimentConfig
         master_seed=cfg.seed,
         min_participation=fed["min_participation"],
     )
-    if result.final_confusion is None or result.final_metrics is None:
-        raise DataError("federated run produced no evaluation rows")
-    report = EvaluationReport(
-        mode=MODE_FEDERATED,
-        seed=cfg.seed,
-        fingerprint=cfg.fingerprint(),
-        confusion=result.final_confusion,
-        metrics=result.final_metrics,
-        threshold=result.detector.threshold,
-        detector_source=result.detector.source,
-        validation_fp_rate=result.final_metrics.fp_rate,
-        epoch_losses=None,
-        round_traces=result.rounds,
-        per_client=result.final_per_client,
-        mean_round_accuracy=result.mean_round_accuracy,
-        config=cfg.canonical_dict(),
-    )
+    # the last round scored the final model with the final detector
+    last = result.rounds[-1]
+    report = _report(cfg, MODE_FEDERATED, result.detector,
+                     last.per_client_eval, last.pooled_confusion,
+                     last.pooled_metrics, round_traces=result.rounds,
+                     mean_round_accuracy=result.mean_round_accuracy)
     params = ParameterSet(result.final_params, model_cfg.layer_specs())
     model = TrainedModel(params, result.detector, None, cfg.fingerprint(),
                          cfg.seed)
@@ -347,7 +330,9 @@ def metrics_payload(report: EvaluationReport) -> dict:
         "recall": _metric_value(report.metrics.recall),
         "f_measure": _metric_value(report.metrics.f_measure),
         "false_rate": _metric_value(report.metrics.fp_rate),
-        "validation_fp_rate": _metric_value(report.validation_fp_rate),
+        # only normal rows make FP and TN counts, so the validation FP rate
+        # is the false rate
+        "validation_fp_rate": _metric_value(report.metrics.fp_rate),
         "mean_round_accuracy": _metric_value(report.mean_round_accuracy),
     }
 
@@ -519,22 +504,8 @@ def load_model(model_dir: str | Path) -> TrainedModel:
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
     """Re-run the evaluation stage of an experiment from a saved model."""
     if cfg.mode == MODE_FEDERATED:
-        per_client, cm, m = _evaluate_global(model.params, prepare_clients(cfg),
-                                             model.detector)
-        if cm is None:
-            raise DataError("nothing to evaluate: no validation or attack rows")
-        val_fp = m.fp_rate
+        clients = prepare_clients(cfg)
     else:
-        data = prepare_centralized(cfg, scaler=model.scaler)
-        attack_sample = _attack_test_sample(cfg, data.val.shape[0],
-                                            data.attack)
-        cm, m, val_fp = _evaluate_split(model.params, model.detector,
-                                        data.val, attack_sample)
-        per_client = None
-    return EvaluationReport(
-        mode=cfg.mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
-        confusion=cm, metrics=m, threshold=model.detector.threshold,
-        detector_source=model.detector.source, validation_fp_rate=val_fp,
-        epoch_losses=None, round_traces=None, per_client=per_client,
-        mean_round_accuracy=None, config=cfg.canonical_dict(),
-    )
+        clients = [prepare_centralized(cfg, scaler=model.scaler)[0]]
+    return _report(cfg, cfg.mode, model.detector,
+                   *evaluate_clients(model.params, clients, model.detector))

@@ -16,7 +16,7 @@ dropout) keeps the current one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -242,11 +242,8 @@ def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
 
 @dataclass
 class AdamState:
-    """Adam moment estimates plus the step counter.
-
-    `adam_update` advances a state in place; `copy` gives an independent
-    one.
-    """
+    """Adam moment estimates plus the step counter; `adam_update` advances
+    a state in place."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -267,10 +264,6 @@ class AdamState:
     def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
               epsilon: float = 1e-8) -> "AdamState":
         return cls(np.zeros(n), np.zeros(n), 0, beta1, beta2, epsilon)
-
-    def copy(self) -> "AdamState":
-        return replace(self, first_moment=self.first_moment.copy(),
-                       second_moment=self.second_moment.copy())
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,

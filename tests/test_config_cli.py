@@ -584,6 +584,26 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             manifest["artifacts"] + ["manifest.json"])
 
+    @pytest.mark.parametrize("mode, train", [("centralized", "train-central"),
+                                             ("federated", "train-fed")])
+    def test_evaluate_reproduces_training_scores(self, tmp_path, mode, train):
+        config = write_tiny_yaml(tmp_path, mode=mode)
+        run_dir, out = tmp_path / "run", tmp_path / "eval"
+        assert main([train, "--config", str(config),
+                     "--out", str(run_dir)]) == 0
+        assert main(["evaluate", "--config", str(config),
+                     "--model", str(run_dir / "model"),
+                     "--out", str(out)]) == 0
+        name = "confusion.csv"
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+        trained = json.loads((run_dir / "metrics.json").read_text())
+        again = json.loads((out / "metrics.json").read_text())
+        # only a federated training run has rounds to average over
+        assert again.pop("mean_round_accuracy") is None
+        assert (trained.pop("mean_round_accuracy") is None) == (
+            mode == "centralized")
+        assert again == trained
+
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
         out_a = tmp_path / "a"

@@ -410,6 +410,17 @@ class TestSynthGenerate:
         np.testing.assert_array_equal(ds.features, [[0.5, 1.0], [0.3, 0.4]])
         assert list(ds.labels) == [NORMAL_LABEL, "attack"]
 
+    def test_dataset_skips_label_ending_in_nul(self, tmp_path):
+        # a numpy string drops trailing NULs, so the label would read as
+        # Normal
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,label\n0.5,Normal\x00\n0.7,Normal\n"
+                        "0.9,attack\x00\n")
+        ds, skipped = load_dataset(path)
+        assert skipped == 2
+        np.testing.assert_array_equal(ds.features, [[0.7]])
+        assert list(ds.labels) == [NORMAL_LABEL]
+
 
 class TestLoadCsv:
     def test_schema_ingestion(self, tmp_path):
@@ -486,6 +497,18 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features,
                                       [[0.5, 1.0, 0.0], [0.9, 0.0, 1.0]])
         assert list(ds.labels) == [NORMAL_LABEL, "ddos"]
+
+    def test_label_ending_in_nul_is_skipped(self, tmp_path):
+        # `Normal\0` is not the schema's normal value, but a numpy string
+        # drops its NUL; the NUL line also sends its block to the row parser
+        path = tmp_path / "raw.csv"
+        path.write_text("x,y\n1.0,Normal\x00\n2.0,Normal\n3.0,ddos\n"
+                        "4.0,\x00\n")
+        ds, skipped = load_csv(path, SchemaConfig(label_column="y"))
+        assert skipped == 2
+        np.testing.assert_array_equal(ds.features, [[2.0], [3.0]])
+        assert list(ds.labels) == [NORMAL_LABEL, "ddos"]
+        assert list(ds.is_attack) == [False, True]
 
     def test_repeated_header_column_rejected(self, tmp_path):
         # each repeat of 'x' used to read the last 'x' cell: [[7.0, 7.0]]

@@ -15,7 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedanom import dataplane
-from fedanom.config import STREAM_CLIENT, STREAM_PARTITION, STREAM_SPLIT, build_config
+from fedanom.config import (
+    STREAM_CLIENT,
+    STREAM_PARTITION,
+    STREAM_SPLIT,
+    STREAM_TEST,
+    STREAM_TRAIN,
+    build_config,
+)
 from fedanom.dataplane import (
     NORMAL_LABEL,
     LabeledDataset,
@@ -69,9 +76,16 @@ def reference_centralized(cfg, ds, scaler=None):
         cfg.derived_seed(STREAM_SPLIT))
     if scaler is None:
         scaler = fit_scaler(train.features)
+    # the seeded attack sample, drawn from the scaled attack rows
+    attack = reference_scaled(scaler, attack)
+    n_test = min(len(val), attack.shape[0])
+    if n_test:
+        attack = attack[np.sort(derive_rng(cfg.seed, STREAM_TEST).choice(
+            attack.shape[0], size=n_test, replace=False))]
+    else:
+        attack = attack[:0]
     return (apply_scaler(scaler, train.features),
-            apply_scaler(scaler, val.features),
-            reference_scaled(scaler, attack), scaler)
+            apply_scaler(scaler, val.features), attack, scaler)
 
 
 def reference_clients(cfg, ds):
@@ -140,17 +154,19 @@ class TestGatheredSplits:
             with pytest.raises(DataError):
                 prepare_centralized(cfg, ds)
             return
-        got = prepare_centralized(cfg, ds)
+        got, scaler = prepare_centralized(cfg, ds)
         assert_unmodified(ds, before)
+        assert (got.client_id, got.rng_seed) == (
+            0, cfg.derived_seed(STREAM_TRAIN))
         for mine, theirs in zip((got.train, got.val, got.attack), want):
             assert same_array(mine, theirs)
-        assert same_array(got.scaler.minimum, want[3].minimum)
-        assert same_array(got.scaler.maximum, want[3].maximum)
+        assert same_array(scaler.minimum, want[3].minimum)
+        assert same_array(scaler.maximum, want[3].maximum)
         # a given scaler, as evaluate_saved passes, is used as it is
         other = fit_scaler(ds.features)
-        again = prepare_centralized(cfg, ds, scaler=other)
+        again, again_scaler = prepare_centralized(cfg, ds, scaler=other)
         want = reference_centralized(cfg, ds, scaler=other)
-        assert again.scaler is other
+        assert again_scaler is other
         for mine, theirs in zip((again.train, again.val, again.attack), want):
             assert same_array(mine, theirs)
         assert_unmodified(ds, before)
@@ -199,6 +215,24 @@ class TestGatheredSplits:
             assert same_array(client.attack, attack)
 
 
+@pytest.mark.parametrize("mode", ["centralized", "federated"])
+def test_split_without_training_row_names_fraction(mode):
+    # two normal rows each (for the dataset, or for each of three clients),
+    # and floor(0.37 * 2) = 0 of them would train
+    n_clients = 3 if mode == "federated" else 1
+    owner = "client 0: " if mode == "federated" else ""
+    cfg = build_config({"mode": mode, "seed": 3,
+                        "split": {"train_fraction": 0.37},
+                        "federation": {"n_clients": n_clients, "alpha": 1e6}})
+    ds = shuffled_dataset(2 * n_clients, 5, 2, 3)
+    prepare = prepare_clients if mode == "federated" else prepare_centralized
+    with pytest.raises(DataError) as err:
+        prepare(cfg, ds)
+    assert str(err.value).startswith(
+        f"{owner}split.train_fraction 0.37 of 2 normal rows leaves no "
+        f"training row")
+
+
 # -- memory ---------------------------------------------------------------------
 
 def traced_peak(fn, *args):
@@ -234,8 +268,8 @@ class TestPeakMemory:
     def test_centralized_preparation(self):
         ds = synth_generate(MEMORY_SPEC)
         cfg = build_config({"seed": 5})
-        data, peak = traced_peak(prepare_centralized, cfg, ds)
-        out = data.train.nbytes + data.val.nbytes + data.attack.nbytes
+        (client, _), peak = traced_peak(prepare_centralized, cfg, ds)
+        out = client.train.nbytes + client.val.nbytes + client.attack.nbytes
         assert peak <= 1.5 * out
 
     def test_client_preparation(self):
