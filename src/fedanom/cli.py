@@ -35,10 +35,11 @@ from .harness import (
     evaluate_saved,
     load_experiment_dataset,
     load_model,
-    metrics_payload,
+    metric_values,
     run_centralized,
     run_federated_experiment,
     save_model,
+    write_manifest,
 )
 
 log = logging.getLogger("fedanom")
@@ -51,13 +52,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, extra: dict) -> None:
-    manifest = {"seed": cfg.seed, "fingerprint": cfg.fingerprint(),
-                "config": cfg.canonical_dict(), **extra}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
     spec = cfg.synth_spec()
@@ -65,13 +59,11 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "dataset.csv")
-    _write_manifest(out, cfg, {
-        "artifacts": ["dataset.csv"],
-        "n_normal": int((~ds.is_attack).sum()),
-        "n_attack": int(ds.is_attack.sum()),
-        "dim": ds.n_features,
-        "synth_seed": spec.seed,
-    })
+    write_manifest(out, cfg.seed, cfg.fingerprint(), cfg.canonical_dict(),
+                   artifacts=["dataset.csv"],
+                   n_normal=int((~ds.is_attack).sum()),
+                   n_attack=int(ds.is_attack.sum()),
+                   dim=ds.n_features, synth_seed=spec.seed)
     print(f"wrote {out / 'dataset.csv'} ({len(ds)} rows)")
     return 0
 
@@ -88,18 +80,16 @@ def cmd_partition(args) -> int:
     payload["client_sizes"] = [len(a) for a in plan.assignments]
     (out / "partition.json").write_text(
         json.dumps(payload, sort_keys=True) + "\n")
-    _write_manifest(out, cfg, {"artifacts": ["partition.json"],
-                               "n_records": len(ds),
-                               "n_clients": plan.n_clients,
-                               "alpha": plan.alpha})
+    write_manifest(out, cfg.seed, cfg.fingerprint(), cfg.canonical_dict(),
+                   artifacts=["partition.json"], n_records=len(ds),
+                   n_clients=plan.n_clients, alpha=plan.alpha)
     print(f"wrote {out / 'partition.json'} "
           f"(sizes {payload['client_sizes']})")
     return 0
 
 
-def _print_metrics(payload: dict) -> None:
-    for key in ("accuracy", "precision", "recall", "f_measure", "false_rate"):
-        value = payload.get(key)
+def _print_metrics(values: dict) -> None:
+    for key, value in values.items():
         print(f"{key}: {'null' if value is None else f'{value:.6f}'}")
 
 
@@ -109,7 +99,7 @@ def cmd_train_central(args) -> int:
     out = Path(args.out)
     emit_report(report, out)
     save_model(model, out / "model")
-    _print_metrics(metrics_payload(report))
+    _print_metrics(metric_values(report.metrics))
     print(f"report written to {out}")
     return 0
 
@@ -124,7 +114,7 @@ def cmd_train_fed(args) -> int:
     out = Path(args.out)
     emit_report(report, out)
     save_model(model, out / "model")
-    _print_metrics(metrics_payload(report))
+    _print_metrics(metric_values(report.metrics))
     if report.mean_round_accuracy is not None:
         print(f"mean_round_accuracy: {report.mean_round_accuracy:.6f}")
     print(f"report written to {out}")
@@ -137,7 +127,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_saved(cfg, model)
     out = Path(args.out)
     emit_report(report, out)
-    _print_metrics(metrics_payload(report))
+    _print_metrics(metric_values(report.metrics))
     print(f"report written to {out}")
     return 0
 
@@ -153,15 +143,10 @@ def cmd_report(args) -> int:
             raise DataError(f"{confusion_path} has unexpected header {header}")
         tp, fp, tn, fn = (int(v) for v in next(reader))
     cm = ConfusionMatrix(tp, fp, tn, fn)
-    recomputed = metrics(cm)
+    recomputed = metric_values(metrics(cm))
     stored = json.loads((run_dir / "metrics.json").read_text())
-    pairs = [("accuracy", recomputed.accuracy),
-             ("precision", recomputed.precision),
-             ("recall", recomputed.recall),
-             ("f_measure", recomputed.f_measure),
-             ("false_rate", recomputed.fp_rate)]
     mismatched = []
-    for key, value in pairs:
+    for key, value in recomputed.items():
         want = stored.get(key)
         if value is None and want is None:
             continue
@@ -170,7 +155,7 @@ def cmd_report(args) -> int:
     if mismatched:
         print(f"metrics mismatch against confusion matrix: {mismatched}")
         return 1
-    _print_metrics({k: v for k, v in pairs})
+    _print_metrics(recomputed)
     print("metrics consistent with confusion matrix")
     return 0
 

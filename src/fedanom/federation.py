@@ -1,5 +1,7 @@
 """Round-based federated orchestration.
 
+`local_round` trains and calibrates one client from given parameters, the
+one training path of both modes: a centralized run is one local round.
 Each round the server samples clients, distributes the global parameter
 vector, collects locally trained updates (subject to a deterministic
 latency model that can drop stragglers), and passes them to `aggregate`,
@@ -115,9 +117,14 @@ class ClientUpdate:
 
     client_id: int
     params: np.ndarray
-    local_loss: float
+    epoch_losses: tuple[float, ...]
     n_samples: int
     local_threshold: float
+
+    @property
+    def local_loss(self) -> float:
+        """The last epoch's mean training loss."""
+        return self.epoch_losses[-1]
 
 
 class GHEntry(NamedTuple):
@@ -191,28 +198,26 @@ def assign_latencies(model: LatencyModel | None, client_ids: Sequence[int],
 
 
 def local_round(client: ClientState, global_params: np.ndarray,
-                specs: Sequence[LayerSpec], epochs: int, tc: TrainConfig,
-                round_index: int) -> ClientUpdate:
-    """Load the global model, train locally, calibrate the local threshold.
+                specs: Sequence[LayerSpec], tc: TrainConfig,
+                use_sample_std: bool) -> ClientUpdate:
+    """Train from `global_params` on the client's rows, then calibrate.
 
-    The optimizer state and the LR schedule restart every round; the
-    shuffle/dropout stream is derived from (client seed, round) so runs
-    replay exactly.
+    Trains `tc.epochs` epochs from a fresh optimizer state and LR schedule
+    with `tc`'s shuffle/dropout seed, then sets the local threshold at mean
+    + std (sample std if `use_sample_std`) of the errors on those rows.
     """
     params = ParameterSet(np.ascontiguousarray(global_params, np.float64),
                           specs)
-    round_tc = replace(tc, epochs=epochs,
-                       shuffle_seed=derive_seed(client.rng_seed, round_index))
     try:
-        trained, trace = train_epochs(params, client.train, round_tc)
+        trained, losses = train_epochs(params, client.train, tc)
     except DivergenceError as err:
         err.client_id = client.client_id
         err.args = (f"client {client.client_id}: {err.args[0]}",)
         raise
     errors = reconstruction_errors(trained, client.train)
-    threshold = compute_threshold(errors)
-    return ClientUpdate(client.client_id, trained.flat,
-                        float(trace[-1]), client.n_samples, float(threshold))
+    threshold = compute_threshold(errors, use_sample_std)
+    return ClientUpdate(client.client_id, trained.flat, tuple(losses),
+                        client.n_samples, threshold)
 
 
 def fedavg_aggregate(updates: Sequence[ClientUpdate],
@@ -291,7 +296,8 @@ def relevance_score(window: Sequence[float], current: float) -> float:
 def apply_relevance(alpha: float, params: np.ndarray) -> np.ndarray:
     """Uniformly damp the aggregated vector by the relevance score."""
     if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"relevance score must be in (0, 1], got {alpha}")
+        raise DegenerateAggregationError(
+            f"relevance score must be in (0, 1], got {alpha}")
     return alpha * np.asarray(params, dtype=np.float64)
 
 
@@ -332,7 +338,11 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
             previous = [e.summary for e in history
                         if e.round_index == server.round_index]
             alpha = relevance_score(previous, rms_summary(new_global))
-            new_global = apply_relevance(alpha, new_global)
+            try:
+                new_global = apply_relevance(alpha, new_global)
+            except DegenerateAggregationError as err:  # the share underflowed
+                err.args = (f"round {current_round}: {err.args[0]}",)
+                raise
     return ServerState(
         global_params=new_global,
         round_index=current_round,
@@ -413,9 +423,12 @@ def run_federated(clients: Sequence[ClientState],
                   base_train: TrainConfig | None = None,
                   latency: LatencyModel | None = None,
                   master_seed: int = 0,
-                  min_participation: int | None = None) -> FederationResult:
+                  min_participation: int | None = None,
+                  use_sample_std: bool = False) -> FederationResult:
     """Drive T federated rounds and evaluate the global model each round.
 
+    Each arrived client runs `local_round` for `epochs_per_round` epochs of
+    `base_train`, its shuffle seed derived from (client seed, round).
     Per-round evaluation classifies with the running minimum of every
     local threshold seen so far; the returned detector is the minimum over
     all (round, client) thresholds, the one the last round scored with, so
@@ -430,10 +443,10 @@ def run_federated(clients: Sequence[ClientState],
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate client ids: {sorted(ids)}")
     by_id = {c.client_id: c for c in clients}
-    if base_train is None:
-        base_train = TrainConfig(epochs=epochs_per_round)
+    tc = (TrainConfig(epochs=epochs_per_round) if base_train is None
+          else replace(base_train, epochs=epochs_per_round))
     lipschitz = (strategy.lipschitz if strategy.lipschitz is not None
-                 else 1.0 / base_train.schedule.base_rate)
+                 else 1.0 / tc.schedule.base_rate)
     strategy = replace(strategy, lipschitz=lipschitz)
     n_sampled = math.ceil(strategy.sample_fraction * len(clients))
     min_part = max(1, min(2, n_sampled) if min_participation is None
@@ -446,9 +459,10 @@ def run_federated(clients: Sequence[ClientState],
         sample_rng = derive_rng(master_seed, _STREAM_SAMPLE, t)
         sampled = sample_clients(ids, strategy.sample_fraction, sample_rng)
         _, active = assign_latencies(latency, sampled, t, master_seed)
-        updates = [local_round(by_id[cid], server.global_params, specs,
-                               epochs_per_round, base_train, t)
-                   for cid in active]
+        updates = [local_round(
+            by_id[cid], server.global_params, specs,
+            replace(tc, shuffle_seed=derive_seed(by_id[cid].rng_seed, t)),
+            use_sample_std) for cid in active]
         server = aggregate(server, updates, strategy, min_part)
         by_update = {u.client_id: u for u in updates}
         collected.extend(u.local_threshold

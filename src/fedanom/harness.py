@@ -3,16 +3,17 @@
 Centralized mode: the whole dataset is one client. Separate normals from
 attacks, 80/20 split the normals, draw a seeded attack sample of the
 validation size (capped), all as row indices, fit the scaler on training
-normals only, train the autoencoder, calibrate the threshold on training
-reconstruction errors, then test on the validation normals plus the
-attack sample.
+normals only, run one local round of `train.epochs` epochs (train, then
+calibrate on the training reconstruction errors), then test on the
+validation normals plus the attack sample.
 
 Federated mode: Dirichlet-partition the records across clients, run the
 round loop, fix the detector at the least local threshold over all
 (round, client) pairs, and evaluate per client and pooled.
 
 Every split leaves at least one training row, or preparation raises a
-DataError. Both modes, and a saved model's re-evaluation, are scored by
+DataError. Both modes train through `federation.local_round`, and both,
+like a saved model's re-evaluation, are scored by
 `federation.evaluate_clients`; a federated run's result is its last
 round's evaluation, so no row is scored twice.
 
@@ -27,17 +28,12 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (
-    AutoencoderConfig,
-    build,
-    reconstruction_errors,
-    train_epochs,
-)
+from .autoencoder import AutoencoderConfig, build
 from .config import (
     MODE_CENTRALIZED,
     MODE_FEDERATED,
@@ -61,18 +57,14 @@ from .dataplane import (
     synth_generate,
     train_val_split,
 )
-from .detector import (
-    ConfusionMatrix,
-    MetricsReport,
-    ThresholdDetector,
-    compute_threshold,
-)
+from .detector import ConfusionMatrix, MetricsReport, ThresholdDetector
 from .errors import DataError
 from .federation import (
     ClientState,
     FederationResult,
     RoundTrace,
     evaluate_clients,
+    local_round,
     run_federated,
 )
 from .numerics import LayerSpec, ParameterSet, derive_rng, unpack
@@ -226,13 +218,14 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
                           shuffle_seed=client.rng_seed)
     log.info("centralized: training %d epochs on %d rows",
              tc.epochs, client.n_samples)
-    trained, losses = train_epochs(build(model_cfg), client.train, tc)
-    errors = reconstruction_errors(trained, client.train)
-    detector = ThresholdDetector(
-        compute_threshold(errors, cfg.data["detector"]["use_sample_std"]))
+    specs = model_cfg.layer_specs()
+    update = local_round(client, build(model_cfg).flat, specs, tc,
+                         cfg.data["detector"]["use_sample_std"])
+    trained = ParameterSet(update.params, specs)
+    detector = ThresholdDetector(update.local_threshold)
     report = _report(cfg, MODE_CENTRALIZED, detector,
                      *evaluate_clients(trained, [client], detector),
-                     epoch_losses=losses)
+                     epoch_losses=list(update.epoch_losses))
     model = TrainedModel(trained, detector, scaler, cfg.fingerprint(),
                          cfg.seed)
     return report, model
@@ -287,6 +280,7 @@ def run_federated_experiment(cfg: ExperimentConfig
         latency=cfg.latency_model(),
         master_seed=cfg.seed,
         min_participation=fed["min_participation"],
+        use_sample_std=cfg.data["detector"]["use_sample_std"],
     )
     # the last round scored the final model with the final detector
     last = result.rounds[-1]
@@ -318,6 +312,16 @@ def _metric_value(v: float | None):
     return None if v is None else float(v)
 
 
+# the artifact key of each `MetricsReport` field, in field order
+METRIC_KEYS = ("accuracy", "precision", "recall", "f_measure", "false_rate")
+
+
+def metric_values(m: MetricsReport) -> dict[str, float | None]:
+    """`m`'s five metrics under their `METRIC_KEYS` names."""
+    return {key: _metric_value(value)
+            for key, value in zip(METRIC_KEYS, astuple(m), strict=True)}
+
+
 def metrics_payload(report: EvaluationReport) -> dict:
     return {
         "mode": report.mode,
@@ -325,16 +329,23 @@ def metrics_payload(report: EvaluationReport) -> dict:
         "fingerprint": report.fingerprint,
         "threshold": float(report.threshold),
         "detector_source": report.detector_source,
-        "accuracy": _metric_value(report.metrics.accuracy),
-        "precision": _metric_value(report.metrics.precision),
-        "recall": _metric_value(report.metrics.recall),
-        "f_measure": _metric_value(report.metrics.f_measure),
-        "false_rate": _metric_value(report.metrics.fp_rate),
+        **metric_values(report.metrics),
         # only normal rows make FP and TN counts, so the validation FP rate
         # is the false rate
         "validation_fp_rate": _metric_value(report.metrics.fp_rate),
         "mean_round_accuracy": _metric_value(report.mean_round_accuracy),
     }
+
+
+def write_manifest(out: Path, seed: int, fingerprint: str, config: dict,
+                   **extra) -> Path:
+    """Write `out/manifest.json`: the run's seed, fingerprint and config,
+    plus `extra`."""
+    path = out / "manifest.json"
+    manifest = {"seed": seed, "fingerprint": fingerprint, "config": config,
+                **extra}
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
@@ -407,26 +418,15 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
         for cid, (cm, m) in sorted(report.per_client.items()):
             payload["clients"][str(cid)] = {
                 "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-                "accuracy": _metric_value(m.accuracy),
-                "precision": _metric_value(m.precision),
-                "recall": _metric_value(m.recall),
-                "f_measure": _metric_value(m.f_measure),
-                "false_rate": _metric_value(m.fp_rate),
+                **metric_values(m),
             }
         per_client_path.write_text(json.dumps(payload, indent=2,
                                               sort_keys=True) + "\n")
         written.append(per_client_path)
 
-    manifest_path = out / "manifest.json"
-    manifest = {
-        "seed": report.seed,
-        "fingerprint": report.fingerprint,
-        "mode": report.mode,
-        "config": report.config,
-        "artifacts": sorted(p.name for p in written),
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(manifest_path)
+    written.append(write_manifest(
+        out, report.seed, report.fingerprint, report.config, mode=report.mode,
+        artifacts=sorted(p.name for p in written)))
     return written
 
 

@@ -100,7 +100,7 @@ def test_criterion_2_qffl_reduces_to_fedavg():
             lipschitz = float(rng.uniform(0.01, 1000))
             updates = [
                 ClientUpdate(i, rng.normal(size=dim),
-                             float(rng.uniform(1e-3, 10)),
+                             (float(rng.uniform(1e-3, 10)),),
                              int(rng.integers(1, 100)),
                              float(rng.uniform(0, 1)))
                 for i in range(k)

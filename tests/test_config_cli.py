@@ -16,7 +16,12 @@ from fedanom.config import (
 )
 from fedanom.autoencoder import build
 from fedanom.detector import ThresholdDetector
-from fedanom.errors import ConfigError, DataError, FedAnomError
+from fedanom.errors import (
+    ConfigError,
+    DataError,
+    DegenerateAggregationError,
+    FedAnomError,
+)
 from fedanom.harness import (
     TrainedModel,
     emit_report,
@@ -387,6 +392,31 @@ class TestStrategyWiring:
         alphas = [tr.alpha for tr in result.rounds]
         assert alphas[0] == 1.0
         assert 0.0 < alphas[1] < 1.0
+
+    def test_relevance_underflow_is_an_aggregation_error(self, tmp_path,
+                                                         capsys):
+        # the round-2 softmax share of the late client's round underflows
+        # to 0.0; no config value is at fault
+        cfg = tiny_config(
+            mode="federated",
+            dataset={"synth": {"n_normal": 400, "n_attack": 80, "dim": 8,
+                               "displacement": 2.0, "seed": 42}},
+            model={"dropout_p": 0.2},
+            federation={"n_clients": 4, "rounds": 3, "epochs_per_round": 1,
+                        "latency": {"per_round": {2: {0: 5.0}},
+                                    "drop_after": 1.0}},
+            strategy={"kind": "fairfedavg", "lipschitz": 1e7})
+        message = r"^round 2: relevance score must be in \(0, 1\], got 0\.0$"
+        with pytest.raises(DegenerateAggregationError, match=message):
+            run_federated_experiment(cfg)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg.canonical_dict()))
+        code = main(["train-fed", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: round 2: relevance score must be in (0, 1], got 0.0"]
 
     def test_lipschitz_defaults_to_inverse_lr(self):
         cfg = tiny_config(mode="federated", strategy={"kind": "qffl",

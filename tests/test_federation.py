@@ -38,11 +38,11 @@ from fedanom.federation import (
     run_federated,
     sample_clients,
 )
-from fedanom.numerics import derive_rng, pack
+from fedanom.numerics import derive_rng, derive_seed, pack
 
 
 def update(cid, params, loss=1.0, n=10, thr=0.5):
-    return ClientUpdate(cid, np.asarray(params, dtype=float), loss, n, thr)
+    return ClientUpdate(cid, np.asarray(params, dtype=float), (loss,), n, thr)
 
 
 def toy_model_cfg(dim=4, seed=3):
@@ -198,9 +198,9 @@ class TestRelevance:
         np.testing.assert_allclose(twice, once, rtol=1e-15)
 
     def test_apply_rejects_out_of_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DegenerateAggregationError):
             apply_relevance(0.0, np.zeros(2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DegenerateAggregationError):
             apply_relevance(1.5, np.zeros(2))
 
     def test_rms_summary(self):
@@ -418,8 +418,8 @@ class TestLocalRound:
         client.train[3, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
                 DivergenceError, match="^client 1: non-finite training loss"):
-            local_round(client, pack(build(cfg)), cfg.layer_specs(), 1,
-                        TrainConfig(epochs=1), 1)
+            local_round(client, pack(build(cfg)), cfg.layer_specs(),
+                        TrainConfig(epochs=1), False)
 
     def test_identical_clients_identical_updates(self):
         from fedanom.autoencoder import build
@@ -428,8 +428,9 @@ class TestLocalRound:
         data = toy_clients(1, seed=4)[0].train
         a = ClientState(0, data.copy(), data[:2], data[:2], rng_seed=55)
         b = ClientState(1, data.copy(), data[:2], data[:2], rng_seed=55)
-        ua = local_round(a, flat, cfg.layer_specs(), 2, TrainConfig(epochs=1), 1)
-        ub = local_round(b, flat, cfg.layer_specs(), 2, TrainConfig(epochs=1), 1)
+        tc = TrainConfig(epochs=2, shuffle_seed=derive_seed(55, 1))
+        ua = local_round(a, flat, cfg.layer_specs(), tc, False)
+        ub = local_round(b, flat, cfg.layer_specs(), tc, False)
         np.testing.assert_array_equal(ua.params, ub.params)
         assert ua.local_loss == ub.local_loss
         assert ua.local_threshold == ub.local_threshold
@@ -439,11 +440,24 @@ class TestLocalRound:
         cfg = toy_model_cfg()
         flat = pack(build(cfg))
         client = toy_clients(1)[0]
-        upd = local_round(client, flat, cfg.layer_specs(), 3,
-                          TrainConfig(epochs=1), 4)
+        tc = TrainConfig(epochs=3, shuffle_seed=derive_seed(client.rng_seed, 4))
+        upd = local_round(client, flat, cfg.layer_specs(), tc, False)
         assert upd.n_samples == client.n_samples
+        assert len(upd.epoch_losses) == 3
+        assert upd.local_loss == upd.epoch_losses[-1]
         assert upd.local_threshold > 0.0
         assert upd.params.shape == flat.shape
+
+    def test_sample_std_raises_the_threshold(self):
+        cfg = toy_model_cfg()
+        flat = pack(build(cfg))
+        client = toy_clients(1)[0]
+        tc = TrainConfig(epochs=1)
+        population, sample = (
+            local_round(client, flat, cfg.layer_specs(), tc, flag)
+            for flag in (False, True))
+        np.testing.assert_array_equal(population.params, sample.params)
+        assert sample.local_threshold > population.local_threshold
 
 
 class TestRunFederated:
