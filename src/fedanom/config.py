@@ -20,7 +20,12 @@ from pathlib import Path
 from .autoencoder import AutoencoderConfig, TrainConfig
 from .dataplane import SynthSpec
 from .errors import ConfigError
-from .federation import LatencyModel, StrategyConfig, StrategyKind
+from .federation import (
+    LatencyModel,
+    StrategyConfig,
+    StrategyKind,
+    clients_per_round,
+)
 from .numerics import LrSchedule, derive_seed, lr_at
 
 MODE_CENTRALIZED = "centralized"
@@ -121,6 +126,15 @@ _RANGES = {
     "strategy.relevance_window": "[1, inf)",
 }
 
+# The type of each key whose default is None (unset). federation.latency is
+# taken out before the merge and checked by _validate_latency.
+_NULLABLE = {
+    "dataset.path": str,
+    "dataset.schema": str,
+    "federation.min_participation": int,
+    "strategy.lipschitz": float,
+}
+
 # Allowed values of each key that selects a variant.
 _CHOICES = {
     "mode": (MODE_CENTRALIZED, MODE_FEDERATED),
@@ -157,9 +171,10 @@ def _type_name(value) -> str:
 
 
 def _check_scalar(path: str, value, default) -> object:
-    """Coerce a user scalar onto the default's type, or fail naming the key."""
-    if default is None or value is None:
-        return value
+    """Coerce a user scalar onto the default's type, or the _NULLABLE type
+    of a key unset by default, or fail naming the key."""
+    if default is None:
+        default = _NULLABLE[path]()
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected bool, got {_type_name(value)}")
@@ -263,14 +278,21 @@ class ExperimentConfig:
         dataset, fed = self.data["dataset"], self.data["federation"]
         if dataset["kind"] == "csv" and not dataset["path"]:
             raise ConfigError("dataset.kind is 'csv' but dataset.path is unset")
-        n_sampled = math.ceil(self.data["strategy"]["sample_fraction"]
-                              * fed["n_clients"])
+        strategy = self.data["strategy"]
+        n_sampled = clients_per_round(strategy["sample_fraction"],
+                                      fed["n_clients"])
         if (fed["min_participation"] or 0) > n_sampled:
             raise ConfigError(
                 f"federation.min_participation is {fed['min_participation']} "
                 f"but each round samples only {n_sampled} of "
                 f"{fed['n_clients']} clients, so every round would carry the "
                 f"initial model forward")
+        if (strategy["kind"] != StrategyKind.FEDAVG.value
+                and strategy["q"] > 0 and strategy["lipschitz"] is None):
+            raise ConfigError(
+                f"strategy.lipschitz: must be set for {strategy['kind']} at "
+                f"q = {strategy['q']} > 0; the 1/learning_rate default "
+                f"assumes SGD local steps, and local steps use Adam")
         # the rate decays within each training run: the whole centralized
         # run, or one client's round
         epochs = (fed["epochs_per_round"] if self.mode == MODE_FEDERATED
@@ -325,11 +347,16 @@ class ExperimentConfig:
         )
 
     def strategy_config(self) -> StrategyConfig:
+        """The strategy, an unset `lipschitz` filled in as 1/learning_rate
+        (unset is rejected where qffl or fairfedavg would use it at q > 0)."""
         s = self.data["strategy"]
+        lipschitz = s["lipschitz"]
+        if lipschitz is None:
+            lipschitz = 1.0 / self.data["train"]["learning_rate"]
         return StrategyConfig(
             kind=StrategyKind(s["kind"]),
             q=s["q"],
-            lipschitz=s["lipschitz"],
+            lipschitz=lipschitz,
             sample_fraction=s["sample_fraction"],
             weighted_mean=s["weighted_mean"],
             relevance_window=s["relevance_window"],
@@ -369,13 +396,6 @@ def build_config(user: dict | None) -> ExperimentConfig:
     if not all(type(d) is int and d > 0 for d in hidden):  # bool is no int
         raise ConfigError(
             f"model.hidden_dims: expected positive ints, got {hidden!r}")
-    mp = merged["federation"]["min_participation"]
-    if mp is not None and (isinstance(mp, bool) or not isinstance(mp, int)):
-        raise ConfigError(
-            "federation.min_participation: expected nonnegative int")
-    lip = merged["strategy"]["lipschitz"]
-    if lip is not None:
-        merged["strategy"]["lipschitz"] = float(lip)
     return ExperimentConfig(merged)
 
 

@@ -2,10 +2,11 @@
 
 `local_round` trains and calibrates one client from given parameters, the
 one training path of both modes: a centralized run is one local round.
-Each round the server samples clients, distributes the global parameter
-vector, collects locally trained updates (subject to a deterministic
-latency model that can drop stragglers), and passes them to `aggregate`,
-the one server step of all three strategies. It works in this order:
+Each round of `run_federated` samples `clients_per_round` clients, has
+each arrived one run a local round from the global parameters with the
+per-round `TrainConfig`, and passes the updates (a deterministic latency
+model can drop stragglers) to `aggregate`, the one server step of all
+three strategies. It works in this order:
 
 1. Sort the updates by client id, so floating-point summation does not
    depend on arrival order, and check that their lengths agree.
@@ -15,10 +16,12 @@ the one server step of all three strategies. It works in this order:
    training).
 3. Take the strategy step: fedavg is the plain (optionally n_k-weighted)
    mean of the client vectors; qffl and fairfedavg apply the q-FFL
-   reweighted step driven by each client's local loss to the power q.
-4. For fairfedavg only, record each update's RMS summary in a bounded
-   gradient history and, when participation shrank, damp the new global
-   model by its relevance score.
+   reweighted step driven by each client's local loss to the power q and
+   the strategy's Lipschitz estimate L, which must be set.
+4. For fairfedavg only, when participation shrank, damp the new global
+   model by its relevance score against the previous round's RMS update
+   summaries; then append this round's to the history of the last
+   `relevance_window` summaries.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class StrategyConfig:
 
     kind: StrategyKind = StrategyKind.FEDAVG
     q: float = 0.0
-    lipschitz: float | None = None  # None resolves to 1/learning-rate
+    lipschitz: float | None = None  # required by qffl and fairfedavg
     sample_fraction: float = 1.0
     weighted_mean: bool = False
     relevance_window: int = 64
@@ -160,14 +163,19 @@ class LatencyModel:
     drop_after: float | None = None
 
 
+def clients_per_round(fraction: float, n_clients: int) -> int:
+    """How many of `n_clients` clients each round samples."""
+    return math.ceil(fraction * n_clients)
+
+
 def sample_clients(all_ids: Sequence[int], fraction: float,
                    rng: np.random.Generator) -> list[int]:
-    """ceil(fraction * K) distinct ids, uniform without replacement,
+    """`clients_per_round` distinct ids, uniform without replacement,
     sorted ascending."""
     ids = sorted(all_ids)
     if not ids:
         raise DataError("cannot sample from an empty client set")
-    k = math.ceil(fraction * len(ids))
+    k = clients_per_round(fraction, len(ids))
     chosen = rng.choice(len(ids), size=k, replace=False)
     return sorted(ids[int(i)] for i in chosen)
 
@@ -331,9 +339,6 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
     history = server.gradient_history
     alpha = 1.0
     if fair:
-        history += tuple(GHEntry(current_round, rms_summary(d))
-                         for d, _ in deltas)
-        history = history[-cfg.relevance_window:]
         if not carried and count < server.prev_participants:
             previous = [e.summary for e in history
                         if e.round_index == server.round_index]
@@ -343,6 +348,9 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
             except DegenerateAggregationError as err:  # the share underflowed
                 err.args = (f"round {current_round}: {err.args[0]}",)
                 raise
+        history += tuple(GHEntry(current_round, rms_summary(d))
+                         for d, _ in deltas)
+        history = history[-cfg.relevance_window:]
     return ServerState(
         global_params=new_global,
         round_index=current_round,
@@ -419,23 +427,20 @@ def run_federated(clients: Sequence[ClientState],
                   model_cfg: AutoencoderConfig,
                   strategy: StrategyConfig,
                   rounds: int,
-                  epochs_per_round: int,
-                  base_train: TrainConfig | None = None,
+                  train: TrainConfig,
                   latency: LatencyModel | None = None,
                   master_seed: int = 0,
                   min_participation: int | None = None,
                   use_sample_std: bool = False) -> FederationResult:
     """Drive T federated rounds and evaluate the global model each round.
 
-    Each arrived client runs `local_round` for `epochs_per_round` epochs of
-    `base_train`, its shuffle seed derived from (client seed, round).
-    Per-round evaluation classifies with the running minimum of every
-    local threshold seen so far; the returned detector is the minimum over
-    all (round, client) thresholds, the one the last round scored with, so
-    the run's final evaluation is `rounds[-1]`'s. Everything is
-    deterministic given the master seed, the client seeds and the configs.
-    `min_participation` defaults to min(2, clients sampled per round);
-    `build_config` rejects one larger than the clients sampled per round.
+    Each arrived client runs `local_round` with `train` (so `train.epochs`
+    epochs a round), its shuffle seed derived from (client seed, round).
+    `strategy` is used as given. Each round scores with the running minimum
+    of the local thresholds so far; the last round's is the returned
+    detector, so the run's final evaluation is `rounds[-1]`'s. Everything
+    is deterministic given the master seed, the client seeds and the
+    configs. `min_participation` defaults to min(2, `clients_per_round`).
     """
     if not clients:
         raise DataError("federation needs at least one client")
@@ -443,17 +448,13 @@ def run_federated(clients: Sequence[ClientState],
     if len(set(ids)) != len(ids):
         raise DataError(f"duplicate client ids: {sorted(ids)}")
     by_id = {c.client_id: c for c in clients}
-    tc = (TrainConfig(epochs=epochs_per_round) if base_train is None
-          else replace(base_train, epochs=epochs_per_round))
-    lipschitz = (strategy.lipschitz if strategy.lipschitz is not None
-                 else 1.0 / tc.schedule.base_rate)
-    strategy = replace(strategy, lipschitz=lipschitz)
-    n_sampled = math.ceil(strategy.sample_fraction * len(clients))
+    n_sampled = clients_per_round(strategy.sample_fraction, len(clients))
     min_part = max(1, min(2, n_sampled) if min_participation is None
                    else min_participation)
     specs = model_cfg.layer_specs()
     server = ServerState(global_params=build(model_cfg).flat)
     collected: list[float] = []
+    detector: ThresholdDetector | None = None
     traces: list[RoundTrace] = []
     for t in range(1, rounds + 1):
         sample_rng = derive_rng(master_seed, _STREAM_SAMPLE, t)
@@ -461,14 +462,13 @@ def run_federated(clients: Sequence[ClientState],
         _, active = assign_latencies(latency, sampled, t, master_seed)
         updates = [local_round(
             by_id[cid], server.global_params, specs,
-            replace(tc, shuffle_seed=derive_seed(by_id[cid].rng_seed, t)),
+            replace(train, shuffle_seed=derive_seed(by_id[cid].rng_seed, t)),
             use_sample_std) for cid in active]
         server = aggregate(server, updates, strategy, min_part)
         by_update = {u.client_id: u for u in updates}
-        collected.extend(u.local_threshold
-                         for u in sorted(updates, key=lambda u: u.client_id))
-        detector = min_round_threshold(collected) if collected else None
-        if detector is not None:
+        collected.extend(u.local_threshold for u in updates)  # id order
+        if collected:
+            detector = min_round_threshold(collected)
             per_client, pooled_cm, pooled_metrics = evaluate_clients(
                 ParameterSet(server.global_params, specs), clients, detector)
         else:
@@ -495,16 +495,15 @@ def run_federated(clients: Sequence[ClientState],
             pooled_metrics=pooled_metrics,
             per_client_eval=per_client,
         ))
-    if not collected:
+    if detector is None:
         raise DataError(
             "no client update ever arrived; cannot calibrate a detector")
-    final_detector = min_round_threshold(collected)
     accuracies = [tr.pooled_metrics.accuracy for tr in traces
                   if tr.pooled_metrics is not None
                   and tr.pooled_metrics.accuracy is not None]
     return FederationResult(
         final_params=server.global_params,
-        detector=final_detector,
+        detector=detector,
         rounds=traces,
         collected_thresholds=collected,
         mean_round_accuracy=(float(np.mean(accuracies)) if accuracies else None),

@@ -266,7 +266,6 @@ def run_federated_experiment(cfg: ExperimentConfig
     clients = prepare_clients(cfg)
     fed = cfg.data["federation"]
     model_cfg = _model_config(cfg, clients[0])
-    base_tc = cfg.train_config(epochs=fed["epochs_per_round"])
     log.info("federated: %d clients, %d rounds x %d epochs, strategy %s",
              len(clients), fed["rounds"], fed["epochs_per_round"],
              cfg.data["strategy"]["kind"])
@@ -275,8 +274,7 @@ def run_federated_experiment(cfg: ExperimentConfig
         model_cfg=model_cfg,
         strategy=cfg.strategy_config(),
         rounds=fed["rounds"],
-        epochs_per_round=fed["epochs_per_round"],
-        base_train=base_tc,
+        train=cfg.train_config(epochs=fed["epochs_per_round"]),
         latency=cfg.latency_model(),
         master_seed=cfg.seed,
         min_participation=fed["min_participation"],

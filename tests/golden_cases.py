@@ -52,7 +52,7 @@ CASES = {
         "strategy": {"kind": "fedavg", "sample_fraction": 0.75}}),
     "qffl_q05": ("train-fed", {
         **BASE, "mode": "federated", "federation": FEDERATION,
-        "strategy": {"kind": "qffl", "q": 0.5}}),
+        "strategy": {"kind": "qffl", "q": 0.5, "lipschitz": 0.01}}),
     # client 0 misses rounds 2 and 4, so participation shrinks and
     # FairFedAvg damps those rounds
     "fairfedavg_straggler": ("train-fed", {

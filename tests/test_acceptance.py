@@ -124,7 +124,7 @@ def test_criterion_3_single_client_equivalence():
                                       bottleneck_dim=3, dropout_p=0.2, seed=21)
         client = ClientState(0, data, data[:0], data[:0], rng_seed=77)
         fl = run_federated([client], model_cfg, StrategyConfig(), rounds=5,
-                           epochs_per_round=10, master_seed=5)
+                           train=TrainConfig(epochs=10), master_seed=5)
         params = build(model_cfg)
         for round_index in range(1, 6):
             tc = TrainConfig(epochs=10,
@@ -204,6 +204,33 @@ def test_criterion_6_synthetic_end_to_end_parity():
         assert elapsed < 600.0, f"end-to-end took {elapsed:.0f}s"
 
 
+def test_criterion_2b_qffl_trains_with_documented_lipschitz():
+    with criterion("2b", "q-FFL at q=0.5 with the README's Lipschitz "
+                         "estimate trains"):
+        # the README's L sweep: seed 1, 3000/300 rows, 4 clients at
+        # Dirichlet alpha 1.0, 6 rounds of 2 epochs
+        base = {"mode": "federated", "seed": 1,
+                "dataset": {"synth": {"n_normal": 3000, "n_attack": 300,
+                                      "seed": 1}},
+                "federation": {"n_clients": 4, "rounds": 6,
+                               "epochs_per_round": 2, "alpha": 1.0}}
+
+        def mean_losses(strategy):
+            report, _, _ = run_federated_experiment(
+                build_config({**base, "strategy": strategy}))
+            return [np.mean([r.local_loss for r in tr.records
+                             if r.local_loss is not None])
+                    for tr in report.round_traces]
+
+        fedavg = mean_losses({"kind": "fedavg"})
+        qffl = mean_losses({"kind": "qffl", "q": 0.5, "lipschitz": 0.01})
+        halfway = (qffl[0] + fedavg[-1]) / 2.0
+        assert qffl[-1] <= halfway, (
+            f"q-FFL round-6 loss {qffl[-1]:.4f} above {halfway:.4f}, halfway "
+            f"from its round 1 ({qffl[0]:.4f}) to FedAvg's round 6 "
+            f"({fedavg[-1]:.4f})")
+
+
 def _fair_clients():
     rng = np.random.default_rng(31)
     clients = []
@@ -220,12 +247,13 @@ def test_criterion_7_fairfedavg_relevance_and_carry_forward():
     with criterion(7, "FairFedAvg relevance damping and carry-forward"):
         model_cfg = AutoencoderConfig(input_dim=8, hidden_dims=(6,),
                                       bottleneck_dim=2, dropout_p=0.0, seed=9)
-        strategy = StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0)
+        strategy = StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0,
+                                  lipschitz=1000.0)
         # one of three clients drops out on rounds 2 and 4
         latency = LatencyModel(per_round={2: {0: 9.0}, 4: {1: 9.0}},
                                drop_after=1.0)
         runs = [run_federated(_fair_clients(), model_cfg, strategy, rounds=5,
-                              epochs_per_round=2, latency=latency,
+                              train=TrainConfig(epochs=2), latency=latency,
                               master_seed=13) for _ in range(2)]
         for tr_a, tr_b in zip(runs[0].rounds, runs[1].rounds):
             assert tr_a.alpha == tr_b.alpha
@@ -240,7 +268,7 @@ def test_criterion_7_fairfedavg_relevance_and_carry_forward():
         # model is carried forward unchanged
         starve = LatencyModel(per_round={2: {0: 9.0, 1: 9.0}}, drop_after=1.0)
         result = run_federated(_fair_clients(), model_cfg, strategy, rounds=3,
-                               epochs_per_round=2, latency=starve,
+                               train=TrainConfig(epochs=2), latency=starve,
                                master_seed=13)
         flags = {tr.round_index: tr.carried_forward for tr in result.rounds}
         arrivals = {tr.round_index: sum(r.participated for r in tr.records)

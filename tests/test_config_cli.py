@@ -83,9 +83,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bogus"):
             build_config({"bogus": 1})
 
-    def test_type_error_names_key(self):
-        with pytest.raises(ConfigError, match="train.epochs"):
-            build_config({"train": {"epochs": "fifty"}})
+    @pytest.mark.parametrize("key, value", [
+        ("train.epochs", "fifty"),
+        # keys unset by default are typed too
+        ("dataset.path", 5), ("dataset.schema", 7),
+        ("strategy.lipschitz", "abc"), ("strategy.lipschitz", True),
+        ("federation.min_participation", 2.5),
+    ])
+    def test_type_error_names_key(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected "):
+            build_config({section: {name: value}})
+
+    @pytest.mark.parametrize("kind", ["qffl", "fairfedavg"])
+    def test_positive_q_needs_explicit_lipschitz(self, kind):
+        with pytest.raises(ConfigError, match=(
+                rf"^strategy\.lipschitz: must be set for {kind} at q = 0\.5 "
+                rf"> 0; the 1/learning_rate default assumes SGD local steps")):
+            build_config({"strategy": {"kind": kind, "q": 0.5}})
+        build_config({"strategy": {"kind": kind, "q": 0.5, "lipschitz": 0.01}})
+        build_config({"strategy": {"kind": kind}})
+        # fedavg reads neither q nor the estimate
+        build_config({"strategy": {"kind": "fedavg", "q": 0.5}})
 
     @pytest.mark.parametrize("dims", [[64, "x"], [6.7, 4], [True, 4]])
     def test_hidden_dims_entries_must_be_positive_ints(self, dims):
@@ -376,7 +395,8 @@ class TestManifestRerun:
 class TestStrategyWiring:
     def test_qffl_through_config(self):
         cfg = tiny_config(mode="federated",
-                          strategy={"kind": "qffl", "q": 0.5})
+                          strategy={"kind": "qffl", "q": 0.5,
+                                    "lipschitz": 0.01})
         report, _, result = run_federated_experiment(cfg)
         assert report.metrics.accuracy is not None
         assert result.final_params.size > 0
@@ -419,10 +439,14 @@ class TestStrategyWiring:
             "error: round 2: relevance score must be in (0, 1], got 0.0"]
 
     def test_lipschitz_defaults_to_inverse_lr(self):
-        cfg = tiny_config(mode="federated", strategy={"kind": "qffl",
-                                                      "q": 0.2})
-        assert cfg.strategy_config().lipschitz is None
-        # resolution happens inside run_federated; the run must not fail
+        # at q = 0 the config fills the estimate in; the stored config, and
+        # with it the fingerprint, keeps it unset
+        cfg = tiny_config(mode="federated", train={"learning_rate": 0.004},
+                          strategy={"kind": "qffl"})
+        assert cfg.strategy_config().lipschitz == 1.0 / 0.004
+        assert cfg.data["strategy"]["lipschitz"] is None
+        set_cfg = tiny_config(strategy={"kind": "qffl", "lipschitz": 2})
+        assert set_cfg.strategy_config().lipschitz == 2.0
         run_federated_experiment(cfg)
 
 
@@ -645,13 +669,20 @@ class TestCli:
         seed_b = json.loads((out_b / "metrics.json").read_text())["seed"]
         assert (seed_a, seed_b) == (7, 123)
 
-    def test_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, key", [
+        ("train:\n  epochz: 3\n", "epochz"),
+        ("strategy: {lipschitz: abc}\n", "strategy.lipschitz"),
+        ("dataset: {path: 5}\n", "dataset.path"),
+        ("strategy: {kind: qffl, q: 0.5}\n", "strategy.lipschitz")])
+    def test_error_exit_code(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("train:\n  epochz: 3\n")
+        bad.write_text(text)
         code = main(["train-central", "--config", str(bad),
                      "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "epochz" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
 
     def test_console_entry_point(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

@@ -101,7 +101,8 @@ CASES = [
     Case("federation.latency", STRAGGLER, FED),
     Case("strategy.kind", {"strategy.kind": "qffl"}, FED,
          {"strategy.q": 0.5, "strategy.lipschitz": 10.0}),
-    Case("strategy.q", {"strategy.q": 0.5}, FED, {"strategy.kind": "qffl"}),
+    Case("strategy.q", {"strategy.q": 0.5}, FED,
+         {"strategy.kind": "qffl", "strategy.lipschitz": 0.01}),
     Case("strategy.lipschitz", {"strategy.lipschitz": 10.0}, FED,
          {"strategy.kind": "qffl"}),
     Case("strategy.sample_fraction", {"strategy.sample_fraction": 0.5}, FED),

@@ -278,6 +278,22 @@ class TestFairRound:
             server = aggregate(server, ups, cfg, 2)
             assert len(server.gradient_history) <= 3
 
+    def test_window_of_this_rounds_count_still_damps(self):
+        # a shrunken round compares against the history as it stood before
+        # its own summaries went in: a window of two keeps two of round 1's
+        cfg = self.cfg(relevance_window=2)
+        server = aggregate(ServerState(np.array([1.0])),
+                           [update(i, [0.5]) for i in range(3)], cfg, 2)
+        previous = [e.summary for e in server.gradient_history]
+        assert len(previous) == 2
+        out = aggregate(server, [update(i, [0.25]) for i in range(2)], cfg, 2)
+        assert out.last_alpha == pytest.approx(
+            relevance_score(previous, rms_summary(np.array([0.25]))),
+            rel=1e-12)
+        assert 0.0 < out.last_alpha < 1.0
+        np.testing.assert_allclose(out.global_params, [out.last_alpha * 0.25])
+        assert [e.round_index for e in out.gradient_history] == [2, 2]
+
     def test_requires_lipschitz(self):
         server = ServerState(np.array([1.0]))
         with pytest.raises(ConfigError):
@@ -463,8 +479,8 @@ class TestLocalRound:
 class TestRunFederated:
     def test_deterministic_runs(self):
         kwargs = dict(clients=None, model_cfg=toy_model_cfg(),
-                      strategy=StrategyConfig(), rounds=3, epochs_per_round=2,
-                      master_seed=11)
+                      strategy=StrategyConfig(), rounds=3,
+                      train=TrainConfig(epochs=2), master_seed=11)
         results = []
         for _ in range(2):
             kwargs["clients"] = toy_clients(2)
@@ -481,40 +497,75 @@ class TestRunFederated:
         assert digests[-1] == hashlib.sha256(
             results[0].final_params.tobytes()).hexdigest()
 
+    def test_round_trains_with_the_given_config(self):
+        # one client, one round: the run is that client's local round with
+        # every field of `train`, only its shuffle seed derived per round
+        client, cfg = toy_clients(1)[0], toy_model_cfg()
+        train = TrainConfig(epochs=3, batch_size=5, adam_beta1=0.8,
+                            shuffle_seed=99)
+        result = run_federated([client], cfg, StrategyConfig(), rounds=1,
+                               train=train)
+        seeded = replace(train, shuffle_seed=derive_seed(client.rng_seed, 1))
+        local = local_round(client, build(cfg).flat, cfg.layer_specs(),
+                            seeded, False)
+        np.testing.assert_array_equal(result.final_params, local.params)
+        assert result.detector.threshold == local.local_threshold
+
     def test_param_length_invariant_across_rounds(self):
         result = run_federated(toy_clients(3), toy_model_cfg(),
-                               StrategyConfig(), rounds=3, epochs_per_round=1,
-                               master_seed=2)
+                               StrategyConfig(), rounds=3,
+                               train=TrainConfig(epochs=1), master_seed=2)
         assert result.final_params.size == build(toy_model_cfg()).n_params
 
     def test_detector_is_min_over_all_thresholds(self):
         result = run_federated(toy_clients(2), toy_model_cfg(),
-                               StrategyConfig(), rounds=3, epochs_per_round=1,
-                               master_seed=5)
+                               StrategyConfig(), rounds=3,
+                               train=TrainConfig(epochs=1), master_seed=5)
         assert result.detector.threshold == min(result.collected_thresholds)
         assert len(result.collected_thresholds) == 6  # 2 clients x 3 rounds
+        assert (result.rounds[-1].threshold_running_min
+                == result.detector.threshold)
+
+    def test_detector_kept_when_no_update_arrives_last(self):
+        latency = LatencyModel(per_round={2: {0: 9.0, 1: 9.0}},
+                               drop_after=1.0)
+        result = run_federated(toy_clients(2), toy_model_cfg(),
+                               StrategyConfig(), rounds=2,
+                               train=TrainConfig(epochs=1), latency=latency,
+                               master_seed=5)
+        assert len(result.collected_thresholds) == 2
+        assert result.detector.per_round == tuple(result.collected_thresholds)
+
+    def test_no_arrival_at_all_is_a_data_error(self):
+        latency = LatencyModel(delays={0: 9.0}, drop_after=1.0)
+        with pytest.raises(DataError, match="no client update ever arrived"):
+            run_federated(toy_clients(1), toy_model_cfg(), StrategyConfig(),
+                          rounds=2, train=TrainConfig(epochs=1),
+                          latency=latency)
 
     def test_carry_forward_when_below_min_participation(self):
         latency = LatencyModel(per_round={2: {0: 9.0, 1: 9.0}},
                                drop_after=1.0)
         result = run_federated(toy_clients(3), toy_model_cfg(),
-                               StrategyConfig(), rounds=2, epochs_per_round=1,
-                               latency=latency, master_seed=3)
+                               StrategyConfig(), rounds=2,
+                               train=TrainConfig(epochs=1), latency=latency,
+                               master_seed=3)
         round2 = result.rounds[1]
         assert round2.carried_forward
         assert round2.global_sha256 == result.rounds[0].global_sha256
 
     def test_single_client_min_participation_lowered(self):
         result = run_federated(toy_clients(1), toy_model_cfg(),
-                               StrategyConfig(), rounds=2, epochs_per_round=1,
-                               master_seed=4)
+                               StrategyConfig(), rounds=2,
+                               train=TrainConfig(epochs=1), master_seed=4)
         assert not any(tr.carried_forward for tr in result.rounds)
 
     def test_single_client_fair_strategy_trains(self):
         result = run_federated(
             toy_clients(1), toy_model_cfg(),
-            StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0),
-            rounds=3, epochs_per_round=1, master_seed=4)
+            StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0,
+                           lipschitz=1000.0),
+            rounds=3, train=TrainConfig(epochs=1), master_seed=4)
         assert not any(tr.carried_forward for tr in result.rounds)
         norms = [tr.global_norm for tr in result.rounds]
         assert len(set(norms)) == 3
@@ -524,8 +575,9 @@ class TestRunFederated:
         # round 2 drops client 0, leaving two updates against a bar of three
         latency = LatencyModel(per_round={2: {0: 9.0}}, drop_after=1.0)
         result = run_federated(toy_clients(3), toy_model_cfg(),
-                               StrategyConfig(kind=kind, q=0.0), rounds=2,
-                               epochs_per_round=1, latency=latency,
+                               StrategyConfig(kind=kind, q=0.0,
+                                              lipschitz=1000.0), rounds=2,
+                               train=TrainConfig(epochs=1), latency=latency,
                                master_seed=7, min_participation=3)
         assert [tr.carried_forward for tr in result.rounds] == [False, True]
         assert (result.rounds[1].global_sha256
@@ -536,20 +588,33 @@ class TestRunFederated:
         clients[1].client_id = 0
         with pytest.raises(DataError):
             run_federated(clients, toy_model_cfg(), StrategyConfig(),
-                          rounds=1, epochs_per_round=1)
+                          rounds=1, train=TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("kind", [StrategyKind.QFFL,
+                                      StrategyKind.FAIR_FEDAVG])
+    def test_strategy_used_as_given(self, kind):
+        # the round loop fills in no Lipschitz estimate of its own
+        with pytest.raises(ConfigError, match="Lipschitz"):
+            run_federated(toy_clients(2), toy_model_cfg(),
+                          StrategyConfig(kind=kind), rounds=1,
+                          train=TrainConfig(epochs=1))
 
     def test_qffl_strategy_runs(self):
         result = run_federated(toy_clients(2), toy_model_cfg(),
-                               StrategyConfig(kind=StrategyKind.QFFL, q=0.5),
-                               rounds=2, epochs_per_round=1, master_seed=6)
+                               StrategyConfig(kind=StrategyKind.QFFL, q=0.5,
+                                              lipschitz=1000.0),
+                               rounds=2, train=TrainConfig(epochs=1),
+                               master_seed=6)
         assert result.final_params.size > 0
 
     def test_fair_strategy_alpha_behaviour(self):
         latency = LatencyModel(per_round={2: {0: 9.0}}, drop_after=1.0)
         result = run_federated(
             toy_clients(3), toy_model_cfg(),
-            StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0),
-            rounds=3, epochs_per_round=1, latency=latency, master_seed=7)
+            StrategyConfig(kind=StrategyKind.FAIR_FEDAVG, q=0.0,
+                           lipschitz=1000.0),
+            rounds=3, train=TrainConfig(epochs=1), latency=latency,
+            master_seed=7)
         alphas = [tr.alpha for tr in result.rounds]
         assert alphas[0] == 1.0
         assert 0.0 < alphas[1] < 1.0
@@ -557,8 +622,8 @@ class TestRunFederated:
 
     def test_trace_records_cover_all_clients(self):
         result = run_federated(toy_clients(3), toy_model_cfg(),
-                               StrategyConfig(), rounds=2, epochs_per_round=1,
-                               master_seed=8)
+                               StrategyConfig(), rounds=2,
+                               train=TrainConfig(epochs=1), master_seed=8)
         for tr in result.rounds:
             assert [r.client_id for r in tr.records] == [0, 1, 2]
             assert all(r.participated for r in tr.records)

@@ -24,7 +24,7 @@ GOLDEN = {
     "fedavg_sampled_drop":
         "80d38d018a4fb37c5abb47aa7242bb22130554ef9cf2c969eea2b4fad7bb3763",
     "qffl_q05":
-        "e5f5e364f0dbcb30d9e56057d7d9b20b9549819d9464f83d87645cd1652d52c1",
+        "15eb02021d023458f5f973b7a615138e2320d7e310ffb8de15d6d4f3948bdfde",
     "fairfedavg_straggler":
         "f2a4f3fb55f9368999ecb1a7c12ba4f6aaf450cc4183fcb4cc87da70a1401356",
     "partition":
