@@ -3,24 +3,27 @@
 Subcommands:
   synth          generate a synthetic dataset CSV + manifest
   partition      emit a Dirichlet partition plan for the configured dataset
-  train-central  run the centralized baseline and write the report
-  train-fed      run the federated experiment and write report + traces
+  train-central  run the config's experiment centralized, write the report
+  train-fed      run it federated, write the report and traces
   evaluate       re-evaluate a saved model under a config
   report         recompute metrics from an emitted confusion.csv and verify
 
-Every subcommand takes --config (YAML; blank file = all defaults), --seed
-(overrides the config's master seed) and --out (output directory).
+Every subcommand but report takes --config (YAML; blank file = all
+defaults), --seed (overrides the config's master seed) and --out (output
+directory). The commands only call `harness`, which writes and reads the
+run directory's files.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import (
+    MODE_CENTRALIZED,
     MODE_FEDERATED,
     STREAM_PARTITION,
     ExperimentConfig,
@@ -28,16 +31,16 @@ from .config import (
     parse_config,
 )
 from .dataplane import dirichlet_partition, save_dataset, synth_generate
-from .detector import ConfusionMatrix, metrics
-from .errors import DataError, FedAnomError
+from .detector import metrics
+from .errors import FedAnomError
 from .harness import (
     emit_report,
     evaluate_saved,
     load_experiment_dataset,
     load_model,
     metric_values,
-    run_centralized,
-    run_federated_experiment,
+    read_report,
+    run_experiment,
     save_model,
     write_manifest,
 )
@@ -93,27 +96,13 @@ def _print_metrics(values: dict) -> None:
         print(f"{key}: {'null' if value is None else f'{value:.6f}'}")
 
 
-def cmd_train_central(args) -> int:
-    cfg = _load_config(args)
-    report, model = run_centralized(cfg)
-    out = Path(args.out)
+def _write_run(report, model, out) -> int:
+    """Emit `report` to `out`, save `model` there unless it is None, and
+    print the metrics."""
+    out = Path(out)
     emit_report(report, out)
-    save_model(model, out / "model")
-    _print_metrics(metric_values(report.metrics))
-    print(f"report written to {out}")
-    return 0
-
-
-def cmd_train_fed(args) -> int:
-    cfg = _load_config(args)
-    if cfg.mode != MODE_FEDERATED:
-        data = cfg.canonical_dict()
-        data["mode"] = MODE_FEDERATED
-        cfg = ExperimentConfig(data)
-    report, model, _ = run_federated_experiment(cfg)
-    out = Path(args.out)
-    emit_report(report, out)
-    save_model(model, out / "model")
+    if model is not None:
+        save_model(model, out / "model")
     _print_metrics(metric_values(report.metrics))
     if report.mean_round_accuracy is not None:
         print(f"mean_round_accuracy: {report.mean_round_accuracy:.6f}")
@@ -121,37 +110,26 @@ def cmd_train_fed(args) -> int:
     return 0
 
 
+def cmd_train(args, mode: str) -> int:
+    """Run the config's experiment in `mode`, which the run's config,
+    fingerprint and manifest then name."""
+    data = _load_config(args).canonical_dict()
+    data["mode"] = mode
+    return _write_run(*run_experiment(ExperimentConfig(data)), args.out)
+
+
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    model = load_model(args.model)
-    report = evaluate_saved(cfg, model)
-    out = Path(args.out)
-    emit_report(report, out)
-    _print_metrics(metric_values(report.metrics))
-    print(f"report written to {out}")
-    return 0
+    report = evaluate_saved(_load_config(args), load_model(args.model))
+    return _write_run(report, None, args.out)
 
 
 def cmd_report(args) -> int:
     """Recompute metrics from an emitted confusion.csv and cross-check."""
-    run_dir = Path(args.dir)
-    confusion_path = run_dir / "confusion.csv"
-    with confusion_path.open(newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        if header != ["tp", "fp", "tn", "fn"]:
-            raise DataError(f"{confusion_path} has unexpected header {header}")
-        tp, fp, tn, fn = (int(v) for v in next(reader))
-    cm = ConfusionMatrix(tp, fp, tn, fn)
-    recomputed = metric_values(metrics(cm))
-    stored = json.loads((run_dir / "metrics.json").read_text())
-    mismatched = []
-    for key, value in recomputed.items():
-        want = stored.get(key)
-        if value is None and want is None:
-            continue
-        if value is None or want is None or abs(value - want) > 1e-12:
-            mismatched.append(key)
+    confusion, stored = read_report(args.dir)
+    recomputed = metric_values(metrics(confusion))
+    mismatched = [key for key, value in recomputed.items()
+                  if (value is None) != (stored[key] is None)
+                  or (value is not None and abs(value - stored[key]) > 1e-12)]
     if mismatched:
         print(f"metrics mismatch against confusion matrix: {mismatched}")
         return 1
@@ -168,13 +146,12 @@ def main(argv=None) -> int:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", help="YAML config file (blank = defaults)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
-        if needs_out:
-            p.add_argument("--out", default="out",
-                           help="output directory (default: ./out)")
+        p.add_argument("--out", default="out",
+                       help="output directory (default: ./out)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
@@ -184,13 +161,12 @@ def main(argv=None) -> int:
     common(p)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("train-central", help="run the centralized baseline")
-    common(p)
-    p.set_defaults(func=cmd_train_central)
-
-    p = sub.add_parser("train-fed", help="run the federated experiment")
-    common(p)
-    p.set_defaults(func=cmd_train_fed)
+    for name, mode, help_text in (
+            ("train-central", MODE_CENTRALIZED, "run the centralized baseline"),
+            ("train-fed", MODE_FEDERATED, "run the federated experiment")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(func=partial(cmd_train, mode=mode))
 
     p = sub.add_parser("evaluate", help="re-evaluate a saved model")
     common(p)
@@ -209,10 +185,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except FedAnomError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (FedAnomError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,9 @@ round's evaluation, so no row is scored twice.
 
 All emitted artifacts are deterministic for a given config: no timestamps,
 seeded streams everywhere, and every file carries the master seed and the
-config fingerprint.
+config fingerprint. This module owns the run directory's formats: each
+JSON file goes through `_write_json`, each CSV file through `_write_csv`,
+and `read_report` reads a run back.
 """
 from __future__ import annotations
 
@@ -300,18 +302,53 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMode
 
 
 # ---------------------------------------------------------------------------
-# artifact emission
+# the run directory: its one JSON writer, one CSV writer and their readers
 
-def _stamp(report_seed: int, fingerprint: str) -> str:
-    return f"# seed={report_seed} fingerprint={fingerprint}"
+CONFUSION_HEADER = ("tp", "fp", "tn", "fn")
+ROUND_TRACE_HEADER = ("round", "client_id", "local_loss", "threshold",
+                      "participated", "alpha", "global_norm")
+
+# the artifact key of each `MetricsReport` field, in field order
+METRIC_KEYS = ("accuracy", "precision", "recall", "f_measure", "false_rate")
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _write_csv(path: Path, report: EvaluationReport, header, rows) -> Path:
+    """Write the `# seed=... fingerprint=...` line, `header`, then `rows`."""
+    with path.open("w", newline="") as fh:
+        fh.write(f"# seed={report.seed} fingerprint={report.fingerprint}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _read_json(path: Path) -> dict:
+    """The JSON object in `path`; anything else is a DataError naming it."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError:  # not UTF-8, or not JSON
+        payload = None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _metric_value(v: float | None):
     return None if v is None else float(v)
 
 
-# the artifact key of each `MetricsReport` field, in field order
-METRIC_KEYS = ("accuracy", "precision", "recall", "f_measure", "false_rate")
+def _cell(v: float | None) -> str:
+    return "" if v is None else repr(float(v))
+
+
+def _round_mean_loss(trace: RoundTrace) -> float | None:
+    losses = [r.local_loss for r in trace.records if r.local_loss is not None]
+    return np.mean(losses) if losses else None
 
 
 def metric_values(m: MetricsReport) -> dict[str, float | None]:
@@ -339,93 +376,81 @@ def write_manifest(out: Path, seed: int, fingerprint: str, config: dict,
                    **extra) -> Path:
     """Write `out/manifest.json`: the run's seed, fingerprint and config,
     plus `extra`."""
-    path = out / "manifest.json"
-    manifest = {"seed": seed, "fingerprint": fingerprint, "config": config,
-                **extra}
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(out / "manifest.json",
+                       {"seed": seed, "fingerprint": fingerprint,
+                        "config": config, **extra})
 
 
 def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     """Write each artifact the report holds data for, then the manifest.
-
-    CSV files start with a `# seed=... fingerprint=...` comment line; the
-    first non-comment line is the header.
-    """
+    Each CSV file starts with a `# seed=... fingerprint=...` line."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp(report.seed, report.fingerprint)
-    written: list[Path] = []
-
-    metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps(metrics_payload(report), indent=2,
-                                       sort_keys=True) + "\n")
-    written.append(metrics_path)
-
-    confusion_path = out / "confusion.csv"
-    with confusion_path.open("w", newline="") as fh:
-        fh.write(stamp + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["tp", "fp", "tn", "fn"])
-        cm = report.confusion
-        writer.writerow([cm.tp, cm.fp, cm.tn, cm.fn])
-    written.append(confusion_path)
-
-    if report.epoch_losses is not None or report.round_traces is not None:
-        loss_path = out / "loss_trace.csv"
-        with loss_path.open("w", newline="") as fh:
-            fh.write(stamp + "\n")
-            writer = csv.writer(fh)
-            if report.epoch_losses is not None:
-                writer.writerow(["epoch", "mean_loss"])
-                for epoch, loss in enumerate(report.epoch_losses):
-                    writer.writerow([epoch, repr(float(loss))])
-            else:
-                writer.writerow(["round", "mean_loss"])
-                for trace in report.round_traces:
-                    losses = [r.local_loss for r in trace.records
-                              if r.local_loss is not None]
-                    value = repr(float(np.mean(losses))) if losses else ""
-                    writer.writerow([trace.round_index, value])
-        written.append(loss_path)
-
-    if report.round_traces is not None:
-        trace_path = out / "round_trace.csv"
-        with trace_path.open("w", newline="") as fh:
-            fh.write(stamp + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["round", "client_id", "local_loss", "threshold",
-                             "participated", "alpha", "global_norm"])
-            for trace in report.round_traces:
-                for rec in trace.records:
-                    writer.writerow([
-                        trace.round_index,
-                        rec.client_id,
-                        "" if rec.local_loss is None else repr(float(rec.local_loss)),
-                        "" if rec.local_threshold is None else repr(float(rec.local_threshold)),
-                        1 if rec.participated else 0,
-                        repr(float(trace.alpha)),
-                        repr(float(trace.global_norm)),
-                    ])
-        written.append(trace_path)
-
+    written = [
+        _write_json(out / "metrics.json", metrics_payload(report)),
+        _write_csv(out / "confusion.csv", report, CONFUSION_HEADER,
+                   [astuple(report.confusion)]),
+    ]
+    traces = report.round_traces
+    if report.epoch_losses is not None:
+        written.append(_write_csv(
+            out / "loss_trace.csv", report, ("epoch", "mean_loss"),
+            [(epoch, _cell(loss))
+             for epoch, loss in enumerate(report.epoch_losses)]))
+    elif traces is not None:
+        written.append(_write_csv(
+            out / "loss_trace.csv", report, ("round", "mean_loss"),
+            [(t.round_index, _cell(_round_mean_loss(t))) for t in traces]))
+    if traces is not None:
+        written.append(_write_csv(
+            out / "round_trace.csv", report, ROUND_TRACE_HEADER,
+            [(t.round_index, r.client_id, _cell(r.local_loss),
+              _cell(r.local_threshold), 1 if r.participated else 0,
+              _cell(t.alpha), _cell(t.global_norm))
+             for t in traces for r in t.records]))
     if report.per_client is not None:
-        per_client_path = out / "per_client_metrics.json"
-        payload = {"seed": report.seed, "fingerprint": report.fingerprint,
-                   "clients": {}}
-        for cid, (cm, m) in sorted(report.per_client.items()):
-            payload["clients"][str(cid)] = {
-                "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-                **metric_values(m),
-            }
-        per_client_path.write_text(json.dumps(payload, indent=2,
-                                              sort_keys=True) + "\n")
-        written.append(per_client_path)
-
+        written.append(_write_json(out / "per_client_metrics.json", {
+            "seed": report.seed, "fingerprint": report.fingerprint,
+            "clients": {
+                str(cid): {"confusion": dict(zip(CONFUSION_HEADER,
+                                                 astuple(cm))),
+                           **metric_values(m)}
+                for cid, (cm, m) in sorted(report.per_client.items())}}))
     written.append(write_manifest(
         out, report.seed, report.fingerprint, report.config, mode=report.mode,
         artifacts=sorted(p.name for p in written)))
     return written
+
+
+def read_report(run_dir: str | Path
+                ) -> tuple[ConfusionMatrix, dict[str, float | None]]:
+    """The confusion matrix and stored `METRIC_KEYS` metrics (None where
+    missing) of a run directory written by `emit_report`. A malformed file
+    is a DataError naming it and what is wrong."""
+    run_dir = Path(run_dir)
+    path = run_dir / "confusion.csv"
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(
+            line for line in fh if not line.startswith("#"))) or [[]]
+    if tuple(header) != CONFUSION_HEADER:
+        raise DataError(f"{path}: expected header "
+                        f"{','.join(CONFUSION_HEADER)}, got {header}")
+    try:  # exactly one row of integers
+        (counts,) = [[int(cell) for cell in row] for row in rows]
+    except ValueError:
+        counts = []
+    if len(counts) != len(CONFUSION_HEADER) or min(counts) < 0:
+        raise DataError(f"{path}: expected one row of 4 non-negative "
+                        f"integer counts, got {rows}")
+    path = run_dir / "metrics.json"
+    stored = _read_json(path)
+    for key in METRIC_KEYS:
+        value = stored.get(key)
+        if value is not None and not _is_finite_number(value):
+            raise DataError(f"{path}: {key}: expected a finite number or "
+                            f"null, got {value!r}")
+    return (ConfusionMatrix(*counts),
+            {key: stored.get(key) for key in METRIC_KEYS})
 
 
 def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
@@ -437,7 +462,7 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
         arrays["scaler_min"] = model.scaler.minimum
         arrays["scaler_max"] = model.scaler.maximum
     np.savez(out / "model.npz", **arrays)
-    meta = {
+    _write_json(out / "model.json", {
         "seed": model.seed,
         "fingerprint": model.fingerprint,
         "threshold": model.detector.threshold,
@@ -448,8 +473,7 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
              "activation": s.activation.value, "dropout": s.dropout}
             for s in model.params.specs
         ],
-    }
-    (out / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
     return out
 
 
@@ -459,14 +483,15 @@ def _is_finite_number(value) -> bool:
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
-    """Read a bundle written by `save_model`. A missing key, or a value of
-    the wrong type (`threshold` not a finite number, `per_round_thresholds`
-    not a list of them, `seed` not an int, `layers` not a list of mappings), is
-    a `DataError` naming the file and the key; a malformed layer is one
-    naming the layer and the field."""
+    """Read a bundle written by `save_model`. A `model.json` that is not a
+    JSON object, a missing key, or a value of the wrong type (`threshold`
+    not a finite number, `per_round_thresholds` not a list of them, `seed`
+    not an int, `layers` not a list of mappings), is a `DataError` naming
+    the file and the key; a malformed layer is one naming the layer and
+    the field."""
     model_dir = Path(model_dir)
     meta_path = model_dir / "model.json"
-    meta = json.loads(meta_path.read_text())
+    meta = _read_json(meta_path)
     for key in ("threshold", "fingerprint", "layers"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing key {key!r}")

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -347,6 +348,15 @@ class TestCentralizedHarness:
         assert str(err.value) == (f"{tmp_path / 'model.json'}: {key}: "
                                   f"expected {expected}, got {value!r}")
 
+    @pytest.mark.parametrize("text", ["{not json", "[0.5]", "5"])
+    def test_model_json_not_an_object_names_file(self, tmp_path, text):
+        save_untrained_model(tmp_path)
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(DataError) as err:
+            load_model(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'model.json'}: "
+                                  f"expected a JSON object")
+
 
 class TestDataPathResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -570,6 +580,18 @@ def write_tiny_yaml(tmp_path, **overrides):
     return path
 
 
+@pytest.fixture(scope="module")
+def central_run(tmp_path_factory):
+    """A run directory written by `fedanom train-central`."""
+    root = tmp_path_factory.mktemp("central")
+    assert main(["train-central", "--config", str(write_tiny_yaml(root)),
+                 "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+COUNTS = "expected one row of 4 non-negative integer counts"
+
+
 class TestCli:
     def test_synth_writes_dataset(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
@@ -657,6 +679,69 @@ class TestCli:
         assert (trained.pop("mean_round_accuracy") is None) == (
             mode == "centralized")
         assert again == trained
+
+    def test_train_commands_record_the_mode_they_ran(self, tmp_path):
+        config = write_tiny_yaml(tmp_path, mode="federated")
+        manifests = {}
+        for train in ("train-central", "train-fed"):
+            out = tmp_path / train
+            assert main([train, "--config", str(config),
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            mode = json.loads((out / "metrics.json").read_text())["mode"]
+            assert manifest["config"]["mode"] == mode
+            manifests[train] = manifest
+        assert (manifests["train-central"]["fingerprint"]
+                != manifests["train-fed"]["fingerprint"])
+        # the config a centralized run records re-evaluates its model
+        embedded = tmp_path / "embedded.yaml"
+        embedded.write_text(yaml.safe_dump(
+            manifests["train-central"]["config"]))
+        run_dir, out = tmp_path / "train-central", tmp_path / "eval"
+        assert main(["evaluate", "--config", str(embedded),
+                     "--model", str(run_dir / "model"),
+                     "--out", str(out)]) == 0
+        name = "confusion.csv"
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("name, text, problem", [
+        ("confusion.csv", "", "expected header tp,fp,tn,fn, got []"),
+        ("confusion.csv", "# seed=7 fingerprint=x\ntp,fp,tn,fn\n", COUNTS),
+        ("confusion.csv", "tp,fp,tn,fn\n1,2,x,4\n", COUNTS),
+        ("confusion.csv", "tp,fp,tn,fn\n1,2,3\n", COUNTS),
+        ("confusion.csv", "tp,fp,tn,fn\n1,2,-3,4\n", COUNTS),
+        ("confusion.csv", "tp,fp,tn,fn\n1,2,3,4\n1,2,3,4\n", COUNTS),
+        ("metrics.json", "{not json", "expected a JSON object"),
+        ("metrics.json", "[]", "expected a JSON object"),
+        ("metrics.json", '{"accuracy": "high"}',
+         "accuracy: expected a finite number or null, got 'high'"),
+    ], ids=["empty", "header-only", "text-count", "three-counts",
+            "negative-count", "two-rows", "metrics-not-json",
+            "metrics-not-object", "metrics-text-value"])
+    def test_report_rejects_malformed_run_dir(self, tmp_path, capsys,
+                                              central_run, name, text,
+                                              problem):
+        run_dir = tmp_path / "run"
+        shutil.copytree(central_run, run_dir)
+        (run_dir / name).write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--dir", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / name}: {problem}")
+        assert err.count("\n") == 1
+
+    def test_report_flags_metrics_that_disagree(self, tmp_path, capsys,
+                                                central_run):
+        run_dir = tmp_path / "run"
+        shutil.copytree(central_run, run_dir)
+        path = run_dir / "metrics.json"
+        stored = json.loads(path.read_text())
+        stored["accuracy"] += 1e-9
+        del stored["recall"]
+        path.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["report", "--dir", str(run_dir)]) == 1
+        assert "['accuracy', 'recall']" in capsys.readouterr().out
 
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

@@ -110,6 +110,20 @@ CASES = [
          {"federation.alpha": 1.0}),
     Case("strategy.relevance_window", {"strategy.relevance_window": 1}, FED,
          {"strategy.kind": "fairfedavg", **LATE_IN_ROUND_2}),
+    # each strategy key is read only by the kinds that use it: q and L by
+    # qffl and fairfedavg, the window by fairfedavg, the weighting by fedavg
+    Case("strategy.q", {"strategy.q": 0.5}, NEITHER,
+         {"strategy.kind": "fedavg", "strategy.lipschitz": 0.01}, "fedavg"),
+    Case("strategy.lipschitz", {"strategy.lipschitz": 10.0}, NEITHER,
+         {"strategy.kind": "fedavg"}, "fedavg"),
+    Case("strategy.relevance_window", {"strategy.relevance_window": 1},
+         NEITHER, {"strategy.kind": "fedavg", **LATE_IN_ROUND_2}, "fedavg"),
+    Case("strategy.relevance_window", {"strategy.relevance_window": 1},
+         NEITHER, {"strategy.kind": "qffl", "strategy.q": 0.5,
+                   "strategy.lipschitz": 0.01, **LATE_IN_ROUND_2}, "qffl"),
+    *(Case("strategy.weighted_mean", {"strategy.weighted_mean": True},
+           NEITHER, {"strategy.kind": kind, "federation.alpha": 1.0}, kind)
+      for kind in ("qffl", "fairfedavg")),
     Case("detector.use_sample_std", {"detector.use_sample_std": True}, BOTH),
 ]
 
