@@ -9,7 +9,8 @@ model can drop stragglers) to `aggregate`, the one server step of all
 three strategies. It works in this order:
 
 1. Sort the updates by client id, so floating-point summation does not
-   depend on arrival order, and check that their lengths agree.
+   depend on arrival order, and check that each has the global model's
+   length.
 2. Carry the global model forward when fewer than `min_participation`
    updates arrived (default two; one when each round samples a single
    client, so a single-client federation stays equivalent to centralized
@@ -20,8 +21,8 @@ three strategies. It works in this order:
    the strategy's Lipschitz estimate L, which must be set.
 4. For fairfedavg only, when participation shrank, damp the new global
    model by its relevance score against the previous round's RMS update
-   summaries; then append this round's to the history of the last
-   `relevance_window` summaries.
+   summaries, the last `relevance_window` of them; then keep this round's
+   in their place.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,18 +131,17 @@ class ClientUpdate:
         return self.epoch_losses[-1]
 
 
-class GHEntry(NamedTuple):
-    round_index: int
-    summary: float
-
-
 @dataclass
 class ServerState:
-    """Global model plus the FairFedAvg bookkeeping carried across rounds."""
+    """Global model plus the FairFedAvg bookkeeping carried across rounds.
+
+    `prev_summaries` are the RMS summaries of the last round's q-FFL steps,
+    in client-id order, cut to their last `relevance_window`.
+    """
 
     global_params: np.ndarray
     round_index: int = 0
-    gradient_history: tuple[GHEntry, ...] = ()
+    prev_summaries: tuple[float, ...] = ()
     prev_participants: int = 0
     last_alpha: float = 1.0
     last_carried: bool = False
@@ -301,24 +301,20 @@ def relevance_score(window: Sequence[float], current: float) -> float:
     return exps[-1] / sum(exps)
 
 
-def apply_relevance(alpha: float, params: np.ndarray) -> np.ndarray:
-    """Uniformly damp the aggregated vector by the relevance score."""
-    if not 0.0 < alpha <= 1.0:
-        raise DegenerateAggregationError(
-            f"relevance score must be in (0, 1], got {alpha}")
-    return alpha * np.asarray(params, dtype=np.float64)
-
-
 def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
               cfg: StrategyConfig, min_part: int) -> ServerState:
     """One server step for every strategy, in the order the module
     docstring gives. q-FFL deltas are computed only where they are used:
-    on every fairfedavg round (its history records carried rounds too)
-    and on non-carried qffl rounds."""
+    on every fairfedavg round (carried rounds set its summaries too) and
+    on non-carried qffl rounds. A shrunken fairfedavg round compares
+    against the previous round's summaries only, the last
+    `relevance_window` of them."""
     ordered = sorted(updates, key=lambda u: u.client_id)
-    lengths = {u.params.shape[0] for u in ordered}
-    if len(lengths) > 1:
-        raise ShapeError(f"update vectors differ in length: {sorted(lengths)}")
+    width = server.global_params.shape[0]
+    lengths = sorted({u.params.shape[0] for u in ordered} - {width})
+    if lengths:
+        raise ShapeError(
+            f"update lengths {lengths} do not match the global length {width}")
     count = len(ordered)
     carried = count < min_part
     fair = cfg.kind is StrategyKind.FAIR_FEDAVG
@@ -336,25 +332,22 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
     else:
         new_global = qffl_aggregate(server.global_params, deltas)
     current_round = server.round_index + 1
-    history = server.gradient_history
+    summaries = server.prev_summaries
     alpha = 1.0
     if fair:
         if not carried and count < server.prev_participants:
-            previous = [e.summary for e in history
-                        if e.round_index == server.round_index]
-            alpha = relevance_score(previous, rms_summary(new_global))
-            try:
-                new_global = apply_relevance(alpha, new_global)
-            except DegenerateAggregationError as err:  # the share underflowed
-                err.args = (f"round {current_round}: {err.args[0]}",)
-                raise
-        history += tuple(GHEntry(current_round, rms_summary(d))
-                         for d, _ in deltas)
-        history = history[-cfg.relevance_window:]
+            alpha = relevance_score(summaries, rms_summary(new_global))
+            if not 0.0 < alpha <= 1.0:  # the share underflowed
+                raise DegenerateAggregationError(
+                    f"round {current_round}: relevance score must be in "
+                    f"(0, 1], got {alpha}")
+            new_global = alpha * new_global
+        summaries = tuple(rms_summary(d)
+                          for d, _ in deltas[-cfg.relevance_window:])
     return ServerState(
         global_params=new_global,
         round_index=current_round,
-        gradient_history=history,
+        prev_summaries=summaries,
         prev_participants=count,
         last_alpha=alpha,
         last_carried=carried,

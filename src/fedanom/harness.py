@@ -429,9 +429,12 @@ def read_report(run_dir: str | Path
     is a DataError naming it and what is wrong."""
     run_dir = Path(run_dir)
     path = run_dir / "confusion.csv"
-    with path.open(newline="") as fh:
-        header, *rows = list(csv.reader(
-            line for line in fh if not line.startswith("#"))) or [[]]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(
+                line for line in fh if not line.startswith("#"))) or [[]]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: expected UTF-8 text") from None
     if tuple(header) != CONFUSION_HEADER:
         raise DataError(f"{path}: expected header "
                         f"{','.join(CONFUSION_HEADER)}, got {header}")

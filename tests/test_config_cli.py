@@ -711,19 +711,22 @@ class TestCli:
         ("confusion.csv", "tp,fp,tn,fn\n1,2,3\n", COUNTS),
         ("confusion.csv", "tp,fp,tn,fn\n1,2,-3,4\n", COUNTS),
         ("confusion.csv", "tp,fp,tn,fn\n1,2,3,4\n1,2,3,4\n", COUNTS),
+        ("confusion.csv", b"tp,fp,tn,fn\n\xff\xfe1,2,3,4\n",
+         "expected UTF-8 text"),
         ("metrics.json", "{not json", "expected a JSON object"),
         ("metrics.json", "[]", "expected a JSON object"),
         ("metrics.json", '{"accuracy": "high"}',
          "accuracy: expected a finite number or null, got 'high'"),
     ], ids=["empty", "header-only", "text-count", "three-counts",
-            "negative-count", "two-rows", "metrics-not-json",
+            "negative-count", "two-rows", "not-utf8", "metrics-not-json",
             "metrics-not-object", "metrics-text-value"])
     def test_report_rejects_malformed_run_dir(self, tmp_path, capsys,
                                               central_run, name, text,
                                               problem):
         run_dir = tmp_path / "run"
         shutil.copytree(central_run, run_dir)
-        (run_dir / name).write_text(text)
+        (run_dir / name).write_bytes(
+            text if isinstance(text, bytes) else text.encode())
         capsys.readouterr()
         assert main(["report", "--dir", str(run_dir)]) == 2
         err = capsys.readouterr().err

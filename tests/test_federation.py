@@ -21,13 +21,11 @@ from fedanom.errors import (
 from fedanom.federation import (
     ClientState,
     ClientUpdate,
-    GHEntry,
     LatencyModel,
     ServerState,
     StrategyConfig,
     StrategyKind,
     aggregate,
-    apply_relevance,
     assign_latencies,
     fedavg_aggregate,
     local_round,
@@ -183,26 +181,6 @@ class TestRelevance:
         alpha = relevance_score([1e6, 1e6 + 1.0], 1e6)
         assert 0.0 < alpha < 1.0
 
-    def test_apply_unchanged_at_one(self):
-        w = np.array([2.0, -4.0])
-        np.testing.assert_array_equal(apply_relevance(1.0, w), w)
-
-    def test_apply_scales(self):
-        np.testing.assert_array_equal(apply_relevance(0.5, np.array([2.0, -4.0])),
-                                      [1.0, -2.0])
-
-    def test_apply_composition(self):
-        w = np.array([3.0, 5.0])
-        twice = apply_relevance(0.5, apply_relevance(0.4, w))
-        once = apply_relevance(0.2, w)
-        np.testing.assert_allclose(twice, once, rtol=1e-15)
-
-    def test_apply_rejects_out_of_range(self):
-        with pytest.raises(DegenerateAggregationError):
-            apply_relevance(0.0, np.zeros(2))
-        with pytest.raises(DegenerateAggregationError):
-            apply_relevance(1.5, np.zeros(2))
-
     def test_rms_summary(self):
         assert rms_summary(np.array([3.0, 4.0])) == pytest.approx(
             5.0 / math.sqrt(2.0), abs=1e-12)
@@ -230,8 +208,7 @@ class TestFairRound:
 
     def test_shrunken_participation_applies_relevance(self):
         server = ServerState(np.array([1.0, 1.0]), round_index=1,
-                             gradient_history=(GHEntry(1, 0.2), GHEntry(1, 0.3),
-                                               GHEntry(1, 0.1), GHEntry(1, 0.4)),
+                             prev_summaries=(0.2, 0.3, 0.1, 0.4),
                              prev_participants=4)
         ups = [update(i, [0.5, 0.5]) for i in range(3)]
         out = aggregate(server, ups, self.cfg(), 2)
@@ -241,11 +218,33 @@ class TestFairRound:
 
     def test_two_after_three_applies_relevance(self):
         server = ServerState(np.array([1.0]), round_index=1,
-                             gradient_history=(GHEntry(1, 0.5),),
+                             prev_summaries=(0.5,),
                              prev_participants=3)
         ups = [update(i, [0.5]) for i in range(2)]
         out = aggregate(server, ups, self.cfg(), 2)
         assert 0.0 < out.last_alpha < 1.0
+
+    def test_shrunken_round_without_summaries_keeps_aggregate(self):
+        # nothing arrived last round, so the share is 1 and the q-FFL
+        # aggregate stands bit for bit
+        server = ServerState(np.array([1.0, -1.0]), round_index=1,
+                             prev_participants=3)
+        ups = [update(i, [0.5, 0.25]) for i in range(2)]
+        out = aggregate(server, ups, self.cfg(), 2)
+        qffl = aggregate(server, ups, self.cfg(kind=StrategyKind.QFFL), 2)
+        assert out.last_alpha == 1.0
+        assert out.global_params.tobytes() == qffl.global_params.tobytes()
+
+    @pytest.mark.parametrize("summary, got", [(1e6, "0.0"), (math.nan, "nan")])
+    def test_share_outside_unit_interval_names_round(self, summary, got):
+        # a previous summary far above this round's underflows the share
+        # to 0; a NaN summary makes it NaN
+        server = ServerState(np.array([1.0]), round_index=4,
+                             prev_summaries=(summary,), prev_participants=3)
+        ups = [update(i, [0.5]) for i in range(2)]
+        with pytest.raises(DegenerateAggregationError, match=(
+                rf"^round 5: relevance score must be in \(0, 1\], got {got}$")):
+            aggregate(server, ups, self.cfg(), 2)
 
     def test_single_update_carries_forward(self):
         w = np.array([0.9, -0.9])
@@ -253,8 +252,8 @@ class TestFairRound:
         out = aggregate(server, [update(0, [0.1, 0.1])], self.cfg(), 2)
         assert out.last_carried
         np.testing.assert_array_equal(out.global_params, w)
-        # the received update's summary still lands in the history
-        assert len(out.gradient_history) == 1
+        # the received update's summary is still kept for the next round
+        assert out.prev_summaries == (rms_summary(10.0 * (w - 0.1)),)
 
     def test_single_update_aggregated_when_bar_is_one(self):
         server = ServerState(np.array([0.9, -0.9]), round_index=0)
@@ -270,29 +269,29 @@ class TestFairRound:
         out = aggregate(server, ups, self.cfg(), 2)
         assert out.last_alpha == 1.0
 
-    def test_gh_window_bound(self):
+    def test_summaries_window_bound(self):
         server = ServerState(np.array([1.0]), round_index=0)
         cfg = self.cfg(relevance_window=3)
-        for _ in range(4):
-            ups = [update(i, [0.5]) for i in range(3)]
+        for n in (2, 3, 5, 4):
+            ups = [update(i, [0.5]) for i in range(n)]
             server = aggregate(server, ups, cfg, 2)
-            assert len(server.gradient_history) <= 3
+            assert len(server.prev_summaries) == min(n, 3)
 
     def test_window_of_this_rounds_count_still_damps(self):
-        # a shrunken round compares against the history as it stood before
-        # its own summaries went in: a window of two keeps two of round 1's
+        # a shrunken round compares against the previous round's summaries
+        # before its own replace them: a window of two keeps two of round 1's
         cfg = self.cfg(relevance_window=2)
         server = aggregate(ServerState(np.array([1.0])),
                            [update(i, [0.5]) for i in range(3)], cfg, 2)
-        previous = [e.summary for e in server.gradient_history]
-        assert len(previous) == 2
+        previous = server.prev_summaries
+        assert previous == (5.0, 5.0)
         out = aggregate(server, [update(i, [0.25]) for i in range(2)], cfg, 2)
         assert out.last_alpha == pytest.approx(
             relevance_score(previous, rms_summary(np.array([0.25]))),
             rel=1e-12)
         assert 0.0 < out.last_alpha < 1.0
         np.testing.assert_allclose(out.global_params, [out.last_alpha * 0.25])
-        assert [e.round_index for e in out.gradient_history] == [2, 2]
+        assert out.prev_summaries == (2.5, 2.5)  # round 2's, 10 * (0.5 - 0.25)
 
     def test_requires_lipschitz(self):
         server = ServerState(np.array([1.0]))
@@ -308,11 +307,11 @@ def server_rounds(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(0, 20), max_size=6, unique=True))
-    prev_round = draw(st.integers(0, 3))
-    history = tuple(GHEntry(prev_round, float(rng.uniform(0.0, 2.0)))
-                    for _ in range(draw(st.integers(0, 4))))
-    server = ServerState(rng.normal(size=dim), round_index=prev_round,
-                         gradient_history=history,
+    summaries = tuple(float(rng.uniform(0.0, 2.0))
+                      for _ in range(draw(st.integers(0, 4))))
+    server = ServerState(rng.normal(size=dim),
+                         round_index=draw(st.integers(0, 3)),
+                         prev_summaries=summaries,
                          prev_participants=draw(st.integers(0, 7)))
     ups = [update(cid, rng.normal(size=dim) * 10 ** rng.uniform(-2, 2),
                   loss=float(rng.uniform(0.1, 3.0)),
@@ -328,13 +327,80 @@ def server_rounds(draw):
 
 def assert_same_state(a, b):
     assert a.global_params.tobytes() == b.global_params.tobytes()
-    assert (a.round_index, a.gradient_history, a.prev_participants,
+    assert (a.round_index, a.prev_summaries, a.prev_participants,
             a.last_alpha, a.last_carried) == (
-        b.round_index, b.gradient_history, b.prev_participants,
+        b.round_index, b.prev_summaries, b.prev_participants,
         b.last_alpha, b.last_carried)
 
 
+def history_fair_round(state, updates, cfg, min_part):
+    """FairFedAvg by the cross-round history rule, as a reference for
+    `aggregate`: `state` is (global, round, history of (round, summary)
+    pairs, previous participants). The history takes every round's
+    summaries, carried rounds' too, and keeps its last `relevance_window`;
+    a shrunken round compares against the entries of the previous round.
+    Returns the next state and the round's share."""
+    w, round_index, history, prev_count = state
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    deltas = [qffl_deltas(w, u, cfg.q, cfg.lipschitz) for u in ordered]
+    carried = len(ordered) < min_part
+    new = w.copy() if carried else qffl_aggregate(w, deltas)
+    alpha = 1.0
+    if not carried and len(ordered) < prev_count:
+        previous = [s for r, s in history if r == round_index]
+        alpha = relevance_score(previous, rms_summary(new))
+        new = alpha * new
+    history += tuple((round_index + 1, rms_summary(d)) for d, _ in deltas)
+    history = history[-cfg.relevance_window:]
+    return (new, round_index + 1, history, len(ordered)), alpha
+
+
+@st.composite
+def fair_sequences(draw):
+    """A FairFedAvg strategy, a participation bar and up to ten rounds of
+    updates from a random subset of up to six clients (empty and carried
+    rounds included), with seeded generic values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    n_clients = draw(st.integers(1, 6))
+    share = rng.uniform(0.2, 1.0)  # each client's chance to arrive
+    cfg = StrategyConfig(kind=StrategyKind.FAIR_FEDAVG,
+                         q=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         lipschitz=float(rng.uniform(0.5, 20.0)),
+                         relevance_window=draw(st.integers(1, 8)))
+    scale = 10 ** rng.uniform(-3, 2)
+    rounds = [[update(cid, rng.normal(size=dim) * scale,
+                      loss=float(rng.uniform(0.1, 3.0)))
+               for cid in range(n_clients) if rng.random() < share]
+              for _ in range(draw(st.integers(1, 10)))]
+    return rng.normal(size=dim), rounds, cfg, draw(st.integers(1, 3))
+
+
 class TestAggregate:
+    @settings(max_examples=100, deadline=None)
+    @given(fair_sequences())
+    def test_fair_replay_matches_history_rule(self, drawn):
+        start, rounds, cfg, min_part = drawn
+        server = ServerState(start.copy())
+        state = (start.copy(), 0, (), 0)
+        for ups in rounds:
+            # each update lands near the current global, as after training
+            ups = [replace(u, params=server.global_params + u.params)
+                   for u in ups]
+            state, alpha = history_fair_round(state, ups, cfg, min_part)
+            if not 0.0 < alpha <= 1.0:
+                with pytest.raises(DegenerateAggregationError):
+                    aggregate(server, ups, cfg, min_part)
+                return
+            server = aggregate(server, ups, cfg, min_part)
+            w, round_index, history, prev_count = state
+            assert server.last_alpha == alpha
+            assert server.global_params.tobytes() == w.tobytes()
+            assert server.prev_summaries == tuple(
+                s for r, s in history if r == round_index)
+            assert (server.round_index, server.prev_participants) == (
+                round_index, prev_count)
+
     @settings(max_examples=60, deadline=None)
     @given(server_rounds(), st.integers(1, 7), st.data())
     def test_order_independent(self, drawn, min_part, data):
@@ -344,13 +410,18 @@ class TestAggregate:
                           aggregate(server, shuffled, cfg, min_part))
 
     def test_length_mismatch(self):
-        ups = [update(0, [1.0]), update(1, [1.0, 2.0])]
+        differ = [update(0, [1.0]), update(1, [1.0, 2.0])]
+        agree = [update(0, [1.0, 2.0, 3.0]), update(1, [4.0, 5.0, 6.0])]
         for kind in StrategyKind:
             for min_part in (1, 3):  # checked on carried rounds too
+                cfg = StrategyConfig(kind=kind, lipschitz=1.0)
                 with pytest.raises(ShapeError):
-                    aggregate(ServerState(np.zeros(1)), ups,
-                              StrategyConfig(kind=kind, lipschitz=1.0),
-                              min_part)
+                    aggregate(ServerState(np.zeros(1)), differ, cfg, min_part)
+                # updates that agree with each other but not the global
+                with pytest.raises(ShapeError, match=(
+                        r"^update lengths \[3\] do not match the global "
+                        r"length 2$")):
+                    aggregate(ServerState(np.zeros(2)), agree, cfg, min_part)
 
     @settings(max_examples=60, deadline=None)
     @given(server_rounds(), st.integers(1, 7))
