@@ -39,108 +39,77 @@ STREAM_CLIENT = 4
 STREAM_TEST = 5
 STREAM_TRAIN = 6
 
-DEFAULT_CONFIG: dict = {
-    "mode": MODE_CENTRALIZED,
-    "seed": 42,
-    "dataset": {
-        "kind": "synth",
-        "synth": {
-            "n_normal": 2000,
-            "n_attack": 200,
-            "dim": 66,
-            "displacement": 2.0,
-            "seed": 42,
-        },
-        "path": None,
-        "schema": None,
-    },
-    "model": {
-        "input_dim": 66,
-        "hidden_dims": [128, 64, 32],
-        "bottleneck_dim": 16,
-        "dropout_p": 0.2,
-        "mirror_dropout": True,
-    },
-    "split": {
-        "train_fraction": 0.8,
-    },
-    "train": {
-        "epochs": 50,
-        "batch_size": 32,
-        "learning_rate": 0.001,
-        "lr_step": 1,
-        "lr_gamma": 0.9,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_epsilon": 1e-8,
-    },
-    "federation": {
-        "n_clients": 2,
-        "rounds": 5,
-        "epochs_per_round": 10,
-        "alpha": 10.0,
-        "min_participation": None,
-        "latency": None,
-    },
-    "strategy": {
-        "kind": "fedavg",
-        "q": 0.0,
-        "lipschitz": None,
-        "sample_fraction": 1.0,
-        "weighted_mean": False,
-        "relevance_window": 64,
-    },
-    "detector": {
-        "use_sample_std": False,
-    },
+# Each leaf key, in the README's order: (type, default, allowed). `allowed`
+# is None, a tuple of choices, or an interval where "[" and "]" include an
+# end and "(" and ")" exclude it; an unset optional key (None) is not
+# checked. federation.latency is taken out before the merge and checked by
+# _validate_latency.
+_KEYS = {
+    "mode": (str, MODE_CENTRALIZED, (MODE_CENTRALIZED, MODE_FEDERATED)),
+    "seed": (int, 42, None),
+    "dataset.kind": (str, "synth", ("synth", "csv")),
+    "dataset.synth.n_normal": (int, 2000, "[0, inf)"),
+    "dataset.synth.n_attack": (int, 200, "[0, inf)"),
+    "dataset.synth.dim": (int, 66, "[1, inf)"),
+    "dataset.synth.displacement": (float, 2.0, None),
+    "dataset.synth.seed": (int, 42, None),
+    "dataset.path": (str, None, None),
+    "dataset.schema": (str, None, None),
+    "model.input_dim": (int, 66, "[1, inf)"),
+    "model.hidden_dims": (list, [128, 64, 32], None),
+    "model.bottleneck_dim": (int, 16, "[1, inf)"),
+    "model.dropout_p": (float, 0.2, "[0, 1)"),
+    "model.mirror_dropout": (bool, True, None),
+    "split.train_fraction": (float, 0.8, "(0, 1)"),
+    "train.epochs": (int, 50, "[1, inf)"),
+    "train.batch_size": (int, 32, "[1, inf)"),
+    "train.learning_rate": (float, 0.001, "(0, inf)"),
+    "train.lr_step": (int, 1, "[1, inf)"),
+    "train.lr_gamma": (float, 0.9, "(0, 1]"),
+    "train.adam_beta1": (float, 0.9, "[0, 1)"),
+    "train.adam_beta2": (float, 0.999, "[0, 1)"),
+    "train.adam_epsilon": (float, 1e-8, "(0, inf)"),
+    "federation.n_clients": (int, 2, "[1, inf)"),
+    "federation.rounds": (int, 5, "[1, inf)"),
+    "federation.epochs_per_round": (int, 10, "[1, inf)"),
+    "federation.alpha": (float, 10.0, "(0, inf)"),
+    "federation.min_participation": (int, None, "[0, inf)"),
+    "federation.latency": (dict, None, None),
+    "strategy.kind": (str, "fedavg", tuple(k.value for k in StrategyKind)),
+    "strategy.q": (float, 0.0, "[0, inf)"),
+    "strategy.lipschitz": (float, None, "(0, inf)"),
+    "strategy.sample_fraction": (float, 1.0, "(0, 1]"),
+    "strategy.weighted_mean": (bool, False, None),
+    "strategy.relevance_window": (int, 64, "[1, inf)"),
+    "detector.use_sample_std": (bool, False, None),
 }
+
+# the types a value of each declared type may have (a bool is no number),
+# and the type's name in errors
+_ACCEPTS = {
+    bool: ((bool,), "bool"),
+    int: ((int,), "int"),
+    float: ((int, float), "number"),
+    str: ((str,), "string"),
+    list: ((list, tuple), "list"),
+}
+
+
+def _nested_defaults() -> dict:
+    """Each key's default from _KEYS, nested by its dotted sections."""
+    out: dict = {}
+    for key, (_, default, _) in _KEYS.items():
+        *sections, leaf = key.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = default
+    return out
+
+
+DEFAULT_CONFIG: dict = _nested_defaults()
 
 _LATENCY_KEYS = {"delays", "per_round", "jitter", "drop_after"}
-
-# Allowed interval per numeric key: "[" and "]" include an end, "(" and ")"
-# exclude it. An unset optional key (None) is not checked.
-_RANGES = {
-    "dataset.synth.n_normal": "[0, inf)",
-    "dataset.synth.n_attack": "[0, inf)",
-    "dataset.synth.dim": "[1, inf)",
-    "model.input_dim": "[1, inf)",
-    "model.bottleneck_dim": "[1, inf)",
-    "model.dropout_p": "[0, 1)",
-    "split.train_fraction": "(0, 1)",
-    "train.epochs": "[1, inf)",
-    "train.batch_size": "[1, inf)",
-    "train.learning_rate": "(0, inf)",
-    "train.lr_step": "[1, inf)",
-    "train.lr_gamma": "(0, 1]",
-    "train.adam_beta1": "[0, 1)",
-    "train.adam_beta2": "[0, 1)",
-    "train.adam_epsilon": "(0, inf)",
-    "federation.n_clients": "[1, inf)",
-    "federation.rounds": "[1, inf)",
-    "federation.epochs_per_round": "[1, inf)",
-    "federation.alpha": "(0, inf)",
-    "federation.min_participation": "[0, inf)",
-    "strategy.q": "[0, inf)",
-    "strategy.lipschitz": "(0, inf)",
-    "strategy.sample_fraction": "(0, 1]",
-    "strategy.relevance_window": "[1, inf)",
-}
-
-# The type of each key whose default is None (unset). federation.latency is
-# taken out before the merge and checked by _validate_latency.
-_NULLABLE = {
-    "dataset.path": str,
-    "dataset.schema": str,
-    "federation.min_participation": int,
-    "strategy.lipschitz": float,
-}
-
-# Allowed values of each key that selects a variant.
-_CHOICES = {
-    "mode": (MODE_CENTRALIZED, MODE_FEDERATED),
-    "dataset.kind": ("synth", "csv"),
-    "strategy.kind": tuple(k.value for k in StrategyKind),
-}
 
 
 def _in_interval(value: float, interval: str) -> bool:
@@ -151,8 +120,9 @@ def _in_interval(value: float, interval: str) -> bool:
 
 
 def _check_values(data: dict) -> None:
-    """Check every _RANGES and _CHOICES key; an error starts with the key."""
-    for key, allowed in (*_RANGES.items(), *_CHOICES.items()):
+    """Check each value against its key's allowed values in _KEYS; an
+    error starts with the key."""
+    for key, (_, _, allowed) in _KEYS.items():
         section, *rest = key.split(".")
         value = data[section]
         for part in rest:
@@ -161,7 +131,8 @@ def _check_values(data: dict) -> None:
             if value not in allowed:
                 raise ConfigError(f"{key}: expected one of "
                                   f"{' | '.join(allowed)}, got {value!r}")
-        elif value is not None and not _in_interval(value, allowed):
+        elif (allowed is not None and value is not None
+              and not _in_interval(value, allowed)):
             raise ConfigError(f"{key}: expected a value in {allowed}, "
                               f"got {value!r}")
 
@@ -170,32 +141,14 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-def _check_scalar(path: str, value, default) -> object:
-    """Coerce a user scalar onto the default's type, or the _NULLABLE type
-    of a key unset by default, or fail naming the key."""
-    if default is None:
-        default = _NULLABLE[path]()
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected bool, got {_type_name(value)}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected int, got {_type_name(value)}")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected number, got {_type_name(value)}")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected string, got {_type_name(value)}")
-        return value
-    if isinstance(default, list):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected list, got {_type_name(value)}")
-        return list(value)
-    return value
+def _check_scalar(path: str, value) -> object:
+    """`value` as the type of `path`'s row in _KEYS, or fail naming the key."""
+    kind = _KEYS[path][0]
+    accepts, name = _ACCEPTS[kind]
+    if not isinstance(value, accepts) or (isinstance(value, bool)
+                                          and kind is not bool):
+        raise ConfigError(f"{path}: expected {name}, got {_type_name(value)}")
+    return kind(value)
 
 
 def _merge(path: str, user: dict, defaults: dict) -> dict:
@@ -216,7 +169,7 @@ def _merge(path: str, user: dict, defaults: dict) -> dict:
                 raise ConfigError(f"{here}: expected mapping, got {_type_name(value)}")
             merged[key] = _merge(here, value, default)
         else:
-            merged[key] = _check_scalar(here, value, default)
+            merged[key] = _check_scalar(here, value)
     return merged
 
 

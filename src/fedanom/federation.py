@@ -246,12 +246,10 @@ def fedavg_aggregate(updates: Sequence[ClientUpdate],
 def qffl_deltas(global_params: np.ndarray, update: ClientUpdate, q: float,
                 lipschitz: float) -> tuple[np.ndarray, float]:
     """Reweighted step and Lipschitz-bound term for one update:
-    dw = L (w - w_k), delta = F^q dw, h = q F^(q-1) |dw|^2 + L F^q."""
+    dw = L (w - w_k), delta = F^q dw, h = q F^(q-1) |dw|^2 + L F^q.
+    The update has the global model's length, which `aggregate` checks."""
     w = np.asarray(global_params, dtype=np.float64)
     wk = np.asarray(update.params, dtype=np.float64)
-    if w.shape != wk.shape:
-        raise ShapeError(
-            f"update length {wk.shape} does not match global {w.shape}")
     loss = float(update.local_loss)
     if q > 0.0 and loss <= 0.0:
         raise DegenerateLossError(
@@ -266,17 +264,14 @@ def qffl_deltas(global_params: np.ndarray, update: ClientUpdate, q: float,
 
 def qffl_aggregate(global_params: np.ndarray,
                    deltas: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """w' = w - sum(delta_k) / sum(h_k)."""
+    """w' = w - sum(delta_k) / sum(h_k). Every delta has the global
+    model's length, which `aggregate` checks of the updates."""
     if not deltas:
         raise DataError("cannot aggregate zero deltas")
     w = np.asarray(global_params, dtype=np.float64)
     total_delta = np.zeros_like(w)
     total_h = 0.0
     for delta, h in deltas:
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.shape != w.shape:
-            raise ShapeError(
-                f"delta length {delta.shape} does not match global {w.shape}")
         total_delta += delta
         total_h += h
     if total_h <= 0.0:

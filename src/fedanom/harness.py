@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import os
+import zipfile
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -485,13 +486,45 @@ def _is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _read_arrays(path: Path) -> dict[str, np.ndarray]:
+    """`flat`, and `scaler_min` and `scaler_max` if either is there, from
+    the `.npz` archive at `path`. A file that is not one, a missing array,
+    or an array that is not a 1-d vector of finite numbers, is a DataError
+    naming the file and the key."""
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # e.g. pickled data
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: expected an .npz archive")
+    with archive:
+        keys = ["flat"]
+        if {"scaler_min", "scaler_max"} & set(archive.files):
+            keys += ["scaler_min", "scaler_max"]
+        arrays = {}
+        for key in keys:
+            if key not in archive.files:
+                raise DataError(f"{path}: missing key {key!r}")
+            try:
+                array = archive[key]
+            except ValueError:  # object arrays, which would need pickle
+                array = None
+            if (array is None or array.ndim != 1
+                    or array.dtype.kind not in "iuf"
+                    or not np.isfinite(array).all()):
+                raise DataError(f"{path}: {key}: expected a 1-d array of "
+                                f"finite numbers")
+            arrays[key] = array
+    return arrays
+
+
 def load_model(model_dir: str | Path) -> TrainedModel:
     """Read a bundle written by `save_model`. A `model.json` that is not a
     JSON object, a missing key, or a value of the wrong type (`threshold`
     not a finite number, `per_round_thresholds` not a list of them, `seed`
     not an int, `layers` not a list of mappings), is a `DataError` naming
     the file and the key; a malformed layer is one naming the layer and
-    the field."""
+    the field. `model.npz` is checked by `_read_arrays`."""
     model_dir = Path(model_dir)
     meta_path = model_dir / "model.json"
     meta = _read_json(meta_path)
@@ -515,7 +548,7 @@ def load_model(model_dir: str | Path) -> TrainedModel:
         if not ok:
             raise DataError(
                 f"{meta_path}: {key}: expected {expected}, got {meta[key]!r}")
-    arrays = np.load(model_dir / "model.npz")
+    arrays = _read_arrays(model_dir / "model.npz")
     specs = [LayerSpec(*(layer.get(f) for f in LayerSpec._fields))
              for layer in layers]
     params = unpack(arrays["flat"], specs)

@@ -1,16 +1,20 @@
 """Tests for config parsing, the experiment harness and the CLI."""
 
+import io
 import json
+import math
 import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from fedanom.cli import main
 from fedanom.config import (
+    _KEYS,
     DEFAULT_CONFIG,
     build_config,
     parse_config,
@@ -52,6 +56,36 @@ def tiny_config(**overrides):
         else:
             base[key] = value
     return build_config(base)
+
+
+def user_with(key, value):
+    """A user config that sets the dotted `key` to `value`."""
+    *path, last = key.split(".")
+    user = node = {}
+    for part in path:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return user
+
+
+def rows(kinds):
+    """`(key, type, allowed)` of each `_KEYS` row whose `allowed` is an
+    instance of `kinds` (`object` for every row), as pytest params named by
+    key."""
+    return [pytest.param(key, kind, allowed, id=key)
+            for key, (kind, _, allowed) in _KEYS.items()
+            if isinstance(allowed, kinds)]
+
+
+def interval_ends(interval):
+    """`(end, included)` for both ends of an interval such as "[0, 1)"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return [(low, interval[0] == "["), (high, interval[-1] == "]")]
+
+
+# values of the wrong type for each declared type (a bool is no number)
+WRONG_TYPE = {int: ["7", 1.5, True], float: ["0.5", True], bool: [1, "true"],
+              str: [5], list: ["64"], dict: ["fast"]}
 
 
 class TestParseConfig:
@@ -125,6 +159,9 @@ class TestParseConfig:
         ("federation.min_participation", -1), ("strategy.lipschitz", 0),
         ("strategy.lipschitz", -1.0), ("strategy.q", -0.5),
         ("strategy.relevance_window", 0),
+        ("dataset.synth.n_attack", -1), ("dataset.synth.dim", 0),
+        ("model.bottleneck_dim", 0), ("train.adam_beta1", 1.0),
+        ("train.adam_beta2", 1.0), ("train.adam_epsilon", 0.0),
         ("federation.latency.delays", {"a": 1}),
         ("federation.latency.delays", [1, 2]),
         ("federation.latency.delays", {0: float("nan")}),
@@ -134,13 +171,37 @@ class TestParseConfig:
         ("federation.latency.drop_after", -2),
     ])
     def test_out_of_range_value_rejected_with_key(self, key, value):
-        *path, last = key.split(".")
-        user = node = {}
-        for part in path:
-            node = node.setdefault(part, {})
-        node[last] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
-            build_config(user)
+            build_config(user_with(key, value))
+
+    @pytest.mark.parametrize("key, kind, interval", rows(str))
+    def test_interval_ends(self, key, kind, interval):
+        for end, included in interval_ends(interval):
+            if included:
+                build_config(user_with(key, kind(end)))
+                continue
+            if math.isinf(end) and kind is int:
+                expected = "expected int, got float"
+            else:
+                end = kind(end)
+                expected = f"expected a value in {interval}, got {end!r}"
+            with pytest.raises(ConfigError,
+                               match=rf"^{re.escape(f'{key}: {expected}')}$"):
+                build_config(user_with(key, end))
+
+    @pytest.mark.parametrize("key, kind, choices", rows(tuple))
+    def test_choice_rows_reject_unlisted_string(self, key, kind, choices):
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(key)}: expected one of "
+                rf"{re.escape(' | '.join(choices))}, got 'unlisted'$")):
+            build_config(user_with(key, "unlisted"))
+
+    @pytest.mark.parametrize("key, kind, allowed", rows(object))
+    def test_every_row_rejects_wrong_type(self, key, kind, allowed):
+        for value in WRONG_TYPE[kind]:
+            with pytest.raises(ConfigError,
+                               match=rf"^{re.escape(key)}: expected "):
+                build_config(user_with(key, value))
 
     @pytest.mark.parametrize("n_clients, fraction, bar, sampled", [
         (3, 1.0, 5, 3), (3, 0.5, 3, 2), (4, 0.5, 3, 2), (2, 0.5, 2, 1)])
@@ -230,6 +291,39 @@ class TestParseConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             build_config({"mode": "hybrid"})
+
+
+def drop(key):
+    return lambda arrays: {k: v for k, v in arrays.items() if k != key}
+
+
+def replace(key, make):
+    return lambda arrays: {**arrays, key: make(arrays[key])}
+
+
+def last_is(value):
+    return lambda a: np.append(a[:-1], value)
+
+
+def npy_bytes(arrays):
+    buf = io.BytesIO()
+    np.save(buf, arrays["flat"])
+    return buf.getvalue()
+
+
+def edit_model_npz(path, edit):
+    """Overwrite the archive at `path` with `edit` of its arrays: new
+    arrays, or the bytes of the new file."""
+    with np.load(path) as archive:
+        edited = edit({key: archive[key] for key in archive.files})
+    if isinstance(edited, bytes):
+        path.write_bytes(edited)
+    else:
+        np.savez(path, **edited)
+
+
+NOT_ARCHIVE = "expected an .npz archive"
+NOT_FINITE = "expected a 1-d array of finite numbers"
 
 
 def save_untrained_model(model_dir):
@@ -356,6 +450,37 @@ class TestCentralizedHarness:
             load_model(tmp_path)
         assert str(err.value) == (f"{tmp_path / 'model.json'}: "
                                   f"expected a JSON object")
+
+
+    @pytest.mark.parametrize("edit, problem", [
+        (drop("flat"), "missing key 'flat'"),
+        (drop("scaler_max"), "missing key 'scaler_max'"),
+        (drop("scaler_min"), "missing key 'scaler_min'"),
+        (replace("flat", lambda a: a.astype(str)), f"flat: {NOT_FINITE}"),
+        (replace("flat", lambda a: a.astype(object)), f"flat: {NOT_FINITE}"),
+        (replace("flat", lambda a: a > 0), f"flat: {NOT_FINITE}"),
+        (replace("flat", lambda a: a.reshape(1, -1)), f"flat: {NOT_FINITE}"),
+        (replace("flat", last_is(np.nan)), f"flat: {NOT_FINITE}"),
+        (replace("flat", last_is(np.inf)), f"flat: {NOT_FINITE}"),
+        (replace("scaler_min", last_is(-np.inf)),
+         f"scaler_min: {NOT_FINITE}"),
+        (replace("scaler_max", last_is(np.nan)), f"scaler_max: {NOT_FINITE}"),
+        (lambda arrays: b"not an archive", NOT_ARCHIVE),
+        (lambda arrays: b"", NOT_ARCHIVE),
+        (npy_bytes, NOT_ARCHIVE),
+    ], ids=["no-flat", "no-scaler-max", "no-scaler-min", "text-flat",
+            "object-flat", "bool-flat", "2d-flat", "nan-flat", "inf-flat",
+            "inf-scaler-min", "nan-scaler-max", "text-file", "empty-file",
+            "npy-file"])
+    def test_malformed_model_npz_names_file_and_key(self, tmp_path,
+                                                    central_run, edit,
+                                                    problem):
+        model_dir = tmp_path / "model"
+        shutil.copytree(central_run / "model", model_dir)
+        edit_model_npz(model_dir / "model.npz", edit)
+        with pytest.raises(DataError) as err:
+            load_model(model_dir)
+        assert str(err.value) == f"{model_dir / 'model.npz'}: {problem}"
 
 
 class TestDataPathResolution:
@@ -745,6 +870,22 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--dir", str(run_dir)]) == 1
         assert "['accuracy', 'recall']" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda arrays: b"not an archive", NOT_ARCHIVE),
+        (replace("flat", last_is(np.nan)), f"flat: {NOT_FINITE}"),
+    ], ids=["text-file", "nan-flat"])
+    def test_evaluate_rejects_malformed_model_npz(self, tmp_path, capsys,
+                                                  central_run, edit, problem):
+        model_dir = tmp_path / "model"
+        shutil.copytree(central_run / "model", model_dir)
+        edit_model_npz(model_dir / "model.npz", edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(write_tiny_yaml(tmp_path)),
+                     "--model", str(model_dir),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_dir / 'model.npz'}: {problem}\n")
 
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

@@ -125,10 +125,6 @@ class TestQfflDeltas:
             qffl_deltas(np.array([1.0]), update(0, [0.0], loss=0.0), q=0.5,
                         lipschitz=1.0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            qffl_deltas(np.zeros(2), update(0, [1.0]), 0.0, 1.0)
-
 
 class TestQfflAggregate:
     def test_single_client_q_zero_recovers_client(self):

@@ -1,10 +1,15 @@
-"""The package root exports exactly what the README documents."""
+"""The package root exports, and the config defaults are, exactly what the
+README documents."""
 
 import inspect
+import json
 import re
 from pathlib import Path
 
+import yaml
+
 import fedanom
+from fedanom.config import DEFAULT_CONFIG
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +31,13 @@ def test_root_binds_no_other_public_name():
     public = {name for name, value in vars(fedanom).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(fedanom.__all__)
+
+
+def test_configuration_yaml_block_is_the_defaults():
+    section = README.read_text().split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL)
+    documented = yaml.safe_load(block.group(1))
+    assert documented == DEFAULT_CONFIG
+    # JSON tells 1 from 1.0 and 1 from true, which == does not
+    assert (json.dumps(documented, sort_keys=True)
+            == json.dumps(DEFAULT_CONFIG, sort_keys=True))
