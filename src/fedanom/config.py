@@ -92,7 +92,15 @@ _ACCEPTS = {
     float: ((int, float), "number"),
     str: ((str,), "string"),
     list: ((list, tuple), "list"),
+    dict: ((dict,), "mapping"),
 }
+
+
+def _is_a(kind: type, value) -> bool:
+    """Whether `value` passes as `kind`, a type of _ACCEPTS (a bool passes
+    only as a bool)."""
+    return isinstance(value, _ACCEPTS[kind][0]) and (
+        kind is bool or not isinstance(value, bool))
 
 
 def _nested_defaults() -> dict:
@@ -119,6 +127,18 @@ def _in_interval(value: float, interval: str) -> bool:
     return above and below
 
 
+def _unallowed(value, allowed) -> str | None:
+    """What `value` is expected to be and is not, by `allowed` as in _KEYS,
+    or None if it is allowed."""
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            return f"expected one of {' | '.join(allowed)}, got {value!r}"
+    elif (allowed is not None and value is not None
+          and not _in_interval(value, allowed)):
+        return f"expected a value in {allowed}, got {value!r}"
+    return None
+
+
 def _check_values(data: dict) -> None:
     """Check each value against its key's allowed values in _KEYS; an
     error starts with the key."""
@@ -127,14 +147,9 @@ def _check_values(data: dict) -> None:
         value = data[section]
         for part in rest:
             value = value[part]
-        if isinstance(allowed, tuple):
-            if value not in allowed:
-                raise ConfigError(f"{key}: expected one of "
-                                  f"{' | '.join(allowed)}, got {value!r}")
-        elif (allowed is not None and value is not None
-              and not _in_interval(value, allowed)):
-            raise ConfigError(f"{key}: expected a value in {allowed}, "
-                              f"got {value!r}")
+        problem = _unallowed(value, allowed)
+        if problem:
+            raise ConfigError(f"{key}: {problem}")
 
 
 def _type_name(value) -> str:
@@ -144,10 +159,9 @@ def _type_name(value) -> str:
 def _check_scalar(path: str, value) -> object:
     """`value` as the type of `path`'s row in _KEYS, or fail naming the key."""
     kind = _KEYS[path][0]
-    accepts, name = _ACCEPTS[kind]
-    if not isinstance(value, accepts) or (isinstance(value, bool)
-                                          and kind is not bool):
-        raise ConfigError(f"{path}: expected {name}, got {_type_name(value)}")
+    if not _is_a(kind, value):
+        raise ConfigError(f"{path}: expected {_ACCEPTS[kind][1]}, "
+                          f"got {_type_name(value)}")
     return kind(value)
 
 
@@ -358,8 +372,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     # regexes on import, which every `import fedanom` would pay for
     import yaml
 
-    text = Path(path).read_text()
-    raw = yaml.safe_load(text) if text.strip() else None
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = yaml.safe_load(text) if text.strip() else None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: expected UTF-8 text") from None
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        where = "" if mark is None else (
+            f" at line {mark.line + 1}, column {mark.column + 1}")
+        raise ConfigError(f"{path}: not valid YAML{where}") from None
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {_type_name(raw)}")
     return build_config(raw)

@@ -554,6 +554,23 @@ def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
                            width, NORMAL_LABEL, strict=path)
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# each key of a schema file: (test of its value, what an error expects)
+_SCHEMA_KEYS = {
+    "label_column": (lambda v: isinstance(v, str), "a string"),
+    "normal_value": (lambda v: isinstance(v, str), "a string"),
+    "drop_columns": (_strings, "a list of strings"),
+    "categorical": (lambda v: isinstance(v, dict)
+                    and all(map(_strings, v.values())),
+                    "a mapping of columns to lists of strings"),
+    "expected_width": (lambda v: v is None or (type(v) is int and v >= 1),
+                       "a positive int or null"),
+}
+
+
 @dataclass(frozen=True)
 class SchemaConfig:
     """Declares how a raw flow CSV maps to a fixed-width feature matrix."""
@@ -580,22 +597,37 @@ class SchemaConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SchemaConfig":
-        with Path(path).open() as fh:
-            raw = json.load(fh)
-        allowed = {"label_column", "normal_value", "drop_columns",
-                   "categorical", "expected_width"}
-        unknown = set(raw) - allowed
+        """The schema in the JSON file at `path`. A file that is not a JSON
+        object, an unknown or missing key, a value of the wrong type, or a
+        schema `__post_init__` rejects, is a SchemaError naming the file."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            raw = None
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{path}: expected a JSON object")
+        unknown = set(raw) - set(_SCHEMA_KEYS)
         if unknown:
-            raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
+            raise SchemaError(
+                f"{path}: unknown schema keys: {sorted(unknown)}")
         if "label_column" not in raw:
-            raise SchemaError("schema must declare label_column")
-        return cls(
-            label_column=str(raw["label_column"]),
-            normal_value=str(raw.get("normal_value", NORMAL_LABEL)),
-            drop_columns=tuple(raw.get("drop_columns", ())),
-            categorical={k: tuple(v) for k, v in raw.get("categorical", {}).items()},
-            expected_width=raw.get("expected_width"),
-        )
+            raise SchemaError(f"{path}: schema must declare label_column")
+        for key, value in raw.items():
+            ok, expected = _SCHEMA_KEYS[key]
+            if not ok(value):
+                raise SchemaError(
+                    f"{path}: {key}: expected {expected}, got {value!r}")
+        try:
+            return cls(
+                label_column=raw["label_column"],
+                normal_value=raw.get("normal_value", NORMAL_LABEL),
+                drop_columns=tuple(raw.get("drop_columns", ())),
+                categorical={k: tuple(v)
+                             for k, v in raw.get("categorical", {}).items()},
+                expected_width=raw.get("expected_width"),
+            )
+        except SchemaError as err:
+            raise SchemaError(f"{path}: {err}") from None
 
 
 def load_csv(path: str | Path, schema: SchemaConfig

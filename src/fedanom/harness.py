@@ -1,27 +1,20 @@
-"""Experiment pipelines and report emission.
+"""Experiment pipelines, report emission, and the files read back.
 
-Centralized mode: the whole dataset is one client. Separate normals from
-attacks, 80/20 split the normals, draw a seeded attack sample of the
-validation size (capped), all as row indices, fit the scaler on training
-normals only, run one local round of `train.epochs` epochs (train, then
-calibrate on the training reconstruction errors), then test on the
-validation normals plus the attack sample.
-
-Federated mode: Dirichlet-partition the records across clients, run the
-round loop, fix the detector at the least local threshold over all
-(round, client) pairs, and evaluate per client and pooled.
-
-Every split leaves at least one training row, or preparation raises a
-DataError. Both modes train through `federation.local_round`, and both,
-like a saved model's re-evaluation, are scored by
-`federation.evaluate_clients`; a federated run's result is its last
-round's evaluation, so no row is scored twice.
+Centralized mode scores the whole dataset as one client (see
+`prepare_centralized`). Federated mode Dirichlet-partitions it across
+clients (see `prepare_clients`), runs the round loop, and fixes the
+detector at the least local threshold over all (round, client) pairs.
+Both modes train through `federation.local_round`, and both, like a
+saved model's re-evaluation, are scored by `federation.evaluate_clients`;
+a federated run's result is its last round's evaluation, so no row is
+scored twice.
 
 All emitted artifacts are deterministic for a given config: no timestamps,
 seeded streams everywhere, and every file carries the master seed and the
 config fingerprint. This module owns the run directory's formats: each
 JSON file goes through `_write_json`, each CSV file through `_write_csv`,
-and `read_report` reads a run back.
+and each file read back is checked by `_check` against its one declared
+format (`MODEL_JSON`, `MODEL_NPZ`, `CONFUSION_CSV`, `METRICS_JSON`).
 """
 from __future__ import annotations
 
@@ -30,8 +23,9 @@ import json
 import logging
 import math
 import os
+import sys
 import zipfile
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +40,8 @@ from .config import (
     STREAM_TEST,
     STREAM_TRAIN,
     ExperimentConfig,
+    _is_a,
+    _unallowed,
 )
 from .dataplane import (
     LabeledDataset,
@@ -61,7 +57,7 @@ from .dataplane import (
     train_val_split,
 )
 from .detector import ConfusionMatrix, MetricsReport, ThresholdDetector
-from .errors import DataError
+from .errors import ConfigError, DataError, ShapeError
 from .federation import (
     ClientState,
     FederationResult,
@@ -70,7 +66,14 @@ from .federation import (
     local_round,
     run_federated,
 )
-from .numerics import LayerSpec, ParameterSet, derive_rng, unpack
+from .numerics import (
+    LayerSpec,
+    ParameterSet,
+    _checked_specs,
+    _n_params,
+    derive_rng,
+    unpack,
+)
 
 log = logging.getLogger("fedanom")
 
@@ -82,12 +85,8 @@ def resolve_data_path(path: str | Path) -> Path:
     p = Path(path)
     if p.exists() or p.is_absolute():
         return p
-    base = os.environ.get(DATA_DIR_ENV)
-    if base:
-        candidate = Path(base) / p
-        if candidate.exists():
-            return candidate
-    return p
+    candidate = Path(os.environ.get(DATA_DIR_ENV) or ".") / p
+    return candidate if candidate.exists() else p
 
 
 def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -96,8 +95,8 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         return synth_generate(cfg.synth_spec())
     path = resolve_data_path(ds_cfg["path"])
     if ds_cfg["schema"]:
-        schema = SchemaConfig.from_file(resolve_data_path(ds_cfg["schema"]))
-        ds, skipped = load_csv(path, schema)
+        ds, skipped = load_csv(path, SchemaConfig.from_file(
+            resolve_data_path(ds_cfg["schema"])))
     else:
         ds, skipped = load_dataset(path)
     if skipped:
@@ -108,12 +107,10 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 @dataclass
 class EvaluationReport:
-    """Everything the reporting layer needs about one finished experiment.
-
-    `per_client` is set in federated mode only. `epoch_losses` is set by a
+    """Everything the reporting layer needs about one finished experiment:
+    `per_client` is set in federated mode only, `epoch_losses` by a
     centralized training run, and `round_traces` and `mean_round_accuracy`
-    by a federated one.
-    """
+    by a federated one."""
 
     mode: str
     seed: int
@@ -158,6 +155,13 @@ def _split_normals(cfg: ExperimentConfig, normal: np.ndarray, seed: int,
     return train_val_split(normal, fraction, seed)
 
 
+def _client(k: int, ds: LabeledDataset, scaler: ScalerParams,
+            rows: tuple[np.ndarray, ...], rng_seed: int) -> ClientState:
+    """Client `k`: its train, validation and attack `rows` of `ds`, scaled."""
+    train, val, attack = (apply_scaler(scaler, ds.features, r) for r in rows)
+    return ClientState(k, train, val, attack, rng_seed)
+
+
 def prepare_centralized(cfg: ExperimentConfig,
                         ds: LabeledDataset | None = None,
                         scaler: ScalerParams | None = None
@@ -166,8 +170,7 @@ def prepare_centralized(cfg: ExperimentConfig,
 
     The client trains on the training normals. Its evaluation rows are the
     validation normals and a seeded sample of min(n_val, n_attack) attack
-    rows. The splits and the sample are row indices, so each slice gathers
-    its rows from `ds.features` once and is scaled in place; `ds` is never
+    rows. The splits and the sample are row indices, and `ds` is never
     written. Without `scaler`, one is fit on the training normals.
     """
     if ds is None:
@@ -179,14 +182,8 @@ def prepare_centralized(cfg: ExperimentConfig,
     attack = attack[np.sort(sample)]
     if scaler is None:
         scaler = fit_scaler(ds.features[train])
-    client = ClientState(
-        client_id=0,
-        train=apply_scaler(scaler, ds.features, train),
-        val=apply_scaler(scaler, ds.features, val),
-        attack=apply_scaler(scaler, ds.features, attack),
-        rng_seed=cfg.derived_seed(STREAM_TRAIN),
-    )
-    return client, scaler
+    return _client(0, ds, scaler, (train, val, attack),
+                   cfg.derived_seed(STREAM_TRAIN)), scaler
 
 
 def _model_config(cfg: ExperimentConfig,
@@ -229,20 +226,15 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
     report = _report(cfg, MODE_CENTRALIZED, detector,
                      *evaluate_clients(trained, [client], detector),
                      epoch_losses=list(update.epoch_losses))
-    model = TrainedModel(trained, detector, scaler, cfg.fingerprint(),
-                         cfg.seed)
-    return report, model
+    return report, TrainedModel(trained, detector, scaler, cfg.fingerprint(),
+                                cfg.seed)
 
 
 def prepare_clients(cfg: ExperimentConfig,
                     ds: LabeledDataset | None = None) -> list[ClientState]:
-    """Partition the dataset and build per-client scaled data slices.
-
-    Each client fits its own scaler on its local training normals; nothing
-    crosses the simulated privacy boundary. A client's partition, label and
-    train/validation splits are row indices, so each of its slices is
-    gathered from `ds.features` once and scaled in place.
-    """
+    """Partition the dataset and build per-client scaled data slices. Each
+    client fits its own scaler on its local training normals, so nothing
+    crosses the simulated privacy boundary."""
     if ds is None:
         ds = load_experiment_dataset(cfg)
     fed = cfg.data["federation"]
@@ -253,14 +245,9 @@ def prepare_clients(cfg: ExperimentConfig,
         normal, attack = split_by_label(ds, indices)
         train, val = _split_normals(cfg, normal,
                                     cfg.derived_seed(STREAM_SPLIT, k), k)
-        scaler = fit_scaler(ds.features[train])
-        clients.append(ClientState(
-            client_id=k,
-            train=apply_scaler(scaler, ds.features, train),
-            val=apply_scaler(scaler, ds.features, val),
-            attack=apply_scaler(scaler, ds.features, attack),
-            rng_seed=cfg.derived_seed(STREAM_CLIENT, k),
-        ))
+        clients.append(_client(k, ds, fit_scaler(ds.features[train]),
+                               (train, val, attack),
+                               cfg.derived_seed(STREAM_CLIENT, k)))
     return clients
 
 
@@ -290,27 +277,44 @@ def run_federated_experiment(cfg: ExperimentConfig
                      last.pooled_metrics, round_traces=result.rounds,
                      mean_round_accuracy=result.mean_round_accuracy)
     params = ParameterSet(result.final_params, model_cfg.layer_specs())
-    model = TrainedModel(params, result.detector, None, cfg.fingerprint(),
-                         cfg.seed)
-    return report, model, result
+    return report, TrainedModel(params, result.detector, None,
+                                cfg.fingerprint(), cfg.seed), result
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedModel]:
     if cfg.mode == MODE_FEDERATED:
-        report, model, _ = run_federated_experiment(cfg)
-        return report, model
+        return run_federated_experiment(cfg)[:2]
     return run_centralized(cfg)
 
 
 # ---------------------------------------------------------------------------
 # the run directory: its one JSON writer, one CSV writer and their readers
 
-CONFUSION_HEADER = ("tp", "fp", "tn", "fn")
 ROUND_TRACE_HEADER = ("round", "client_id", "local_loss", "threshold",
                       "participated", "alpha", "global_norm")
 
+# Each file read back: key or column -> (type, required, allowed, expected).
+# `type` is a config._ACCEPTS type (float: a finite number), [type] for a
+# list of them, or np.ndarray for a 1-d array of finite numbers; `required`
+# is True, False (absent and null alike) or the key it comes with;
+# `allowed` is as in config._KEYS; `expected` names the type in errors.
+MODEL_JSON = {
+    "threshold": (float, True, "[0, inf)", "a finite number"),
+    "fingerprint": (str, True, None, "a string"),
+    "layers": ([dict], True, None, "a list of mappings"),
+    "per_round_thresholds": ([float], False, None, "a list of finite numbers"),
+    "seed": (int, False, None, "an int"),
+}
+MODEL_NPZ = {
+    key: (np.ndarray, required, None, "a 1-d array of finite numbers")
+    for key, required in (("flat", True), ("scaler_min", "scaler_max"),
+                          ("scaler_max", "scaler_min"))}
+CONFUSION_CSV = {key: (int, True, "[0, inf)", "a count")
+                 for key in ("tp", "fp", "tn", "fn")}
 # the artifact key of each `MetricsReport` field, in field order
-METRIC_KEYS = ("accuracy", "precision", "recall", "f_measure", "false_rate")
+METRICS_JSON = {key: (float, False, None, "a finite number or null")
+                for key in ("accuracy", "precision", "recall", "f_measure",
+                            "false_rate")}
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -322,21 +326,48 @@ def _write_csv(path: Path, report: EvaluationReport, header, rows) -> Path:
     """Write the `# seed=... fingerprint=...` line, `header`, then `rows`."""
     with path.open("w", newline="") as fh:
         fh.write(f"# seed={report.seed} fingerprint={report.fingerprint}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
     return path
 
 
-def _read_json(path: Path) -> dict:
-    """The JSON object in `path`; anything else is a DataError naming it."""
+def _is(kind, value) -> bool:
+    """Whether `value` is of a file format's `kind`."""
+    if isinstance(kind, list):
+        return _is_a(list, value) and all(_is(kind[0], v) for v in value)
+    if kind is np.ndarray:
+        return (isinstance(value, np.ndarray) and value.ndim == 1
+                and value.dtype.kind in "iuf" and np.isfinite(value).all())
+    return _is_a(kind, value) and (
+        kind is not float or abs(value) <= sys.float_info.max)
+
+
+def _check(path: Path, fmt: dict, payload: dict) -> dict:
+    """`payload`, read from `path`, once it meets file format `fmt`; else a
+    DataError naming the file and the first key at fault."""
+    for key, (kind, required, allowed, expected) in fmt.items():
+        value = payload.get(key)
+        if key not in payload:
+            if required is True or (required and required in payload):
+                raise DataError(f"{path}: missing key {key!r}")
+        elif value is not None or required is not False:
+            problem = _unallowed(value, allowed) if _is(kind, value) else (
+                f"expected {expected}"
+                + ("" if kind is np.ndarray else f", got {value!r}"))
+            if problem:
+                raise DataError(f"{path}: {key}: {problem}")
+    return payload
+
+
+def _read_json(path: Path, fmt: dict) -> dict:
+    """The JSON object in `path`, checked against `fmt`; anything else is a
+    DataError naming the file."""
     try:
         payload = json.loads(path.read_text())
     except ValueError:  # not UTF-8, or not JSON
         payload = None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
-    return payload
+    return _check(path, fmt, payload)
 
 
 def _metric_value(v: float | None):
@@ -353,9 +384,9 @@ def _round_mean_loss(trace: RoundTrace) -> float | None:
 
 
 def metric_values(m: MetricsReport) -> dict[str, float | None]:
-    """`m`'s five metrics under their `METRIC_KEYS` names."""
+    """`m`'s five metrics under their `METRICS_JSON` keys."""
     return {key: _metric_value(value)
-            for key, value in zip(METRIC_KEYS, astuple(m), strict=True)}
+            for key, value in zip(METRICS_JSON, astuple(m), strict=True)}
 
 
 def metrics_payload(report: EvaluationReport) -> dict:
@@ -375,8 +406,7 @@ def metrics_payload(report: EvaluationReport) -> dict:
 
 def write_manifest(out: Path, seed: int, fingerprint: str, config: dict,
                    **extra) -> Path:
-    """Write `out/manifest.json`: the run's seed, fingerprint and config,
-    plus `extra`."""
+    """Write `out/manifest.json`: seed, fingerprint, config and `extra`."""
     return _write_json(out / "manifest.json",
                        {"seed": seed, "fingerprint": fingerprint,
                         "config": config, **extra})
@@ -389,7 +419,7 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = [
         _write_json(out / "metrics.json", metrics_payload(report)),
-        _write_csv(out / "confusion.csv", report, CONFUSION_HEADER,
+        _write_csv(out / "confusion.csv", report, CONFUSION_CSV,
                    [astuple(report.confusion)]),
     ]
     traces = report.round_traces
@@ -413,9 +443,7 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
         written.append(_write_json(out / "per_client_metrics.json", {
             "seed": report.seed, "fingerprint": report.fingerprint,
             "clients": {
-                str(cid): {"confusion": dict(zip(CONFUSION_HEADER,
-                                                 astuple(cm))),
-                           **metric_values(m)}
+                str(cid): {"confusion": asdict(cm), **metric_values(m)}
                 for cid, (cm, m) in sorted(report.per_client.items())}}))
     written.append(write_manifest(
         out, report.seed, report.fingerprint, report.config, mode=report.mode,
@@ -425,7 +453,7 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
 
 def read_report(run_dir: str | Path
                 ) -> tuple[ConfusionMatrix, dict[str, float | None]]:
-    """The confusion matrix and stored `METRIC_KEYS` metrics (None where
+    """The confusion matrix and stored `METRICS_JSON` metrics (None where
     missing) of a run directory written by `emit_report`. A malformed file
     is a DataError naming it and what is wrong."""
     run_dir = Path(run_dir)
@@ -436,25 +464,20 @@ def read_report(run_dir: str | Path
                 line for line in fh if not line.startswith("#"))) or [[]]
     except UnicodeDecodeError:
         raise DataError(f"{path}: expected UTF-8 text") from None
-    if tuple(header) != CONFUSION_HEADER:
+    if tuple(header) != tuple(CONFUSION_CSV):
         raise DataError(f"{path}: expected header "
-                        f"{','.join(CONFUSION_HEADER)}, got {header}")
-    try:  # exactly one row of integers
-        (counts,) = [[int(cell) for cell in row] for row in rows]
-    except ValueError:
-        counts = []
-    if len(counts) != len(CONFUSION_HEADER) or min(counts) < 0:
+                        f"{','.join(CONFUSION_CSV)}, got {header}")
+    try:  # exactly one row, each cell read as its column's type
+        (row,) = rows
+        counts = _check(path, CONFUSION_CSV, {
+            key: kind(cell) for (key, (kind, *_)), cell
+            in zip(CONFUSION_CSV.items(), row, strict=True)})
+    except ValueError:  # a DataError is one too
         raise DataError(f"{path}: expected one row of 4 non-negative "
-                        f"integer counts, got {rows}")
-    path = run_dir / "metrics.json"
-    stored = _read_json(path)
-    for key in METRIC_KEYS:
-        value = stored.get(key)
-        if value is not None and not _is_finite_number(value):
-            raise DataError(f"{path}: {key}: expected a finite number or "
-                            f"null, got {value!r}")
-    return (ConfusionMatrix(*counts),
-            {key: stored.get(key) for key in METRIC_KEYS})
+                        f"integer counts, got {rows}") from None
+    stored = _read_json(run_dir / "metrics.json", METRICS_JSON)
+    return (ConfusionMatrix(**counts),
+            {key: stored.get(key) for key in METRICS_JSON})
 
 
 def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
@@ -472,25 +495,22 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
         "threshold": model.detector.threshold,
         "per_round_thresholds": (list(model.detector.per_round)
                                  if model.detector.per_round else None),
-        "layers": [
-            {"out_dim": s.out_dim, "in_dim": s.in_dim,
-             "activation": s.activation.value, "dropout": s.dropout}
-            for s in model.params.specs
-        ],
+        "layers": [s._asdict() | {"activation": s.activation.value}
+                   for s in model.params.specs],
     })
     return out
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _loaded(archive, key: str) -> np.ndarray | None:
+    try:
+        return archive[key]
+    except ValueError:  # object arrays, which would need pickle
+        return None
 
 
 def _read_arrays(path: Path) -> dict[str, np.ndarray]:
-    """`flat`, and `scaler_min` and `scaler_max` if either is there, from
-    the `.npz` archive at `path`. A file that is not one, a missing array,
-    or an array that is not a 1-d vector of finite numbers, is a DataError
-    naming the file and the key."""
+    """The `MODEL_NPZ` arrays of the `.npz` archive at `path`, checked
+    against it; any other file is a DataError naming it."""
     try:
         archive = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile):  # e.g. pickled data
@@ -498,73 +518,51 @@ def _read_arrays(path: Path) -> dict[str, np.ndarray]:
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise DataError(f"{path}: expected an .npz archive")
     with archive:
-        keys = ["flat"]
-        if {"scaler_min", "scaler_max"} & set(archive.files):
-            keys += ["scaler_min", "scaler_max"]
-        arrays = {}
-        for key in keys:
-            if key not in archive.files:
-                raise DataError(f"{path}: missing key {key!r}")
-            try:
-                array = archive[key]
-            except ValueError:  # object arrays, which would need pickle
-                array = None
-            if (array is None or array.ndim != 1
-                    or array.dtype.kind not in "iuf"
-                    or not np.isfinite(array).all()):
-                raise DataError(f"{path}: {key}: expected a 1-d array of "
-                                f"finite numbers")
-            arrays[key] = array
-    return arrays
+        return _check(path, MODEL_NPZ, {key: _loaded(archive, key)
+                                        for key in MODEL_NPZ
+                                        if key in archive.files})
 
 
 def load_model(model_dir: str | Path) -> TrainedModel:
-    """Read a bundle written by `save_model`. A `model.json` that is not a
-    JSON object, a missing key, or a value of the wrong type (`threshold`
-    not a finite number, `per_round_thresholds` not a list of them, `seed`
-    not an int, `layers` not a list of mappings), is a `DataError` naming
-    the file and the key; a malformed layer is one naming the layer and
-    the field. `model.npz` is checked by `_read_arrays`."""
+    """Read a bundle written by `save_model`: each file checked against its
+    format, then the facts across them. A failure is a DataError that
+    starts with the path of the file holding the value and names the key,
+    or the layer and the field."""
     model_dir = Path(model_dir)
-    meta_path = model_dir / "model.json"
-    meta = _read_json(meta_path)
-    for key in ("threshold", "fingerprint", "layers"):
-        if key not in meta:
-            raise DataError(f"{meta_path}: missing key {key!r}")
-    threshold, layers = meta["threshold"], meta["layers"]
-    per_round = meta.get("per_round_thresholds")
-    seed = meta.get("seed", 0)
-    for key, ok, expected in (
-            ("threshold", _is_finite_number(threshold), "a finite number"),
-            ("per_round_thresholds", per_round is None or (
-                isinstance(per_round, list)
-                and all(map(_is_finite_number, per_round))),
-             "a list of finite numbers"),
-            ("seed", isinstance(seed, int) and not isinstance(seed, bool),
-             "an int"),
-            ("layers", isinstance(layers, list)
-             and all(isinstance(layer, dict) for layer in layers),
-             "a list of mappings")):
-        if not ok:
-            raise DataError(
-                f"{meta_path}: {key}: expected {expected}, got {meta[key]!r}")
-    arrays = _read_arrays(model_dir / "model.npz")
-    specs = [LayerSpec(*(layer.get(f) for f in LayerSpec._fields))
-             for layer in layers]
-    params = unpack(arrays["flat"], specs)
-    detector = ThresholdDetector(float(threshold),
-                                 tuple(per_round) if per_round else None)
+    meta_path, npz_path = model_dir / "model.json", model_dir / "model.npz"
+    meta = _read_json(meta_path, MODEL_JSON)
+    arrays = _read_arrays(npz_path)
+    threshold, per_round = meta["threshold"], meta.get("per_round_thresholds")
+    if per_round and threshold != min(per_round):
+        raise DataError(f"{meta_path}: threshold: expected the least "
+                        f"per_round_thresholds value, {min(per_round)!r}, "
+                        f"got {threshold!r}")
+    try:
+        specs = _checked_specs([LayerSpec(*map(layer.get, LayerSpec._fields))
+                                for layer in meta["layers"]])
+    except (ShapeError, ConfigError) as err:
+        raise DataError(f"{meta_path}: {err}") from None
+    sizes = {"flat": _n_params(specs), "scaler_min": specs[0].in_dim,
+             "scaler_max": specs[0].in_dim}
+    for key, array in arrays.items():
+        if array.size != sizes[key]:
+            raise DataError(f"{npz_path}: {key}: expected {sizes[key]} values "
+                            f"for the layers in model.json, got {array.size}")
     scaler = None
     if "scaler_min" in arrays:
+        below = arrays["scaler_max"] < arrays["scaler_min"]
+        if below.any():
+            raise DataError(f"{npz_path}: scaler_max: below scaler_min in "
+                            f"column {below.argmax()}")
         scaler = ScalerParams(arrays["scaler_min"], arrays["scaler_max"])
-    return TrainedModel(params, detector, scaler, meta["fingerprint"], seed)
+    detector = ThresholdDetector(float(threshold), per_round or None)
+    return TrainedModel(unpack(arrays["flat"], specs), detector, scaler,
+                        meta["fingerprint"], meta.get("seed") or 0)
 
 
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
     """Re-run the evaluation stage of an experiment from a saved model."""
-    if cfg.mode == MODE_FEDERATED:
-        clients = prepare_clients(cfg)
-    else:
-        clients = [prepare_centralized(cfg, scaler=model.scaler)[0]]
+    clients = (prepare_clients(cfg) if cfg.mode == MODE_FEDERATED
+               else [prepare_centralized(cfg, scaler=model.scaler)[0]])
     return _report(cfg, cfg.mode, model.detector,
                    *evaluate_clients(model.params, clients, model.detector))

@@ -7,10 +7,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedanom.cli import main
 from fedanom.config import (
@@ -20,6 +25,7 @@ from fedanom.config import (
     parse_config,
 )
 from fedanom.autoencoder import build
+from fedanom.dataplane import ScalerParams
 from fedanom.detector import ThresholdDetector
 from fedanom.errors import (
     ConfigError,
@@ -37,6 +43,7 @@ from fedanom.harness import (
     run_federated_experiment,
     save_model,
 )
+from fedanom.numerics import Activation, LayerSpec, ParameterSet
 
 
 def tiny_config(**overrides):
@@ -322,6 +329,85 @@ def edit_model_npz(path, edit):
         np.savez(path, **edited)
 
 
+def edit_bundle_file(path, edit):
+    """Overwrite `model.npz` as `edit_model_npz` does, or `model.json` with
+    `edit` of its mapping."""
+    if path.suffix == ".npz":
+        edit_model_npz(path, edit)
+    else:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def scaler_max_below_min_in_column(j):
+    def edit(arrays):
+        top = arrays["scaler_max"].copy()
+        top[j] = arrays["scaler_min"][j] - 1.0
+        return {**arrays, "scaler_max": top}
+    return edit
+
+
+def gelu_layer(meta):
+    meta["layers"][2]["activation"] = "gelu"
+    return meta
+
+
+# a trained tiny model (8 features, 190 parameters) edited so that each of
+# its files is well formed alone but a fact across its keys fails
+BUNDLE_FACTS = [
+    pytest.param("model.npz", replace("flat", lambda a: a[:-1]),
+                 "flat: expected 190 values for the layers in model.json, "
+                 "got 189", id="flat-one-short"),
+    pytest.param("model.npz", lambda arrays: {
+        **arrays, "scaler_min": arrays["scaler_min"][:5],
+        "scaler_max": arrays["scaler_max"][:5]},
+        "scaler_min: expected 8 values for the layers in model.json, got 5",
+        id="scaler-width-5"),
+    pytest.param("model.npz", replace("scaler_max", lambda a: a[:5]),
+                 "scaler_max: expected 8 values for the layers in "
+                 "model.json, got 5", id="scaler-widths-differ"),
+    pytest.param("model.npz", scaler_max_below_min_in_column(3),
+                 "scaler_max: below scaler_min in column 3",
+                 id="scaler-max-below-min"),
+    pytest.param("model.json", lambda meta: {**meta, "threshold": -0.5},
+                 "threshold: expected a value in [0, inf), got -0.5",
+                 id="negative-threshold"),
+    pytest.param("model.json", lambda meta: {
+        **meta, "threshold": 0.5, "per_round_thresholds": [0.75, 0.25]},
+        "threshold: expected the least per_round_thresholds value, 0.25, "
+        "got 0.5", id="threshold-not-round-min"),
+    pytest.param("model.json", lambda meta: {**meta, "fingerprint": 5},
+                 "fingerprint: expected a string, got 5",
+                 id="int-fingerprint"),
+    pytest.param("model.json", gelu_layer,
+                 "layer 2: activation must be one of relu | tanh | "
+                 "identity, got 'gelu'", id="unknown-activation"),
+]
+
+
+@st.composite
+def bundles(draw):
+    """A `TrainedModel` of 1-4 layers of sizes 1-9, with or without a
+    scaler and per-round thresholds."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    specs = [LayerSpec(out_dim, in_dim, draw(st.sampled_from(Activation)),
+                       draw(st.floats(0.0, 1.0, exclude_max=True)))
+             for in_dim, out_dim in zip(sizes, sizes[1:])]
+    finite = st.floats(-1e6, 1e6)
+    n_params = sum(s.out_dim * (s.in_dim + 1) for s in specs)
+    flat = draw(arrays(np.float64, n_params, elements=finite))
+    per_round = draw(st.none() | st.lists(st.floats(0.0, 1e6), min_size=1,
+                                          max_size=4))
+    threshold = min(per_round) if per_round else draw(st.floats(0.0, 1e6))
+    scaler = None
+    if draw(st.booleans()):
+        ends = draw(arrays(np.float64, (2, sizes[0]), elements=finite))
+        scaler = ScalerParams(ends.min(axis=0), ends.max(axis=0))
+    return TrainedModel(ParameterSet(flat, specs),
+                        ThresholdDetector(threshold, per_round), scaler,
+                        draw(st.text(max_size=12)),
+                        draw(st.integers(-2**63, 2**63)))
+
+
 NOT_ARCHIVE = "expected an .npz archive"
 NOT_FINITE = "expected a 1-d array of finite numbers"
 
@@ -481,6 +567,48 @@ class TestCentralizedHarness:
         with pytest.raises(DataError) as err:
             load_model(model_dir)
         assert str(err.value) == f"{model_dir / 'model.npz'}: {problem}"
+
+    @pytest.mark.parametrize("name, edit, problem", BUNDLE_FACTS)
+    def test_bundle_facts_name_file_and_key(self, tmp_path, central_run,
+                                            name, edit, problem):
+        model_dir = tmp_path / "model"
+        shutil.copytree(central_run / "model", model_dir)
+        edit_bundle_file(model_dir / name, edit)
+        with pytest.raises(DataError) as err:
+            load_model(model_dir)
+        assert str(err.value) == f"{model_dir / name}: {problem}"
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("threshold", 10 ** 400, "a finite number"),
+        ("per_round_thresholds", [10 ** 400], "a list of finite numbers"),
+    ], ids=["threshold", "per-round-thresholds"])
+    def test_int_beyond_float_range_is_no_finite_number(self, tmp_path, key,
+                                                        value, expected):
+        meta = save_untrained_model(tmp_path)
+        meta[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError) as err:
+            load_model(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'model.json'}: {key}: "
+                                  f"expected {expected}, got {value!r}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=bundles())
+    def test_every_saved_bundle_loads_back_unchanged(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_model(save_model(model, Path(tmp)))
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+        assert loaded.params.specs == model.params.specs
+        assert loaded.detector == model.detector
+        assert (loaded.fingerprint, loaded.seed) == (model.fingerprint,
+                                                     model.seed)
+        if model.scaler is None:
+            assert loaded.scaler is None
+        else:
+            assert loaded.scaler.minimum.tobytes() == (
+                model.scaler.minimum.tobytes())
+            assert loaded.scaler.maximum.tobytes() == (
+                model.scaler.maximum.tobytes())
 
 
 class TestDataPathResolution:
@@ -887,6 +1015,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {model_dir / 'model.npz'}: {problem}\n")
 
+    @pytest.mark.parametrize("name, edit, problem", BUNDLE_FACTS)
+    def test_evaluate_names_bundle_file_and_key(self, tmp_path, capsys,
+                                                central_run, name, edit,
+                                                problem):
+        model_dir = tmp_path / "model"
+        shutil.copytree(central_run / "model", model_dir)
+        edit_bundle_file(model_dir / name, edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(write_tiny_yaml(tmp_path)),
+                     "--model", str(model_dir),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_dir / name}: {problem}\n")
+
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
         out_a = tmp_path / "a"
@@ -912,6 +1054,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, problem", [
+        (b"train: {epochs: [1\n", "not valid YAML at line 2, column 1"),
+        (b"seed: 7 # \xff\n", "expected UTF-8 text"),
+    ], ids=["malformed-yaml", "not-utf8"])
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                      text, problem):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text)
+        assert main(["train-central", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
 
     def test_console_entry_point(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

@@ -539,6 +539,36 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="'c'"):
             SchemaConfig.from_file(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"label_column": "y",', "expected a JSON object"),
+        (b'{"label_column": "\xff"}', "expected a JSON object"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"label_column": 5}', "label_column: expected a string, got 5"),
+        ('{"label_column": "y", "categorical": ["a"]}',
+         "categorical: expected a mapping of columns to lists of strings, "
+         "got ['a']"),
+        ('{"label_column": "y", "categorical": {"c": "tcp"}}',
+         "categorical: expected a mapping of columns to lists of strings, "
+         "got {'c': 'tcp'}"),
+        ('{"label_column": "y", "drop_columns": "frame.time"}',
+         "drop_columns: expected a list of strings, got 'frame.time'"),
+        ('{"label_column": "y", "expected_width": "66"}',
+         "expected_width: expected a positive int or null, got '66'"),
+        ('{"label_column": "y", "expected_width": true}',
+         "expected_width: expected a positive int or null, got True"),
+        ('{"label_column": "y", "categorical": {"c": ["a", "a"]}}',
+         "categorical column 'c' repeats vocabulary entries ['a']"),
+    ], ids=["not-json", "not-utf8", "list-root", "int-label",
+            "list-categorical", "text-vocabulary", "text-drop-columns",
+            "text-width", "bool-width", "repeated-vocabulary"])
+    def test_malformed_schema_file_names_file_and_key(self, tmp_path, text,
+                                                      problem):
+        path = tmp_path / "schema.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(SchemaError) as err:
+            SchemaConfig.from_file(path)
+        assert str(err.value) == f"{path}: {problem}"
+
     def test_schema_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text('{"label_column": "x", "bogus": 1}')
