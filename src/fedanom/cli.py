@@ -10,8 +10,11 @@ Subcommands:
 
 Every subcommand but report takes --config (YAML; blank file = all
 defaults), --seed (overrides the config's master seed) and --out (output
-directory). The commands only call `harness`, which writes and reads the
-run directory's files.
+directory). `harness` writes and reads the run directory's files and
+every `manifest.json`; the two data files are written elsewhere: synth's
+`dataset.csv` by `dataplane.save_dataset`, and partition's
+`partition.json` by `cmd_partition` itself. An error, OS errors included,
+is one `error:` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -25,12 +28,11 @@ from pathlib import Path
 from .config import (
     MODE_CENTRALIZED,
     MODE_FEDERATED,
-    STREAM_PARTITION,
     ExperimentConfig,
     build_config,
     parse_config,
 )
-from .dataplane import dirichlet_partition, save_dataset, synth_generate
+from .dataplane import save_dataset, synth_generate
 from .detector import metrics
 from .errors import FedAnomError
 from .harness import (
@@ -39,6 +41,7 @@ from .harness import (
     load_experiment_dataset,
     load_model,
     metric_values,
+    partition,
     read_report,
     run_experiment,
     save_model,
@@ -74,9 +77,7 @@ def cmd_synth(args) -> int:
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
     ds = load_experiment_dataset(cfg)
-    fed = cfg.data["federation"]
-    plan = dirichlet_partition(ds, fed["n_clients"], fed["alpha"],
-                               cfg.derived_seed(STREAM_PARTITION))
+    plan = partition(cfg, ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = plan.to_dict()
@@ -127,9 +128,9 @@ def cmd_report(args) -> int:
     """Recompute metrics from an emitted confusion.csv and cross-check."""
     confusion, stored = read_report(args.dir)
     recomputed = metric_values(metrics(confusion))
+    # JSON floats round-trip, so an honest file matches exactly
     mismatched = [key for key, value in recomputed.items()
-                  if (value is None) != (stored[key] is None)
-                  or (value is not None and abs(value - stored[key]) > 1e-12)]
+                  if value != stored[key]]
     if mismatched:
         print(f"metrics mismatch against confusion matrix: {mismatched}")
         return 1
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (FedAnomError, FileNotFoundError) as err:
+    except (FedAnomError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,7 @@ _KEYS = {
     "dataset.synth.n_normal": (int, 2000, "[0, inf)"),
     "dataset.synth.n_attack": (int, 200, "[0, inf)"),
     "dataset.synth.dim": (int, 66, "[1, inf)"),
-    "dataset.synth.displacement": (float, 2.0, None),
+    "dataset.synth.displacement": (float, 2.0, "(-inf, inf)"),
     "dataset.synth.seed": (int, 42, None),
     "dataset.path": (str, None, None),
     "dataset.schema": (str, None, None),

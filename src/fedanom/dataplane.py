@@ -29,12 +29,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter, length_hint
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -534,16 +535,31 @@ def _parse_rows(lines: Iterable[str], width: int,
     return LabeledDataset(features, label_array), skipped + n_bad
 
 
+@contextmanager
+def _csv_text(path: Path) -> Iterator[TextIO]:
+    """`path` opened for csv.reader. A byte that is not UTF-8, or a field
+    longer than csv's size limit, anywhere in the parse under it is a
+    DataError that starts with the path."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: expected UTF-8 text") from None
+    except csv.Error as err:
+        raise DataError(f"{path}: {err}") from None
+
+
 def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
     """Read the canonical columnar CSV written by save_dataset.
 
     Lines starting with `#` are ignored and every row must have exactly
     one cell per header column. Returns the dataset and the number of rows
     skipped because a feature cell did not parse as a finite number or the
-    label ends in a NUL character.
+    label ends in a NUL character. A file that is not UTF-8 text, or has a
+    field longer than csv's size limit, is a DataError naming it.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _csv_text(path) as fh:
         lines = (line for line in fh if not line.startswith("#"))
         reader = csv.reader(lines)
         header = next(reader, None)
@@ -640,10 +656,11 @@ def load_csv(path: str | Path, schema: SchemaConfig
     NUL character. Blank rows are ignored.
     Categorical values outside the declared vocabulary one-hot to an
     all-zero block, keeping the width stable. A header that repeats a
-    column name raises SchemaError.
+    column name raises SchemaError. A file that is not UTF-8 text, or has
+    a field longer than csv's size limit, is a DataError naming it.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _csv_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

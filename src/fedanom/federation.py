@@ -43,12 +43,10 @@ from .autoencoder import (
 )
 from .detector import (
     ConfusionMatrix,
-    MetricsReport,
     ThresholdDetector,
     classify,
     compute_threshold,
     confusion,
-    metrics,
     min_round_threshold,
 )
 from .errors import (
@@ -368,8 +366,6 @@ class RoundTrace:
     global_norm: float
     threshold_running_min: float | None
     pooled_confusion: ConfusionMatrix | None
-    pooled_metrics: MetricsReport | None
-    per_client_eval: dict[int, tuple[ConfusionMatrix, MetricsReport]]
 
 
 @dataclass
@@ -378,23 +374,22 @@ class FederationResult:
     detector: ThresholdDetector
     rounds: list[RoundTrace]
     collected_thresholds: list[float]
-    mean_round_accuracy: float | None
+    per_client: dict[int, ConfusionMatrix]  # the final model's counts
 
 
 def evaluate_clients(
         params: ParameterSet, clients: Sequence[ClientState],
         detector: ThresholdDetector,
-) -> tuple[dict[int, tuple[ConfusionMatrix, MetricsReport]],
-           ConfusionMatrix | None, MetricsReport | None]:
+) -> tuple[dict[int, ConfusionMatrix], ConfusionMatrix | None]:
     """Score a model on each client's validation normals and attack rows.
 
     The one scoring path of every run: each federated round, a centralized
     run (one client holding the whole dataset) and a saved model. Returns
-    the per-client confusion and metrics, in client-id order, then the
-    pooled (summed) confusion and its metrics. Clients with no such rows
-    are left out; the pooled figures are None when no client has any.
+    the per-client confusion counts, in client-id order, then the pooled
+    (summed) counts. Clients with no such rows are left out; the pooled
+    counts are None when no client has any.
     """
-    per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] = {}
+    per_client: dict[int, ConfusionMatrix] = {}
     pooled = ConfusionMatrix(0, 0, 0, 0)
     for client in sorted(clients, key=lambda c: c.client_id):
         n_val, n_att = client.val.shape[0], client.attack.shape[0]
@@ -404,11 +399,9 @@ def evaluate_clients(
         pred = classify(detector, reconstruction_errors(params, data))
         truth = np.concatenate([np.zeros(n_val, bool), np.ones(n_att, bool)])
         cm = confusion(pred, truth)
-        per_client[client.client_id] = (cm, metrics(cm))
+        per_client[client.client_id] = cm
         pooled = pooled + cm
-    if pooled.total == 0:
-        return per_client, None, None
-    return per_client, pooled, metrics(pooled)
+    return per_client, pooled if pooled.total else None
 
 
 def run_federated(clients: Sequence[ClientState],
@@ -426,9 +419,10 @@ def run_federated(clients: Sequence[ClientState],
     epochs a round), its shuffle seed derived from (client seed, round).
     `strategy` is used as given. Each round scores with the running minimum
     of the local thresholds so far; the last round's is the returned
-    detector, so the run's final evaluation is `rounds[-1]`'s. Everything
-    is deterministic given the master seed, the client seeds and the
-    configs. `min_participation` defaults to min(2, `clients_per_round`).
+    detector, so the run's final evaluation is the last round's: its
+    `pooled_confusion` and the result's `per_client`. Everything is
+    deterministic given the master seed, the client seeds and the configs.
+    `min_participation` defaults to min(2, `clients_per_round`).
     """
     if not clients:
         raise DataError("federation needs at least one client")
@@ -457,10 +451,10 @@ def run_federated(clients: Sequence[ClientState],
         collected.extend(u.local_threshold for u in updates)  # id order
         if collected:
             detector = min_round_threshold(collected)
-            per_client, pooled_cm, pooled_metrics = evaluate_clients(
+            per_client, pooled_cm = evaluate_clients(
                 ParameterSet(server.global_params, specs), clients, detector)
         else:
-            per_client, pooled_cm, pooled_metrics = {}, None, None
+            per_client, pooled_cm = {}, None
         records = []
         for cid in sorted(ids):
             upd = by_update.get(cid)
@@ -480,19 +474,14 @@ def run_federated(clients: Sequence[ClientState],
             global_norm=float(np.linalg.norm(server.global_params)),
             threshold_running_min=(detector.threshold if detector else None),
             pooled_confusion=pooled_cm,
-            pooled_metrics=pooled_metrics,
-            per_client_eval=per_client,
         ))
     if detector is None:
         raise DataError(
             "no client update ever arrived; cannot calibrate a detector")
-    accuracies = [tr.pooled_metrics.accuracy for tr in traces
-                  if tr.pooled_metrics is not None
-                  and tr.pooled_metrics.accuracy is not None]
     return FederationResult(
         final_params=server.global_params,
         detector=detector,
         rounds=traces,
         collected_thresholds=collected,
-        mean_round_accuracy=(float(np.mean(accuracies)) if accuracies else None),
+        per_client=per_client,
     )

@@ -7,7 +7,8 @@ detector at the least local threshold over all (round, client) pairs.
 Both modes train through `federation.local_round`, and both, like a
 saved model's re-evaluation, are scored by `federation.evaluate_clients`;
 a federated run's result is its last round's evaluation, so no row is
-scored twice.
+scored twice. Scoring yields confusion counts only; every ratio reported
+is computed from them here.
 
 All emitted artifacts are deterministic for a given config: no timestamps,
 seeded streams everywhere, and every file carries the master seed and the
@@ -45,6 +46,7 @@ from .config import (
 )
 from .dataplane import (
     LabeledDataset,
+    PartitionPlan,
     ScalerParams,
     SchemaConfig,
     apply_scaler,
@@ -56,7 +58,7 @@ from .dataplane import (
     synth_generate,
     train_val_split,
 )
-from .detector import ConfusionMatrix, MetricsReport, ThresholdDetector
+from .detector import ConfusionMatrix, MetricsReport, ThresholdDetector, metrics
 from .errors import ConfigError, DataError, ShapeError
 from .federation import (
     ClientState,
@@ -120,7 +122,7 @@ class EvaluationReport:
     threshold: float
     detector_source: str
     config: dict
-    per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]] | None = None
+    per_client: dict[int, ConfusionMatrix] | None = None
     epoch_losses: list[float] | None = None
     round_traces: list[RoundTrace] | None = None
     mean_round_accuracy: float | None = None
@@ -192,21 +194,20 @@ def _model_config(cfg: ExperimentConfig,
     model_cfg = cfg.model_config()
     if model_cfg.input_dim != client.train.shape[1]:
         raise DataError(
-            f"model input dim {model_cfg.input_dim} does not match dataset "
-            f"width {client.train.shape[1]}")
+            f"model.input_dim: model input dim {model_cfg.input_dim} does "
+            f"not match dataset width {client.train.shape[1]}")
     return model_cfg
 
 
 def _report(cfg: ExperimentConfig, mode: str, detector: ThresholdDetector,
-            per_client: dict[int, tuple[ConfusionMatrix, MetricsReport]],
-            cm: ConfusionMatrix | None, m: MetricsReport | None,
+            per_client: dict[int, ConfusionMatrix], cm: ConfusionMatrix | None,
             **extra) -> EvaluationReport:
     """The report of a run scored by `evaluate_clients`."""
     if cm is None:
         raise DataError("nothing to evaluate: no validation or attack rows")
     return EvaluationReport(
         mode=mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
-        confusion=cm, metrics=m, threshold=detector.threshold,
+        confusion=cm, metrics=metrics(cm), threshold=detector.threshold,
         detector_source=detector.source, config=cfg.canonical_dict(),
         per_client=per_client if mode == MODE_FEDERATED else None, **extra)
 
@@ -230,6 +231,17 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
                                 cfg.seed)
 
 
+def partition(cfg: ExperimentConfig, ds: LabeledDataset) -> PartitionPlan:
+    """The config's Dirichlet partition of `ds`; more clients than records
+    is a ConfigError naming federation.n_clients."""
+    fed = cfg.data["federation"]
+    try:
+        return dirichlet_partition(ds, fed["n_clients"], fed["alpha"],
+                                   cfg.derived_seed(STREAM_PARTITION))
+    except ConfigError as err:
+        raise ConfigError(f"federation.n_clients: {err}") from None
+
+
 def prepare_clients(cfg: ExperimentConfig,
                     ds: LabeledDataset | None = None) -> list[ClientState]:
     """Partition the dataset and build per-client scaled data slices. Each
@@ -237,9 +249,7 @@ def prepare_clients(cfg: ExperimentConfig,
     crosses the simulated privacy boundary."""
     if ds is None:
         ds = load_experiment_dataset(cfg)
-    fed = cfg.data["federation"]
-    plan = dirichlet_partition(ds, fed["n_clients"], fed["alpha"],
-                               cfg.derived_seed(STREAM_PARTITION))
+    plan = partition(cfg, ds)
     clients = []
     for k, indices in enumerate(plan.assignments):
         normal, attack = split_by_label(ds, indices)
@@ -271,11 +281,12 @@ def run_federated_experiment(cfg: ExperimentConfig
         use_sample_std=cfg.data["detector"]["use_sample_std"],
     )
     # the last round scored the final model with the final detector
-    last = result.rounds[-1]
-    report = _report(cfg, MODE_FEDERATED, result.detector,
-                     last.per_client_eval, last.pooled_confusion,
-                     last.pooled_metrics, round_traces=result.rounds,
-                     mean_round_accuracy=result.mean_round_accuracy)
+    accuracies = [metrics(tr.pooled_confusion).accuracy for tr in result.rounds
+                  if tr.pooled_confusion is not None]
+    report = _report(cfg, MODE_FEDERATED, result.detector, result.per_client,
+                     result.rounds[-1].pooled_confusion,
+                     round_traces=result.rounds, mean_round_accuracy=(
+                         float(np.mean(accuracies)) if accuracies else None))
     params = ParameterSet(result.final_params, model_cfg.layer_specs())
     return report, TrainedModel(params, result.detector, None,
                                 cfg.fingerprint(), cfg.seed), result
@@ -443,8 +454,9 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
         written.append(_write_json(out / "per_client_metrics.json", {
             "seed": report.seed, "fingerprint": report.fingerprint,
             "clients": {
-                str(cid): {"confusion": asdict(cm), **metric_values(m)}
-                for cid, (cm, m) in sorted(report.per_client.items())}}))
+                str(cid): {"confusion": asdict(cm),
+                           **metric_values(metrics(cm))}
+                for cid, cm in sorted(report.per_client.items())}}))
     written.append(write_manifest(
         out, report.seed, report.fingerprint, report.config, mode=report.mode,
         artifacts=sorted(p.name for p in written)))
@@ -561,8 +573,14 @@ def load_model(model_dir: str | Path) -> TrainedModel:
 
 
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
-    """Re-run the evaluation stage of an experiment from a saved model."""
-    clients = (prepare_clients(cfg) if cfg.mode == MODE_FEDERATED
-               else [prepare_centralized(cfg, scaler=model.scaler)[0]])
+    """Re-run the evaluation stage of an experiment from a saved model. A
+    dataset of another width than the model's input is a DataError."""
+    ds = load_experiment_dataset(cfg)
+    if ds.n_features != model.params.input_dim:
+        raise DataError(
+            f"saved model input width {model.params.input_dim} does not "
+            f"match the config's dataset width {ds.n_features}")
+    clients = (prepare_clients(cfg, ds) if cfg.mode == MODE_FEDERATED
+               else [prepare_centralized(cfg, ds, model.scaler)[0]])
     return _report(cfg, cfg.mode, model.detector,
                    *evaluate_clients(model.params, clients, model.detector))

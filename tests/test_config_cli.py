@@ -26,7 +26,7 @@ from fedanom.config import (
 )
 from fedanom.autoencoder import build
 from fedanom.dataplane import ScalerParams
-from fedanom.detector import ThresholdDetector
+from fedanom.detector import ConfusionMatrix, ThresholdDetector, metrics
 from fedanom.errors import (
     ConfigError,
     DataError,
@@ -34,10 +34,12 @@ from fedanom.errors import (
     FedAnomError,
 )
 from fedanom.harness import (
+    METRICS_JSON,
     TrainedModel,
     emit_report,
     evaluate_saved,
     load_model,
+    metric_values,
     run_centralized,
     run_experiment,
     run_federated_experiment,
@@ -161,6 +163,7 @@ class TestParseConfig:
         ("split.train_fraction", 1.5), ("split.train_fraction", 0.0),
         ("strategy.sample_fraction", 0), ("strategy.sample_fraction", 1.5),
         ("dataset.synth.n_normal", -5), ("train.learning_rate", float("nan")),
+        ("dataset.synth.displacement", float("nan")),
         ("train.learning_rate", 0.0), ("train.lr_step", 0),
         ("train.lr_gamma", 0.0), ("train.lr_gamma", 1.5),
         ("federation.min_participation", -1), ("strategy.lipschitz", 0),
@@ -462,6 +465,16 @@ class TestCentralizedHarness:
         cfg = tiny_config(model={"input_dim": 12})
         with pytest.raises(DataError, match="12"):
             run_centralized(cfg)
+
+    @pytest.mark.parametrize("mode, run", [
+        ("centralized", run_centralized),
+        ("federated", run_federated_experiment)])
+    def test_model_width_mismatch_names_config_key(self, mode, run):
+        cfg = tiny_config(mode=mode, model={"input_dim": 9})
+        with pytest.raises(DataError, match=r"^model\.input_dim: model input "
+                                            r"dim 9 does not match dataset "
+                                            r"width 8$"):
+            run(cfg)
 
     def test_save_load_evaluate_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -769,6 +782,28 @@ class TestFederatedHarness:
             tiny_config(mode="federated", strategy={"sample_fraction": 0.5},
                         federation={"min_participation": 2})
 
+    def test_reported_ratios_derive_from_stored_counts(self, tmp_path):
+        report, _, result = run_federated_experiment(
+            tiny_config(mode="federated"))
+        assert report.per_client == result.per_client
+        assert report.confusion == sum(report.per_client.values(),
+                                       ConfusionMatrix(0, 0, 0, 0))
+        emit_report(report, tmp_path)
+        stored = json.loads((tmp_path / "metrics.json").read_text())
+        assert ({key: stored[key] for key in METRICS_JSON}
+                == metric_values(metrics(report.confusion)))
+        assert stored["validation_fp_rate"] == stored["false_rate"]
+        accuracies = [metrics(tr.pooled_confusion).accuracy
+                      for tr in result.rounds]
+        assert stored["mean_round_accuracy"] == float(np.mean(accuracies))
+        clients = json.loads(
+            (tmp_path / "per_client_metrics.json").read_text())["clients"]
+        assert clients.keys() == {str(cid) for cid in report.per_client}
+        for cid, entry in clients.items():
+            counts = ConfusionMatrix(**entry.pop("confusion"))
+            assert counts == report.per_client[int(cid)]
+            assert entry == metric_values(metrics(counts))
+
     def test_loss_trace_rows_equal_rounds(self, tmp_path):
         cfg = tiny_config(mode="federated")
         report, _, _ = run_federated_experiment(cfg)
@@ -1066,6 +1101,69 @@ class TestCli:
         assert main(["train-central", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+
+    @pytest.mark.parametrize("case", [
+        "config-is-a-directory", "dataset-path-is-a-directory",
+        "model-is-a-file", "report-dir-is-a-file", "synth-out-is-a-file"])
+    def test_os_error_exits_2_with_one_line(self, tmp_path, capsys, case):
+        folder, plain = tmp_path / "folder", tmp_path / "plain.txt"
+        folder.mkdir()
+        plain.write_text("x\n")
+        config = write_tiny_yaml(tmp_path)
+        folder_data = tmp_path / "folder-data.yaml"
+        folder_data.write_text(yaml.safe_dump(
+            {"dataset": {"path": str(folder)}}))
+        out = ["--out", str(tmp_path / "out")]
+        argv, named = {
+            "config-is-a-directory": (
+                ["train-central", "--config", str(folder), *out], folder),
+            "dataset-path-is-a-directory": (
+                ["train-central", "--config", str(folder_data), *out], folder),
+            "model-is-a-file": (["evaluate", "--config", str(config),
+                                 "--model", str(plain), *out], plain),
+            "report-dir-is-a-file": (["report", "--dir", str(plain)], plain),
+            "synth-out-is-a-file": (
+                ["synth", "--config", str(config), "--out", str(plain)],
+                plain),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(named) in err
+
+    @pytest.mark.parametrize("mode, train", [("centralized", "train-central"),
+                                             ("federated", "train-fed")])
+    def test_evaluate_names_saved_model_on_other_width(self, tmp_path, capsys,
+                                                       mode, train):
+        run_dir = tmp_path / "run"
+        assert main([train, "--config", str(write_tiny_yaml(tmp_path,
+                                                            mode=mode)),
+                     "--out", str(run_dir)]) == 0
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        config = write_tiny_yaml(wide, mode=mode, dataset={"synth": {
+            "n_normal": 300, "n_attack": 80, "dim": 9, "displacement": 2.0,
+            "seed": 5}}, model={"input_dim": 9})
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--model", str(run_dir / "model"),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            "error: saved model input width 8 does not match the config's "
+            "dataset width 9\n")
+
+    @pytest.mark.parametrize("command", ["train-fed", "partition"])
+    def test_too_many_clients_names_config_key(self, tmp_path, capsys,
+                                               command):
+        config = write_tiny_yaml(tmp_path, mode="federated",
+                                 federation={"n_clients": 1000})
+        capsys.readouterr()
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: federation.n_clients: 1000 clients cannot split 380 "
+            "records\n")
 
     def test_console_entry_point(self, tmp_path):
         config = write_tiny_yaml(tmp_path)

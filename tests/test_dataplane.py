@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -477,6 +478,25 @@ class TestLoadCsv:
         assert len(ds) == 0 and skipped == 0
         assert ds.n_features == 4
 
+    @pytest.mark.parametrize("cell, problem", [
+        (b"\xff", "expected UTF-8 text"),
+        (b"x" * (csv.field_size_limit() + 1),
+         "field larger than field limit"),
+    ], ids=["not-utf8", "field-over-limit"])
+    @pytest.mark.parametrize("load, head", [
+        (lambda path: load_csv(path, RAW_SCHEMA),
+         RAW_CSV.encode() + b"a6,1.0,tcp,5,"),
+        (load_dataset, b"f0,label\n0.5,Normal\n0.7,"),
+    ], ids=["load_csv", "load_dataset"])
+    def test_undecodable_file_is_a_data_error_naming_it(self, tmp_path, load,
+                                                        head, cell, problem):
+        # the fault is in a data row's label, after rows that parse
+        path = tmp_path / "flows.csv"
+        path.write_bytes(head + cell + b"\n")
+        with pytest.raises(DataError,
+                           match=rf"^{re.escape(str(path))}: {problem}"):
+            load(path)
+
     def test_identical_bytes_identical_dataset(self, tmp_path):
         p1 = tmp_path / "one.csv"
         p2 = tmp_path / "two.csv"
@@ -892,7 +912,9 @@ class TestLoadtxtPath:
     def test_field_over_size_limit_raises(self, tmp_path):
         # _plain's line length check: loadtxt has no field size limit
         big = "x" * (csv.field_size_limit() + 1)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        path = re.escape(str(tmp_path / "flows.csv"))
+        with pytest.raises(DataError,
+                           match=rf"^{path}: field larger than field limit"):
             read_plain(tmp_path, f"id,x,c,y\n1,0.5,tcp,{big}\n", load_csv,
                        PLAIN_SCHEMA)
 
