@@ -12,12 +12,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .autoencoder import AutoencoderConfig, TrainConfig
+from .checks import _ACCEPTS, _in_interval, _is, _key, _misfit, _unallowed
 from .dataplane import SynthSpec
 from .errors import ConfigError
 from .federation import (
@@ -39,11 +38,10 @@ STREAM_CLIENT = 4
 STREAM_TEST = 5
 STREAM_TRAIN = 6
 
-# Each leaf key, in the README's order: (type, default, allowed). `allowed`
-# is None, a tuple of choices, or an interval where "[" and "]" include an
-# end and "(" and ")" exclude it; an unset optional key (None) is not
-# checked. federation.latency is taken out before the merge and checked by
-# _validate_latency.
+# Each key, in the README's order: (type, default, allowed), as declared in
+# `checks`; an unset optional key (None) is not checked. A row of type dict
+# declares a section that is null when unset; set, each of its keys takes
+# its default. Other sections are made by their keys.
 _KEYS = {
     "mode": (str, MODE_CENTRALIZED, (MODE_CENTRALIZED, MODE_FEDERATED)),
     "seed": (int, 42, None),
@@ -56,7 +54,7 @@ _KEYS = {
     "dataset.path": (str, None, None),
     "dataset.schema": (str, None, None),
     "model.input_dim": (int, 66, "[1, inf)"),
-    "model.hidden_dims": (list, [128, 64, 32], None),
+    "model.hidden_dims": ([int], [128, 64, 32], "[1, inf)"),
     "model.bottleneck_dim": (int, 16, "[1, inf)"),
     "model.dropout_p": (float, 0.2, "[0, 1)"),
     "model.mirror_dropout": (bool, True, None),
@@ -75,6 +73,11 @@ _KEYS = {
     "federation.alpha": (float, 10.0, "(0, inf)"),
     "federation.min_participation": (int, None, "[0, inf)"),
     "federation.latency": (dict, None, None),
+    # client id -> delay, and round -> such a mapping
+    "federation.latency.delays": ({int: float}, {}, "[0, inf)"),
+    "federation.latency.per_round": ({int: {int: float}}, {}, "[0, inf)"),
+    "federation.latency.jitter": (float, 0.0, "[0, inf)"),
+    "federation.latency.drop_after": (float, None, "[0, inf)"),
     "strategy.kind": (str, "fedavg", tuple(k.value for k in StrategyKind)),
     "strategy.q": (float, 0.0, "[0, inf)"),
     "strategy.lipschitz": (float, None, "(0, inf)"),
@@ -84,70 +87,15 @@ _KEYS = {
     "detector.use_sample_std": (bool, False, None),
 }
 
-# the types a value of each declared type may have (a bool is no number),
-# and the type's name in errors
-_ACCEPTS = {
-    bool: ((bool,), "bool"),
-    int: ((int,), "int"),
-    float: ((int, float), "number"),
-    str: ((str,), "string"),
-    list: ((list, tuple), "list"),
-    dict: ((dict,), "mapping"),
-}
-
-
-def _is_a(kind: type, value) -> bool:
-    """Whether `value` passes as `kind`, a type of _ACCEPTS (a bool passes
-    only as a bool)."""
-    return isinstance(value, _ACCEPTS[kind][0]) and (
-        kind is bool or not isinstance(value, bool))
-
-
-def _nested_defaults() -> dict:
-    """Each key's default from _KEYS, nested by its dotted sections."""
-    out: dict = {}
-    for key, (_, default, _) in _KEYS.items():
-        *sections, leaf = key.split(".")
-        node = out
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[leaf] = default
-    return out
-
-
-DEFAULT_CONFIG: dict = _nested_defaults()
-
-_LATENCY_KEYS = {"delays", "per_round", "jitter", "drop_after"}
-
-
-def _in_interval(value: float, interval: str) -> bool:
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    below = value <= high if interval[-1] == "]" else value < high
-    return above and below
-
-
-def _unallowed(value, allowed) -> str | None:
-    """What `value` is expected to be and is not, by `allowed` as in _KEYS,
-    or None if it is allowed."""
-    if isinstance(allowed, tuple):
-        if value not in allowed:
-            return f"expected one of {' | '.join(allowed)}, got {value!r}"
-    elif (allowed is not None and value is not None
-          and not _in_interval(value, allowed)):
-        return f"expected a value in {allowed}, got {value!r}"
-    return None
-
 
 def _check_values(data: dict) -> None:
     """Check each value against its key's allowed values in _KEYS; an
     error starts with the key."""
-    for key, (_, _, allowed) in _KEYS.items():
-        section, *rest = key.split(".")
-        value = data[section]
-        for part in rest:
-            value = value[part]
-        problem = _unallowed(value, allowed)
+    for key, (kind, _, allowed) in _KEYS.items():
+        value = data
+        for part in key.split("."):
+            value = None if value is None else value[part]
+        problem = _unallowed(kind, value, allowed)
         if problem:
             raise ConfigError(f"{key}: {problem}")
 
@@ -156,82 +104,65 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
-def _check_scalar(path: str, value) -> object:
-    """`value` as the type of `path`'s row in _KEYS, or fail naming the key."""
-    kind = _KEYS[path][0]
-    if not _is_a(kind, value):
-        raise ConfigError(f"{path}: expected {_ACCEPTS[kind][1]}, "
-                          f"got {_type_name(value)}")
+def _name(kind) -> str:
+    """How a config error names the declared type `kind`."""
+    if isinstance(kind, list):
+        return f"list of {_name(kind[0])}"
+    if isinstance(kind, dict):
+        ((key, item),) = kind.items()
+        return f"mapping of {_name(key)} to {_name(item)}"
+    return _ACCEPTS[kind][1]
+
+
+def _as(kind, value):
+    """`value`, which passes as `kind`, as that type: an int as a float, a
+    tuple as a list, a mapping key as its type, a null mapping as empty."""
+    if isinstance(kind, list):
+        return [_as(kind[0], v) for v in value]
+    if isinstance(kind, dict):
+        ((key, item),) = kind.items()
+        return {_key(key, k): _as(item, v) for k, v in (value or {}).items()}
     return kind(value)
 
 
-def _merge(path: str, user: dict, defaults: dict) -> dict:
-    merged = {}
-    unknown = set(user) - set(defaults)
+def _checked(path: str, kind, value):
+    """`value` as `kind`, the type of `path`, or a ConfigError naming the
+    key."""
+    misfit = _misfit(kind, value)
+    if misfit:
+        part_kind, part = misfit
+        got = ("an int that does not fit a float"
+               if part_kind is float and _is(int, part) else _type_name(part))
+        raise ConfigError(f"{path}: expected {_name(kind)}, got {got}")
+    return _as(kind, value)
+
+
+def _merge(path: str, user: dict) -> dict:
+    """`user`'s value of each key in section `path` ("" for the root),
+    checked against its type, and the default of each key it leaves unset."""
+    prefix = f"{path}." if path else ""
+    names = dict.fromkeys(key[len(prefix):].split(".")[0] for key in _KEYS
+                          if key.startswith(prefix))
+    unknown = set(user) - set(names)
     if unknown:
-        key = sorted(unknown)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown config key {where!r}")
-    for key, default in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if key not in user or user[key] is None:
-            merged[key] = copy.deepcopy(default)
-            continue
-        value = user[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected mapping, got {_type_name(value)}")
-            merged[key] = _merge(here, value, default)
+        raise ConfigError(
+            f"unknown config key {prefix + sorted(unknown)[0]!r}")
+    merged = {}
+    for name in names:
+        key, value = prefix + name, user.get(name)
+        kind, default, _ = _KEYS.get(key, (dict, {}, None))
+        if kind is not dict:
+            merged[name] = (copy.deepcopy(default) if value is None
+                            else _checked(key, kind, value))
+        elif value is None and default is None:  # null when unset
+            merged[name] = None
         else:
-            merged[key] = _check_scalar(here, value)
+            merged[name] = _merge(key, _checked(
+                key, dict, {} if value is None else value))
     return merged
 
 
-def _latency_map(key: str, raw, value) -> dict:
-    """`raw` (None for empty) as a dict from int ids, or their decimal text
-    as in JSON, to `value(key, v)` of each entry."""
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"federation.latency.{key}: expected mapping, "
-                          f"got {_type_name(raw)}")
-    out = {}
-    for k, v in raw.items():
-        if isinstance(k, str) and k.isdecimal():
-            k = int(k)
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ConfigError(
-                f"federation.latency.{key}: expected int ids, got {k!r}")
-        out[k] = value(key, v)
-    return out
-
-
-def _latency_time(key: str, value) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 <= value < math.inf):
-        raise ConfigError(f"federation.latency.{key}: expected a finite "
-                          f"number >= 0, got {value!r}")
-    return float(value)
-
-
-def _validate_latency(raw) -> dict | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError("federation.latency: expected mapping")
-    unknown = set(raw) - _LATENCY_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown config key 'federation.latency.{sorted(unknown)[0]}'")
-    jitter, drop_after = raw.get("jitter"), raw.get("drop_after")
-    return {
-        "delays": _latency_map("delays", raw.get("delays"), _latency_time),
-        "per_round": _latency_map("per_round", raw.get("per_round"),
-                                  partial(_latency_map, value=_latency_time)),
-        "jitter": 0.0 if jitter is None else _latency_time("jitter", jitter),
-        "drop_after": (None if drop_after is None
-                       else _latency_time("drop_after", drop_after)),
-    }
+DEFAULT_CONFIG: dict = _merge("", {})
 
 
 @dataclass(frozen=True)
@@ -267,6 +198,19 @@ class ExperimentConfig:
         if lr_at(self.train_config(epochs).schedule, epochs - 1) == 0.0:
             raise ConfigError(f"train.lr_gamma: the learning rate decays to 0 "
                               f"within {epochs} epochs")
+        # each latency id names a client or a round
+        latency = fed["latency"] or {"delays": {}, "per_round": {}}
+        clients = f"[0, {fed['n_clients']})"
+        for key, what, interval, ids in (
+                ("delays", "client", clients, latency["delays"]),
+                ("per_round", "round", f"[1, {fed['rounds']}]",
+                 latency["per_round"]),
+                *(("per_round", "client", clients, delays)
+                  for delays in latency["per_round"].values())):
+            bad = [i for i in ids if not _in_interval(i, interval)]
+            if bad:
+                raise ConfigError(f"federation.latency.{key}: expected {what} "
+                                  f"ids in {interval}, got {bad[0]}")
 
     @property
     def mode(self) -> str:
@@ -352,18 +296,7 @@ def build_config(user: dict | None) -> ExperimentConfig:
         dataset = user["dataset"]
         if dataset.get("path") and "kind" not in dataset:
             user = {**user, "dataset": {**dataset, "kind": "csv"}}
-    latency_raw = None
-    if isinstance(user.get("federation"), dict):
-        federation = dict(user["federation"])
-        latency_raw = _validate_latency(federation.pop("latency", None))
-        user = {**user, "federation": federation}
-    merged = _merge("", user, DEFAULT_CONFIG)
-    merged["federation"]["latency"] = latency_raw
-    hidden = merged["model"]["hidden_dims"]
-    if not all(type(d) is int and d > 0 for d in hidden):  # bool is no int
-        raise ConfigError(
-            f"model.hidden_dims: expected positive ints, got {hidden!r}")
-    return ExperimentConfig(merged)
+    return ExperimentConfig(_merge("", user))
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

@@ -27,7 +27,6 @@ column is also dropped or is the label column.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .checks import _read_json
 from .errors import ConfigError, DataError, SchemaError, ShapeError
 from .numerics import derive_rng
 
@@ -537,11 +537,11 @@ def _parse_rows(lines: Iterable[str], width: int,
 
 @contextmanager
 def _csv_text(path: Path) -> Iterator[TextIO]:
-    """`path` opened for csv.reader. A byte that is not UTF-8, or a field
-    longer than csv's size limit, anywhere in the parse under it is a
-    DataError that starts with the path."""
+    """`path` opened for csv.reader, past any byte-order mark. A byte that
+    is not UTF-8, or a field longer than csv's size limit, anywhere in the
+    parse under it is a DataError that starts with the path."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raise DataError(f"{path}: expected UTF-8 text") from None
@@ -570,20 +570,14 @@ def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:
                            width, NORMAL_LABEL, strict=path)
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# each key of a schema file: (test of its value, what an error expects)
-_SCHEMA_KEYS = {
-    "label_column": (lambda v: isinstance(v, str), "a string"),
-    "normal_value": (lambda v: isinstance(v, str), "a string"),
-    "drop_columns": (_strings, "a list of strings"),
-    "categorical": (lambda v: isinstance(v, dict)
-                    and all(map(_strings, v.values())),
+# the schema file's format, as `checks._check` reads it
+SCHEMA_JSON = {
+    "label_column": (str, True, None, "a string"),
+    "normal_value": (str, False, None, "a string"),
+    "drop_columns": ([str], False, None, "a list of strings"),
+    "categorical": ({str: [str]}, False, None,
                     "a mapping of columns to lists of strings"),
-    "expected_width": (lambda v: v is None or (type(v) is int and v >= 1),
-                       "a positive int or null"),
+    "expected_width": (int, False, "[1, inf)", "a positive int or null"),
 }
 
 
@@ -613,35 +607,21 @@ class SchemaConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SchemaConfig":
-        """The schema in the JSON file at `path`. A file that is not a JSON
+        """The schema in the JSON file at `path`, checked against
+        SCHEMA_JSON; a null value is unset. A file that is not a JSON
         object, an unknown or missing key, a value of the wrong type, or a
         schema `__post_init__` rejects, is a SchemaError naming the file."""
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError:  # not UTF-8, or not JSON
-            raw = None
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}: expected a JSON object")
-        unknown = set(raw) - set(_SCHEMA_KEYS)
+        raw = _read_json(Path(path), SCHEMA_JSON, SchemaError)
+        unknown = set(raw) - set(SCHEMA_JSON)
         if unknown:
             raise SchemaError(
                 f"{path}: unknown schema keys: {sorted(unknown)}")
-        if "label_column" not in raw:
-            raise SchemaError(f"{path}: schema must declare label_column")
-        for key, value in raw.items():
-            ok, expected = _SCHEMA_KEYS[key]
-            if not ok(value):
-                raise SchemaError(
-                    f"{path}: {key}: expected {expected}, got {value!r}")
+        raw = {key: value for key, value in raw.items() if value is not None}
         try:
-            return cls(
-                label_column=raw["label_column"],
-                normal_value=raw.get("normal_value", NORMAL_LABEL),
-                drop_columns=tuple(raw.get("drop_columns", ())),
-                categorical={k: tuple(v)
-                             for k, v in raw.get("categorical", {}).items()},
-                expected_width=raw.get("expected_width"),
-            )
+            return cls(**raw | {
+                "drop_columns": tuple(raw.get("drop_columns", ())),
+                "categorical": {k: tuple(v) for k, v
+                                in raw.get("categorical", {}).items()}})
         except SchemaError as err:
             raise SchemaError(f"{path}: {err}") from None
 

@@ -14,8 +14,9 @@ All emitted artifacts are deterministic for a given config: no timestamps,
 seeded streams everywhere, and every file carries the master seed and the
 config fingerprint. This module owns the run directory's formats: each
 JSON file goes through `_write_json`, each CSV file through `_write_csv`,
-and each file read back is checked by `_check` against its one declared
-format (`MODEL_JSON`, `MODEL_NPZ`, `CONFUSION_CSV`, `METRICS_JSON`).
+and each file read back is checked by `checks._check` against its one
+declared format (`MODEL_JSON`, `MODEL_NPZ`, `CONFUSION_CSV`,
+`METRICS_JSON`).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import json
 import logging
 import math
 import os
-import sys
 import zipfile
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderConfig, build
+from .checks import _check, _read_json
 from .config import (
     MODE_CENTRALIZED,
     MODE_FEDERATED,
@@ -41,8 +42,6 @@ from .config import (
     STREAM_TEST,
     STREAM_TRAIN,
     ExperimentConfig,
-    _is_a,
-    _unallowed,
 )
 from .dataplane import (
     LabeledDataset,
@@ -304,11 +303,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMode
 ROUND_TRACE_HEADER = ("round", "client_id", "local_loss", "threshold",
                       "participated", "alpha", "global_norm")
 
-# Each file read back: key or column -> (type, required, allowed, expected).
-# `type` is a config._ACCEPTS type (float: a finite number), [type] for a
-# list of them, or np.ndarray for a 1-d array of finite numbers; `required`
-# is True, False (absent and null alike) or the key it comes with;
-# `allowed` is as in config._KEYS; `expected` names the type in errors.
+# Each file read back: key or column -> (type, required, allowed, expected),
+# as `checks._check` reads them.
 MODEL_JSON = {
     "threshold": (float, True, "[0, inf)", "a finite number"),
     "fingerprint": (str, True, None, "a string"),
@@ -339,46 +335,6 @@ def _write_csv(path: Path, report: EvaluationReport, header, rows) -> Path:
         fh.write(f"# seed={report.seed} fingerprint={report.fingerprint}\n")
         csv.writer(fh).writerows([header, *rows])
     return path
-
-
-def _is(kind, value) -> bool:
-    """Whether `value` is of a file format's `kind`."""
-    if isinstance(kind, list):
-        return _is_a(list, value) and all(_is(kind[0], v) for v in value)
-    if kind is np.ndarray:
-        return (isinstance(value, np.ndarray) and value.ndim == 1
-                and value.dtype.kind in "iuf" and np.isfinite(value).all())
-    return _is_a(kind, value) and (
-        kind is not float or abs(value) <= sys.float_info.max)
-
-
-def _check(path: Path, fmt: dict, payload: dict) -> dict:
-    """`payload`, read from `path`, once it meets file format `fmt`; else a
-    DataError naming the file and the first key at fault."""
-    for key, (kind, required, allowed, expected) in fmt.items():
-        value = payload.get(key)
-        if key not in payload:
-            if required is True or (required and required in payload):
-                raise DataError(f"{path}: missing key {key!r}")
-        elif value is not None or required is not False:
-            problem = _unallowed(value, allowed) if _is(kind, value) else (
-                f"expected {expected}"
-                + ("" if kind is np.ndarray else f", got {value!r}"))
-            if problem:
-                raise DataError(f"{path}: {key}: {problem}")
-    return payload
-
-
-def _read_json(path: Path, fmt: dict) -> dict:
-    """The JSON object in `path`, checked against `fmt`; anything else is a
-    DataError naming the file."""
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError:  # not UTF-8, or not JSON
-        payload = None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return _check(path, fmt, payload)
 
 
 def _metric_value(v: float | None):

@@ -86,6 +86,26 @@ def rows(kinds):
             if isinstance(allowed, kinds)]
 
 
+def entry_type(kind):
+    """The declared type of `kind`'s entries, or `kind` if it is neither a
+    list nor a mapping."""
+    if isinstance(kind, list):
+        return entry_type(kind[0])
+    if isinstance(kind, dict):
+        return entry_type(*kind.values())
+    return kind
+
+
+def as_entry(kind, value):
+    """A value of declared type `kind` whose one entry is `value`; id 1
+    names a client and a round of the default federation."""
+    if isinstance(kind, list):
+        return [as_entry(kind[0], value)]
+    if isinstance(kind, dict):
+        return {1: as_entry(*kind.values(), value)}
+    return value
+
+
 def interval_ends(interval):
     """`(end, included)` for both ends of an interval such as "[0, 1)"."""
     low, high = (float(end) for end in interval[1:-1].split(","))
@@ -94,7 +114,42 @@ def interval_ends(interval):
 
 # values of the wrong type for each declared type (a bool is no number)
 WRONG_TYPE = {int: ["7", 1.5, True], float: ["0.5", True], bool: [1, "true"],
-              str: [5], list: ["64"], dict: ["fast"]}
+              str: [5], list: ["64"], dict: ["fast", []]}
+
+
+def wrong_types(kind):
+    """Values of the wrong type for declared type `kind`: for a list or a
+    mapping, also one with an entry of the wrong type."""
+    if isinstance(kind, (list, dict)):
+        return WRONG_TYPE[type(kind)] + [
+            as_entry(kind, v) for v in WRONG_TYPE[entry_type(kind)]]
+    return WRONG_TYPE[kind]
+
+
+BIG_INT = 10 ** 400  # 401 digits, beyond float range
+LATENCY_DEFAULTS = ('{"delays":{},"drop_after":null,"jitter":0.0,'
+                    '"per_round":{}}')
+
+
+def ids(low, high):
+    """Ids in [low, high], as ints or as their decimal text."""
+    return st.integers(low, high).flatmap(
+        lambda i: st.sampled_from([i, str(i)]))
+
+
+@st.composite
+def latency_blocks(draw):
+    """A `federation.latency` value whose ids name the default federation's
+    2 clients and 5 rounds; any key may be absent or null."""
+    time = st.none() | st.integers(0, 10 ** 6) | st.floats(0.0, 1e6)
+    delays = st.dictionaries(ids(0, 1), time.filter(lambda t: t is not None),
+                             max_size=2)
+    return draw(st.none() | st.fixed_dictionaries({}, optional={
+        "delays": st.none() | delays,
+        "per_round": st.none() | st.dictionaries(ids(1, 5),
+                                                 st.none() | delays,
+                                                 max_size=3),
+        "jitter": time, "drop_after": time}))
 
 
 class TestParseConfig:
@@ -186,18 +241,20 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, kind, interval", rows(str))
     def test_interval_ends(self, key, kind, interval):
+        entry = entry_type(kind)
         for end, included in interval_ends(interval):
             if included:
-                build_config(user_with(key, kind(end)))
+                build_config(user_with(key, as_entry(kind, entry(end))))
                 continue
-            if math.isinf(end) and kind is int:
-                expected = "expected int, got float"
+            if math.isinf(end) and entry is int:
+                expected = ("expected int, got float" if kind is int
+                            else "expected list of int, got float")
             else:
-                end = kind(end)
+                end = entry(end)
                 expected = f"expected a value in {interval}, got {end!r}"
             with pytest.raises(ConfigError,
                                match=rf"^{re.escape(f'{key}: {expected}')}$"):
-                build_config(user_with(key, end))
+                build_config(user_with(key, as_entry(kind, end)))
 
     @pytest.mark.parametrize("key, kind, choices", rows(tuple))
     def test_choice_rows_reject_unlisted_string(self, key, kind, choices):
@@ -208,7 +265,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, kind, allowed", rows(object))
     def test_every_row_rejects_wrong_type(self, key, kind, allowed):
-        for value in WRONG_TYPE[kind]:
+        for value in wrong_types(kind):
             with pytest.raises(ConfigError,
                                match=rf"^{re.escape(key)}: expected "):
                 build_config(user_with(key, value))
@@ -279,6 +336,63 @@ class TestParseConfig:
     def test_unknown_latency_key(self):
         with pytest.raises(ConfigError, match="latency.dealys"):
             build_config({"federation": {"latency": {"dealys": {}}}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.learning_rate", BIG_INT),
+        ("federation.latency.jitter", BIG_INT),
+        ("federation.latency.delays", {0: BIG_INT}),
+    ], ids=["learning_rate", "jitter", "delays"])
+    def test_int_beyond_float_range_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(key)}: expected .*, got an int that does not "
+                rf"fit a float$")):
+            build_config(user_with(key, value))
+
+    @pytest.mark.parametrize("latency, key, bad", [
+        ({"delays": {2: 1.0}}, "delays", 2),
+        ({"delays": {-1: 1.0}}, "delays", -1),
+        ({"delays": {"99": 1.0}}, "delays", 99),
+        ({"per_round": {0: {0: 1.0}}}, "per_round", 0),
+        ({"per_round": {6: {}}}, "per_round", 6),
+        ({"per_round": {1: {2: 1.0}}}, "per_round", 2),
+    ])
+    def test_latency_id_naming_no_client_or_round_rejected(self, latency,
+                                                           key, bad):
+        with pytest.raises(ConfigError, match=(
+                rf"^federation\.latency\.{key}: expected .* ids in .*, "
+                rf"got {re.escape(str(bad))}$")):
+            build_config({"federation": {"n_clients": 2, "rounds": 5,
+                                         "latency": latency}})
+
+    def test_latency_ids_of_first_and_last_client_and_round_accepted(self):
+        build_config({"federation": {"n_clients": 2, "rounds": 5, "latency": {
+            "delays": {0: 1.0, 1: 1.0},
+            "per_round": {1: {0: 1.0}, 5: {1: 1.0}}}}})
+
+    @pytest.mark.parametrize("federation, canonical", [
+        ({}, "null"),
+        ({"latency": None}, "null"),
+        ({"latency": {}}, LATENCY_DEFAULTS),
+        ({"latency": {"delays": {"0": 1}, "per_round": {"2": {"1": 5}}}},
+         '{"delays":{"0":1.0},"drop_after":null,"jitter":0.0,'
+         '"per_round":{"2":{"1":5.0}}}'),
+        ({"latency": {"per_round": {1: None}}},
+         '{"delays":{},"drop_after":null,"jitter":0.0,"per_round":{"1":{}}}'),
+        ({"latency": {"jitter": None}}, LATENCY_DEFAULTS),
+    ], ids=["unset", "null", "empty", "text-ids", "null-round", "null-jitter"])
+    def test_latency_canonical_json(self, federation, canonical):
+        cfg = build_config({"federation": federation})
+        assert f'"latency":{canonical},' in cfg.canonical_json()
+
+    @settings(max_examples=100, deadline=None)
+    @given(latency=latency_blocks(), hidden=st.lists(
+        st.integers(1, 512), max_size=4).flatmap(
+            lambda h: st.sampled_from([h, tuple(h)])))
+    def test_canonical_json_builds_the_same_config(self, latency, hidden):
+        cfg = build_config({"model": {"hidden_dims": hidden},
+                            "federation": {"latency": latency}})
+        again = build_config(json.loads(cfg.canonical_json()))
+        assert again.fingerprint() == cfg.fingerprint()
 
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigError, match="dataset.path"):
@@ -1101,6 +1215,19 @@ class TestCli:
         assert main(["train-central", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+
+    @pytest.mark.parametrize("key", ["train.learning_rate",
+                                     "federation.latency.jitter"])
+    def test_int_beyond_float_range_exits_2_with_one_line(self, tmp_path,
+                                                          capsys, key):
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(user_with(key, BIG_INT)))
+        capsys.readouterr()
+        assert main(["train-central", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert err.endswith("got an int that does not fit a float\n")
 
     @pytest.mark.parametrize("case", [
         "config-is-a-directory", "dataset-path-is-a-directory",

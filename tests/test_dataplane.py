@@ -1,5 +1,6 @@
 """Unit tests for ingestion, scaling, splits and partitioning."""
 
+import codecs
 import csv
 import io
 import json
@@ -497,6 +498,14 @@ class TestLoadCsv:
                            match=rf"^{re.escape(str(path))}: {problem}"):
             load(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the schema drops the first column, which the mark would rename
+        plain, marked = tmp_path / "raw.csv", tmp_path / "bom.csv"
+        plain.write_text(RAW_CSV)
+        marked.write_bytes(codecs.BOM_UTF8 + RAW_CSV.encode())
+        assert (read_outcome(load_csv, marked, RAW_SCHEMA)
+                == read_outcome(load_csv, plain, RAW_SCHEMA))
+
     def test_identical_bytes_identical_dataset(self, tmp_path):
         p1 = tmp_path / "one.csv"
         p2 = tmp_path / "two.csv"
@@ -588,6 +597,21 @@ class TestLoadCsv:
         with pytest.raises(SchemaError) as err:
             SchemaConfig.from_file(path)
         assert str(err.value) == f"{path}: {problem}"
+
+    def test_schema_file_byte_order_mark_is_skipped(self, tmp_path):
+        text = ('{"label_column": "y", "drop_columns": ["id"], '
+                '"categorical": {"c": ["a", "b"]}, "expected_width": 3}')
+        plain, marked = tmp_path / "schema.json", tmp_path / "bom-schema.json"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert SchemaConfig.from_file(marked) == SchemaConfig.from_file(plain)
+
+    def test_schema_file_null_value_is_unset(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text('{"label_column": "y", "normal_value": null, '
+                        '"drop_columns": null, "categorical": null, '
+                        '"expected_width": null}')
+        assert SchemaConfig.from_file(path) == SchemaConfig(label_column="y")
 
     def test_schema_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "schema.json"
