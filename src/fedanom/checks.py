@@ -1,4 +1,4 @@
-"""What passes as each declared type, and the check of a file read back.
+"""Declared types, the check of a file read back, and its JSON or CSV opener.
 
 Config keys (`config._KEYS`) and files read back (`harness.MODEL_JSON` and
 the others, `dataplane.SCHEMA_JSON`) declare each value's type: one of
@@ -12,9 +12,12 @@ True, False (absent and null alike) or the key it comes with, and
 """
 from __future__ import annotations
 
+import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -128,3 +131,17 @@ def _read_json(path: Path, fmt: dict,
     if not isinstance(payload, dict):
         raise error(f"{path}: expected a JSON object")
     return _check(path, fmt, payload, error)
+
+
+@contextmanager
+def _csv_text(path: Path) -> Iterator[TextIO]:
+    """`path` opened for csv.reader, past any byte-order mark. A byte that
+    is not UTF-8, or a field longer than csv's size limit, anywhere in the
+    parse under it is a DataError that starts with the path."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: expected UTF-8 text") from None
+    except csv.Error as err:
+        raise DataError(f"{path}: {err}") from None

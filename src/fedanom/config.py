@@ -289,8 +289,9 @@ class ExperimentConfig:
 
 def build_config(user: dict | None) -> ExperimentConfig:
     """Validate a raw mapping against the schema and fill defaults."""
-    user = user or {}
-    if not isinstance(user, dict):
+    if user is None:
+        user = {}
+    elif not isinstance(user, dict):
         raise ConfigError(f"config root must be a mapping, got {_type_name(user)}")
     if isinstance(user.get("dataset"), dict):
         dataset = user["dataset"]
@@ -315,6 +316,4 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         where = "" if mark is None else (
             f" at line {mark.line + 1}, column {mark.column + 1}")
         raise ConfigError(f"{path}: not valid YAML{where}") from None
-    if raw is not None and not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {_type_name(raw)}")
     return build_config(raw)

@@ -8,13 +8,14 @@ Dirichlet partitioning across clients, and a seeded synthetic generator
 used as the desk-scale stand-in for the real dataset.
 
 Both CSV readers (`load_csv` for raw flows, `load_dataset` for the
-canonical format) share one parser that encodes a block of lines at a
-time into float64 arrays. numpy's compiled `np.loadtxt` reads a block of
-plain lines (printable ASCII without a quote, CR/LF line ends, none longer
-than csv's field size limit), and the row parser, `csv.reader` with
-`float()` per numeric cell, takes each line it rejects and every line from
-the first block that is not plain. A row comes out bit for bit as the row
-parser alone would give it. Its skip rules: blank rows are ignored; a row
+canonical format) open their file through `checks._csv_text` and share
+one parser that encodes a block of lines at a time into float64 arrays.
+numpy's compiled `np.loadtxt` reads a block of plain lines (printable
+ASCII without a quote, CR/LF line ends, none longer than csv's field size
+limit), and the row parser, `csv.reader` with `float()` per numeric cell,
+takes each line it rejects and every line from the first block that is
+not plain. A row comes out bit for bit as the row parser alone would give
+it. Its skip rules: blank rows are ignored; a row
 is skipped and counted when it is too short for a feature column or the
 label, when a numeric cell does not parse as a float, when its label ends
 in a NUL character (`_plain` sends such a line to the row parser), or
@@ -28,17 +29,16 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter, length_hint
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .checks import _read_json
+from .checks import _csv_text, _read_json
 from .errors import ConfigError, DataError, SchemaError, ShapeError
 from .numerics import derive_rng
 
@@ -533,20 +533,6 @@ def _parse_rows(lines: Iterable[str], width: int,
     if n_bad:
         label_array = label_array[kept]
     return LabeledDataset(features, label_array), skipped + n_bad
-
-
-@contextmanager
-def _csv_text(path: Path) -> Iterator[TextIO]:
-    """`path` opened for csv.reader, past any byte-order mark. A byte that
-    is not UTF-8, or a field longer than csv's size limit, anywhere in the
-    parse under it is a DataError that starts with the path."""
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: expected UTF-8 text") from None
-    except csv.Error as err:
-        raise DataError(f"{path}: {err}") from None
 
 
 def load_dataset(path: str | Path) -> tuple[LabeledDataset, int]:

@@ -16,7 +16,7 @@ config fingerprint. This module owns the run directory's formats: each
 JSON file goes through `_write_json`, each CSV file through `_write_csv`,
 and each file read back is checked by `checks._check` against its one
 declared format (`MODEL_JSON`, `MODEL_NPZ`, `CONFUSION_CSV`,
-`METRICS_JSON`).
+`METRICS_JSON`); `checks` opens every JSON and CSV file read back.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderConfig, build
-from .checks import _check, _read_json
+from .checks import _check, _csv_text, _read_json
 from .config import (
     MODE_CENTRALIZED,
     MODE_FEDERATED,
@@ -426,12 +426,9 @@ def read_report(run_dir: str | Path
     is a DataError naming it and what is wrong."""
     run_dir = Path(run_dir)
     path = run_dir / "confusion.csv"
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            header, *rows = list(csv.reader(
-                line for line in fh if not line.startswith("#"))) or [[]]
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: expected UTF-8 text") from None
+    with _csv_text(path) as fh:
+        header, *rows = list(csv.reader(
+            line for line in fh if not line.startswith("#"))) or [[]]
     if tuple(header) != tuple(CONFUSION_CSV):
         raise DataError(f"{path}: expected header "
                         f"{','.join(CONFUSION_CSV)}, got {header}")

@@ -1,5 +1,7 @@
 """Tests for config parsing, the experiment harness and the CLI."""
 
+import codecs
+import csv
 import io
 import json
 import math
@@ -171,6 +173,26 @@ class TestParseConfig:
         assert cfg.data["model"]["hidden_dims"] == [128, 64, 32]
         assert cfg.data["model"]["bottleneck_dim"] == 16
         assert cfg.data["model"]["dropout_p"] == 0.2
+
+    @pytest.mark.parametrize("text", ["", "null\n"], ids=["blank", "null"])
+    def test_blank_or_null_file_gives_default_config(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert parse_config(path).data == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("root", [[], 0, "", False, [1], "x", 5],
+                             ids=["empty-list", "zero", "empty-string",
+                                  "false", "list", "string", "int"])
+    def test_non_mapping_root_rejected(self, tmp_path, capsys, root):
+        problem = f"config root must be a mapping, got {type(root).__name__}"
+        with pytest.raises(ConfigError) as info:
+            build_config(root)
+        assert str(info.value) == problem
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(root))
+        assert main(["train-central", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
 
     def test_unknown_key_rejected_with_name(self, tmp_path):
         path = tmp_path / "typo.yaml"
@@ -1115,13 +1137,16 @@ class TestCli:
         ("confusion.csv", "tp,fp,tn,fn\n1,2,3,4\n1,2,3,4\n", COUNTS),
         ("confusion.csv", b"tp,fp,tn,fn\n\xff\xfe1,2,3,4\n",
          "expected UTF-8 text"),
+        ("confusion.csv",
+         "tp,fp,tn,fn\n" + "x" * (csv.field_size_limit() + 1) + "\n",
+         "field larger than field limit"),
         ("metrics.json", "{not json", "expected a JSON object"),
         ("metrics.json", "[]", "expected a JSON object"),
         ("metrics.json", '{"accuracy": "high"}',
          "accuracy: expected a finite number or null, got 'high'"),
     ], ids=["empty", "header-only", "text-count", "three-counts",
-            "negative-count", "two-rows", "not-utf8", "metrics-not-json",
-            "metrics-not-object", "metrics-text-value"])
+            "negative-count", "two-rows", "not-utf8", "over-long-field",
+            "metrics-not-json", "metrics-not-object", "metrics-text-value"])
     def test_report_rejects_malformed_run_dir(self, tmp_path, capsys,
                                               central_run, name, text,
                                               problem):
@@ -1134,6 +1159,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {run_dir / name}: {problem}")
         assert err.count("\n") == 1
+
+    def test_report_skips_a_byte_order_mark(self, tmp_path, capsys,
+                                            central_run):
+        run_dir = tmp_path / "run"
+        shutil.copytree(central_run, run_dir)
+        path = run_dir / "confusion.csv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--dir", str(central_run)]) == 0
+        unmarked = capsys.readouterr().out
+        assert main(["report", "--dir", str(run_dir)]) == 0
+        assert capsys.readouterr().out == unmarked
 
     def test_report_flags_metrics_that_disagree(self, tmp_path, capsys,
                                                 central_run):
