@@ -235,15 +235,8 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def model_config(self) -> AutoencoderConfig:
-        m = self.data["model"]
-        return AutoencoderConfig(
-            input_dim=m["input_dim"],
-            hidden_dims=tuple(m["hidden_dims"]),
-            bottleneck_dim=m["bottleneck_dim"],
-            dropout_p=m["dropout_p"],
-            seed=self.derived_seed(STREAM_INIT),
-            mirror_dropout=m["mirror_dropout"],
-        )
+        return AutoencoderConfig(**self.data["model"],
+                                 seed=self.derived_seed(STREAM_INIT))
 
     def train_config(self, epochs: int, shuffle_seed: int = 0) -> TrainConfig:
         t = self.data["train"]
@@ -264,35 +257,32 @@ class ExperimentConfig:
         lipschitz = s["lipschitz"]
         if lipschitz is None:
             lipschitz = 1.0 / self.data["train"]["learning_rate"]
-        return StrategyConfig(
-            kind=StrategyKind(s["kind"]),
-            q=s["q"],
-            lipschitz=lipschitz,
-            sample_fraction=s["sample_fraction"],
-            weighted_mean=s["weighted_mean"],
-            relevance_window=s["relevance_window"],
-        )
+        return StrategyConfig(**s | {"kind": StrategyKind(s["kind"]),
+                                     "lipschitz": lipschitz})
 
     def latency_model(self) -> LatencyModel | None:
         raw = self.data["federation"]["latency"]
         return None if raw is None else LatencyModel(**copy.deepcopy(raw))
 
     def synth_spec(self) -> SynthSpec:
-        s = self.data["dataset"]["synth"]
-        return SynthSpec(n_normal=s["n_normal"], n_attack=s["n_attack"],
-                         dim=s["dim"], displacement=s["displacement"],
-                         seed=s["seed"])
+        return SynthSpec(**self.data["dataset"]["synth"])
 
     def derived_seed(self, *parts: int) -> int:
         return derive_seed(self.seed, *parts)
 
 
+def _root(user) -> dict:
+    """`user`, a config root: a mapping, or None for an empty one."""
+    if user is None:
+        return {}
+    if not isinstance(user, dict):
+        raise ConfigError(f"config root must be a mapping, got {_type_name(user)}")
+    return user
+
+
 def build_config(user: dict | None) -> ExperimentConfig:
     """Validate a raw mapping against the schema and fill defaults."""
-    if user is None:
-        user = {}
-    elif not isinstance(user, dict):
-        raise ConfigError(f"config root must be a mapping, got {_type_name(user)}")
+    user = _root(user)
     if isinstance(user.get("dataset"), dict):
         dataset = user["dataset"]
         if dataset.get("path") and "kind" not in dataset:
@@ -301,14 +291,17 @@ def build_config(user: dict | None) -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a config file; blank files mean all defaults."""
+    """Read and validate a config file; blank files mean all defaults. A
+    file that cannot be read as a config root is a ConfigError naming it."""
     # imported here, the only place that reads YAML: PyYAML compiles its
     # regexes on import, which every `import fedanom` would pay for
     import yaml
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw = yaml.safe_load(text) if text.strip() else None
+        raw = _root(yaml.safe_load(text) if text.strip() else None)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: expected UTF-8 text") from None
     except yaml.YAMLError as err:

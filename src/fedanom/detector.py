@@ -1,8 +1,11 @@
 """Threshold calibration, binary classification and evaluation metrics.
 
-The detector threshold is mean + standard deviation of the training
-reconstruction errors; a sample whose error is strictly above it is
-classified as an attack. Metrics with a zero denominator are reported as
+A local threshold is mean + standard deviation of the training
+reconstruction errors; a sample whose error is strictly above the
+detector's threshold is classified as an attack. A detector has one of two
+sources: SOURCE_CENTRALIZED, the one local threshold of a centralized run,
+or SOURCE_ROUND_MIN, the least local threshold over a federated run's
+(round, client) pairs. Metrics with a zero denominator are reported as
 None (never silently 0) so "no positives predicted" stays visible.
 """
 from __future__ import annotations
@@ -22,23 +25,11 @@ class ThresholdDetector:
     """A fixed decision threshold and where it came from."""
 
     threshold: float
-    per_round: tuple[float, ...] | None = None
+    source: str = SOURCE_CENTRALIZED
 
     def __post_init__(self):
         if self.threshold < 0.0:
             raise DataError(f"threshold must be nonnegative, got {self.threshold}")
-        if self.per_round is not None:
-            object.__setattr__(self, "per_round", tuple(float(t) for t in self.per_round))
-            if not self.per_round:
-                raise DataError("round-min detector needs at least one threshold")
-            if self.threshold != min(self.per_round):
-                raise DataError(
-                    f"round-min threshold {self.threshold} is not the minimum "
-                    f"of {self.per_round}")
-
-    @property
-    def source(self) -> str:
-        return SOURCE_CENTRALIZED if self.per_round is None else SOURCE_ROUND_MIN
 
 
 @dataclass(frozen=True)
@@ -82,14 +73,6 @@ def compute_threshold(errors: np.ndarray, use_sample_std: bool = False) -> float
         raise NumericError("reconstruction errors contain non-finite values")
     ddof = 1 if (use_sample_std and errors.size > 1) else 0
     return float(np.mean(errors) + np.std(errors, ddof=ddof))
-
-
-def min_round_threshold(per_round: list[float]) -> ThresholdDetector:
-    """Detector fixed at the least of the per-round thresholds."""
-    if not per_round:
-        raise DataError("need at least one per-round threshold")
-    values = tuple(float(t) for t in per_round)
-    return ThresholdDetector(min(values), per_round=values)
 
 
 def classify(detector: ThresholdDetector, errors: np.ndarray) -> np.ndarray:

@@ -42,12 +42,12 @@ from .autoencoder import (
     train_epochs,
 )
 from .detector import (
+    SOURCE_ROUND_MIN,
     ConfusionMatrix,
     ThresholdDetector,
     classify,
     compute_threshold,
     confusion,
-    min_round_threshold,
 )
 from .errors import (
     ConfigError,
@@ -450,7 +450,7 @@ def run_federated(clients: Sequence[ClientState],
         by_update = {u.client_id: u for u in updates}
         collected.extend(u.local_threshold for u in updates)  # id order
         if collected:
-            detector = min_round_threshold(collected)
+            detector = ThresholdDetector(min(collected), SOURCE_ROUND_MIN)
             per_client, pooled_cm = evaluate_clients(
                 ParameterSet(server.global_params, specs), clients, detector)
         else:

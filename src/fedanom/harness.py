@@ -57,7 +57,14 @@ from .dataplane import (
     synth_generate,
     train_val_split,
 )
-from .detector import ConfusionMatrix, MetricsReport, ThresholdDetector, metrics
+from .detector import (
+    SOURCE_CENTRALIZED,
+    SOURCE_ROUND_MIN,
+    ConfusionMatrix,
+    MetricsReport,
+    ThresholdDetector,
+    metrics,
+)
 from .errors import ConfigError, DataError, ShapeError
 from .federation import (
     ClientState,
@@ -307,9 +314,10 @@ ROUND_TRACE_HEADER = ("round", "client_id", "local_loss", "threshold",
 # as `checks._check` reads them.
 MODEL_JSON = {
     "threshold": (float, True, "[0, inf)", "a finite number"),
+    "detector_source": (str, True, (SOURCE_CENTRALIZED, SOURCE_ROUND_MIN),
+                        "a string"),
     "fingerprint": (str, True, None, "a string"),
     "layers": ([dict], True, None, "a list of mappings"),
-    "per_round_thresholds": ([float], False, None, "a list of finite numbers"),
     "seed": (int, False, None, "an int"),
 }
 MODEL_NPZ = {
@@ -458,8 +466,7 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
         "seed": model.seed,
         "fingerprint": model.fingerprint,
         "threshold": model.detector.threshold,
-        "per_round_thresholds": (list(model.detector.per_round)
-                                 if model.detector.per_round else None),
+        "detector_source": model.detector.source,
         "layers": [s._asdict() | {"activation": s.activation.value}
                    for s in model.params.specs],
     })
@@ -497,11 +504,6 @@ def load_model(model_dir: str | Path) -> TrainedModel:
     meta_path, npz_path = model_dir / "model.json", model_dir / "model.npz"
     meta = _read_json(meta_path, MODEL_JSON)
     arrays = _read_arrays(npz_path)
-    threshold, per_round = meta["threshold"], meta.get("per_round_thresholds")
-    if per_round and threshold != min(per_round):
-        raise DataError(f"{meta_path}: threshold: expected the least "
-                        f"per_round_thresholds value, {min(per_round)!r}, "
-                        f"got {threshold!r}")
     try:
         specs = _checked_specs([LayerSpec(*map(layer.get, LayerSpec._fields))
                                 for layer in meta["layers"]])
@@ -520,7 +522,8 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             raise DataError(f"{npz_path}: scaler_max: below scaler_min in "
                             f"column {below.argmax()}")
         scaler = ScalerParams(arrays["scaler_min"], arrays["scaler_max"])
-    detector = ThresholdDetector(float(threshold), per_round or None)
+    detector = ThresholdDetector(float(meta["threshold"]),
+                                 meta["detector_source"])
     return TrainedModel(unpack(arrays["flat"], specs), detector, scaler,
                         meta["fingerprint"], meta.get("seed") or 0)
 

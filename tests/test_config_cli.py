@@ -28,7 +28,13 @@ from fedanom.config import (
 )
 from fedanom.autoencoder import build
 from fedanom.dataplane import ScalerParams
-from fedanom.detector import ConfusionMatrix, ThresholdDetector, metrics
+from fedanom.detector import (
+    SOURCE_CENTRALIZED,
+    SOURCE_ROUND_MIN,
+    ConfusionMatrix,
+    ThresholdDetector,
+    metrics,
+)
 from fedanom.errors import (
     ConfigError,
     DataError,
@@ -192,7 +198,7 @@ class TestParseConfig:
         path.write_text(yaml.safe_dump(root))
         assert main(["train-central", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
     def test_unknown_key_rejected_with_name(self, tmp_path):
         path = tmp_path / "typo.yaml"
@@ -510,10 +516,6 @@ BUNDLE_FACTS = [
     pytest.param("model.json", lambda meta: {**meta, "threshold": -0.5},
                  "threshold: expected a value in [0, inf), got -0.5",
                  id="negative-threshold"),
-    pytest.param("model.json", lambda meta: {
-        **meta, "threshold": 0.5, "per_round_thresholds": [0.75, 0.25]},
-        "threshold: expected the least per_round_thresholds value, 0.25, "
-        "got 0.5", id="threshold-not-round-min"),
     pytest.param("model.json", lambda meta: {**meta, "fingerprint": 5},
                  "fingerprint: expected a string, got 5",
                  id="int-fingerprint"),
@@ -526,7 +528,7 @@ BUNDLE_FACTS = [
 @st.composite
 def bundles(draw):
     """A `TrainedModel` of 1-4 layers of sizes 1-9, with or without a
-    scaler and per-round thresholds."""
+    scaler, its detector of either source."""
     sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
     specs = [LayerSpec(out_dim, in_dim, draw(st.sampled_from(Activation)),
                        draw(st.floats(0.0, 1.0, exclude_max=True)))
@@ -534,15 +536,14 @@ def bundles(draw):
     finite = st.floats(-1e6, 1e6)
     n_params = sum(s.out_dim * (s.in_dim + 1) for s in specs)
     flat = draw(arrays(np.float64, n_params, elements=finite))
-    per_round = draw(st.none() | st.lists(st.floats(0.0, 1e6), min_size=1,
-                                          max_size=4))
-    threshold = min(per_round) if per_round else draw(st.floats(0.0, 1e6))
+    detector = ThresholdDetector(draw(st.floats(0.0, 1e6)), draw(
+        st.sampled_from([SOURCE_CENTRALIZED, SOURCE_ROUND_MIN])))
     scaler = None
     if draw(st.booleans()):
         ends = draw(arrays(np.float64, (2, sizes[0]), elements=finite))
         scaler = ScalerParams(ends.min(axis=0), ends.max(axis=0))
     return TrainedModel(ParameterSet(flat, specs),
-                        ThresholdDetector(threshold, per_round), scaler,
+                        detector, scaler,
                         draw(st.text(max_size=12)),
                         draw(st.integers(-2**63, 2**63)))
 
@@ -642,6 +643,9 @@ class TestCentralizedHarness:
         ("threshold", None, "missing key 'threshold'"),
         ("fingerprint", None, "missing key 'fingerprint'"),
         ("layers", 5, "layers: expected a list of mappings, got 5"),
+        ("detector_source", None, "missing key 'detector_source'"),
+        ("detector_source", "median", "detector_source: expected one of "
+                                      "centralized | round_min, got 'median'"),
     ])
     def test_malformed_model_json_names_file_and_key(self, tmp_path, key,
                                                      value, message):
@@ -661,11 +665,7 @@ class TestCentralizedHarness:
         ("threshold", float("nan"), "a finite number"),
         ("seed", 1.5, "an int"),
         ("seed", "7", "an int"),
-        ("per_round_thresholds", 0.5, "a list of finite numbers"),
-        ("per_round_thresholds", "abc", "a list of finite numbers"),
-        ("per_round_thresholds", [0.5, "x"], "a list of finite numbers"),
-        ("per_round_thresholds", [0.5, float("inf")],
-         "a list of finite numbers"),
+        ("detector_source", 5, "a string"),
     ])
     def test_mistyped_model_json_value_names_file_and_key(
             self, tmp_path, key, value, expected):
@@ -729,8 +729,7 @@ class TestCentralizedHarness:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("threshold", 10 ** 400, "a finite number"),
-        ("per_round_thresholds", [10 ** 400], "a list of finite numbers"),
-    ], ids=["threshold", "per-round-thresholds"])
+    ], ids=["threshold"])
     def test_int_beyond_float_range_is_no_finite_number(self, tmp_path, key,
                                                         value, expected):
         meta = save_untrained_model(tmp_path)
@@ -871,7 +870,7 @@ class TestFederatedHarness:
         assert len(report.round_traces) == 2
         assert report.per_client
         assert report.mean_round_accuracy is not None
-        assert model.detector.per_round is not None
+        assert model.detector.source == "round_min"
 
     def test_emitted_files(self, tmp_path):
         cfg = tiny_config(mode="federated")
@@ -893,7 +892,6 @@ class TestFederatedHarness:
         report, model, _ = run_federated_experiment(cfg)
         save_model(model, tmp_path / "m")
         loaded = load_model(tmp_path / "m")
-        assert loaded.detector.per_round is not None
         assert loaded.detector.source == "round_min"
         again = evaluate_saved(cfg, loaded)
         assert again.confusion == report.confusion

@@ -14,7 +14,6 @@ from fedanom.detector import (
     compute_threshold,
     confusion,
     metrics,
-    min_round_threshold,
 )
 from fedanom.errors import DataError, NumericError, ShapeError
 
@@ -54,28 +53,6 @@ class TestComputeThreshold:
                                                               rel=1e-9, abs=1e-9)
         assert compute_threshold(c * errors) == pytest.approx(c * base,
                                                               rel=1e-9, abs=1e-9)
-
-
-class TestMinRoundThreshold:
-    def test_takes_minimum(self):
-        det = min_round_threshold([0.9, 0.5, 0.7])
-        assert det.threshold == 0.5
-        assert det.source == "round_min"
-        assert det.per_round == (0.9, 0.5, 0.7)
-
-    def test_single_round(self):
-        assert min_round_threshold([0.3]).threshold == 0.3
-
-    def test_all_equal(self):
-        assert min_round_threshold([0.4, 0.4]).threshold == 0.4
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            min_round_threshold([])
-
-    def test_invariant_enforced(self):
-        with pytest.raises(DataError):
-            ThresholdDetector(0.9, per_round=(0.9, 0.5))
 
 
 class TestClassify:

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedanom.autoencoder import AutoencoderConfig, TrainConfig, build
+from fedanom.detector import SOURCE_ROUND_MIN, ThresholdDetector
 from fedanom.errors import (
     ConfigError,
     DataError,
@@ -601,7 +602,38 @@ class TestRunFederated:
                                train=TrainConfig(epochs=1), latency=latency,
                                master_seed=5)
         assert len(result.collected_thresholds) == 2
-        assert result.detector.per_round == tuple(result.collected_thresholds)
+        assert result.detector == ThresholdDetector(
+            min(result.collected_thresholds), SOURCE_ROUND_MIN)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_clients=st.integers(2, 4),
+           data=st.data())
+    def test_running_min_is_least_threshold_so_far(self, seed, n_clients,
+                                                   data):
+        # each round drops a drawn set of clients for latency
+        late = data.draw(st.lists(st.sets(st.integers(0, n_clients - 1)),
+                                  min_size=3, max_size=3))
+        assume(any(len(ids) < n_clients for ids in late))
+        latency = LatencyModel(
+            per_round={t: dict.fromkeys(ids, 9.0)
+                       for t, ids in enumerate(late, start=1)},
+            drop_after=1.0)
+        result = run_federated(toy_clients(n_clients), toy_model_cfg(),
+                               StrategyConfig(), rounds=3,
+                               train=TrainConfig(epochs=1), latency=latency,
+                               master_seed=seed)
+        so_far = []
+        for trace, ids in zip(result.rounds, late):
+            arrived = [r for r in trace.records if r.participated]
+            assert {r.client_id for r in arrived} == (
+                set(range(n_clients)) - ids)
+            so_far += [r.local_threshold for r in arrived]
+            assert trace.threshold_running_min == min(so_far, default=None)
+        running = [tr.threshold_running_min for tr in result.rounds
+                   if tr.threshold_running_min is not None]
+        assert running == sorted(running, reverse=True)
+        assert result.detector == ThresholdDetector(
+            min(result.collected_thresholds), SOURCE_ROUND_MIN)
 
     def test_no_arrival_at_all_is_a_data_error(self):
         latency = LatencyModel(delays={0: 9.0}, drop_after=1.0)
