@@ -496,6 +496,13 @@ def gelu_layer(meta):
     return meta
 
 
+def saved_before_detector_source(meta):
+    """`meta` as written before model.json named its detector's source."""
+    meta = dict(meta, per_round_thresholds=[meta["threshold"]])
+    del meta["detector_source"]
+    return meta
+
+
 # a trained tiny model (8 features, 190 parameters) edited so that each of
 # its files is well formed alone but a fact across its keys fails
 BUNDLE_FACTS = [
@@ -519,6 +526,13 @@ BUNDLE_FACTS = [
     pytest.param("model.json", lambda meta: {**meta, "fingerprint": 5},
                  "fingerprint: expected a string, got 5",
                  id="int-fingerprint"),
+    pytest.param("model.json", lambda meta: {
+        **meta, "detector_source": "median"},
+        "detector_source: expected one of centralized | round_min, "
+        "got 'median'", id="unknown-detector-source"),
+    pytest.param("model.json", saved_before_detector_source,
+                 "missing key 'detector_source'",
+                 id="saved-before-detector-source"),
     pytest.param("model.json", gelu_layer,
                  "layer 2: activation must be one of relu | tanh | "
                  "identity, got 'gelu'", id="unknown-activation"),
@@ -622,6 +636,15 @@ class TestCentralizedHarness:
         assert again.confusion == report.confusion
         assert again.threshold == report.threshold
 
+    @pytest.mark.parametrize("mode, source", [
+        ("centralized", SOURCE_CENTRALIZED), ("federated", SOURCE_ROUND_MIN)])
+    def test_saved_model_json_records_detector_source(self, tmp_path, mode,
+                                                      source):
+        report, model = run_experiment(tiny_config(mode=mode))
+        meta = json.loads((save_model(model, tmp_path) / "model.json")
+                          .read_text())
+        assert meta["detector_source"] == report.detector_source == source
+
 
     @pytest.mark.parametrize("layer, field, value", [
         (2, "activation", "gelu"),
@@ -666,6 +689,8 @@ class TestCentralizedHarness:
         ("seed", 1.5, "an int"),
         ("seed", "7", "an int"),
         ("detector_source", 5, "a string"),
+        ("detector_source", None, "a string"),
+        ("detector_source", ["round_min"], "a string"),
     ])
     def test_mistyped_model_json_value_names_file_and_key(
             self, tmp_path, key, value, expected):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedanom.detector import (
+    SOURCE_CENTRALIZED,
     ConfusionMatrix,
     ThresholdDetector,
     classify,
@@ -53,6 +54,16 @@ class TestComputeThreshold:
                                                               rel=1e-9, abs=1e-9)
         assert compute_threshold(c * errors) == pytest.approx(c * base,
                                                               rel=1e-9, abs=1e-9)
+
+
+class TestThresholdDetector:
+    def test_source_defaults_to_centralized(self):
+        assert ThresholdDetector(0.5) == ThresholdDetector(0.5,
+                                                           SOURCE_CENTRALIZED)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(DataError, match="nonnegative, got -0.5"):
+            ThresholdDetector(-0.5)
 
 
 class TestClassify:
