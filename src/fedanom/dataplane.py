@@ -114,9 +114,6 @@ def apply_scaler(scaler: ScalerParams, data: np.ndarray,
     is one fresh buffer (`data[rows]`, or a copy of `data`) scaled in place,
     and `data` itself is never written.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
     if data.shape[1] != scaler.minimum.shape[0]:
         raise ShapeError(
             f"data width {data.shape[1]} does not match scaler width "

@@ -66,7 +66,6 @@ class MetricsReport:
 
 def compute_threshold(errors: np.ndarray, use_sample_std: bool = False) -> float:
     """mean(errors) + std(errors), population std by default."""
-    errors = np.asarray(errors, dtype=np.float64).ravel()
     if errors.size == 0:
         raise DataError("cannot compute a threshold from no errors")
     if not np.isfinite(errors).all():
@@ -77,14 +76,12 @@ def compute_threshold(errors: np.ndarray, use_sample_std: bool = False) -> float
 
 def classify(detector: ThresholdDetector, errors: np.ndarray) -> np.ndarray:
     """Boolean attack decisions: error strictly above the threshold."""
-    errors = np.asarray(errors, dtype=np.float64).ravel()
     return errors > detector.threshold
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
-    """Count decisions against ground truth with attack as positive."""
-    pred = np.asarray(pred, dtype=bool).ravel()
-    truth = np.asarray(truth, dtype=bool).ravel()
+    """Count boolean decisions against boolean ground truth with attack as
+    positive."""
     if pred.shape != truth.shape:
         raise ShapeError(
             f"prediction length {pred.shape[0]} != truth length {truth.shape[0]}")

@@ -227,14 +227,14 @@ def local_round(client: ClientState, global_params: np.ndarray,
 
 
 def fedavg_aggregate(updates: Sequence[ClientUpdate],
-                     cfg: StrategyConfig | None = None) -> np.ndarray:
+                     cfg: StrategyConfig) -> np.ndarray:
     """Plain mean of the client parameter vectors, or the n_k-weighted
     mean when the weighted flag is set, summed in the order given
     (`aggregate` passes them sorted by client id)."""
     if not updates:
         raise DataError("cannot aggregate zero updates")
     stack = np.stack([u.params for u in updates])
-    if cfg is not None and cfg.weighted_mean:
+    if cfg.weighted_mean:
         weights = np.array([u.n_samples for u in updates], dtype=np.float64)
         weights /= weights.sum()
         return weights @ stack
@@ -246,14 +246,12 @@ def qffl_deltas(global_params: np.ndarray, update: ClientUpdate, q: float,
     """Reweighted step and Lipschitz-bound term for one update:
     dw = L (w - w_k), delta = F^q dw, h = q F^(q-1) |dw|^2 + L F^q.
     The update has the global model's length, which `aggregate` checks."""
-    w = np.asarray(global_params, dtype=np.float64)
-    wk = np.asarray(update.params, dtype=np.float64)
-    loss = float(update.local_loss)
+    loss = update.local_loss
     if q > 0.0 and loss <= 0.0:
         raise DegenerateLossError(
             f"client {update.client_id} has loss {loss}; q = {q} needs a "
             f"positive local loss")
-    dw = lipschitz * (w - wk)
+    dw = lipschitz * (global_params - update.params)
     delta = (loss ** q) * dw
     curvature = q * loss ** (q - 1.0) * float(dw @ dw) if q > 0.0 else 0.0
     h = curvature + lipschitz * loss ** q
@@ -266,8 +264,7 @@ def qffl_aggregate(global_params: np.ndarray,
     model's length, which `aggregate` checks of the updates."""
     if not deltas:
         raise DataError("cannot aggregate zero deltas")
-    w = np.asarray(global_params, dtype=np.float64)
-    total_delta = np.zeros_like(w)
+    total_delta = np.zeros_like(global_params)
     total_h = 0.0
     for delta, h in deltas:
         total_delta += delta
@@ -275,14 +272,11 @@ def qffl_aggregate(global_params: np.ndarray,
     if total_h <= 0.0:
         raise DegenerateAggregationError(
             f"aggregation denominator is {total_h}")
-    return w - total_delta / total_h
+    return global_params - total_delta / total_h
 
 
 def rms_summary(v: np.ndarray) -> float:
     """Scalar summary of an update vector: ||v||_2 / sqrt(d)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        return 0.0
     return float(np.linalg.norm(v) / math.sqrt(v.size))
 
 

@@ -80,7 +80,6 @@ from .numerics import (
     _checked_specs,
     _n_params,
     derive_rng,
-    unpack,
 )
 
 log = logging.getLogger("fedanom")
@@ -524,7 +523,8 @@ def load_model(model_dir: str | Path) -> TrainedModel:
         scaler = ScalerParams(arrays["scaler_min"], arrays["scaler_max"])
     detector = ThresholdDetector(float(meta["threshold"]),
                                  meta["detector_source"])
-    return TrainedModel(unpack(arrays["flat"], specs), detector, scaler,
+    params = ParameterSet(np.array(arrays["flat"], np.float64), specs)
+    return TrainedModel(params, detector, scaler,
                         meta["fingerprint"], meta.get("seed") or 0)
 
 

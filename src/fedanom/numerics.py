@@ -7,11 +7,14 @@ dropout masks), Adam and a step-decay learning-rate schedule.
 A model is a `ParameterSet`: one flat float64 vector laid out per layer as
 row-major weights then bias, with each layer's weights and bias built once
 as views into it. Training updates the vector in place with `adam_update`
-and the layers see the new values without a rebuild; `loss_and_gradients`
-writes each layer's gradient into the views of a gradient set of the same
-layout. `pack` and `unpack` copy a vector out of and into a set. Only
-training keeps every layer's activations; `feed_forward` (eval mode, no
-dropout) keeps the current one.
+and the layers see the new values without a rebuild. Only training keeps
+every layer's activations; `feed_forward` (eval mode, no dropout) keeps the
+current one.
+
+Nothing here converts its inputs. Rows are a 2-d float64 matrix, `masks`
+has one dropout mask per layer (None where it has no dropout), gradients go
+into `out`, a ParameterSet of the model's specs, and Adam works in a
+caller-owned (2, n) `scratch` buffer.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 
 class Activation(str, Enum):
@@ -40,10 +43,6 @@ class LayerSpec(NamedTuple):
     in_dim: int
     activation: Activation
     dropout: float = 0.0
-
-
-def _as_f64(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
 
 
 def derive_seed(*parts: int) -> int:
@@ -162,8 +161,8 @@ def _times_activation_grad(kind: Activation, h: np.ndarray,
 
 
 def feed_forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Eval-mode pass (no dropout) over a vector or a (batch, in) matrix,
-    keeping only the current layer's activation alive."""
+    """Eval-mode pass (no dropout) over a (rows, in) matrix, keeping only
+    the current layer's activation alive."""
     a = _model_input(params, x)
     for w, b, s in zip(params.weights, params.biases, params.specs):
         a = a @ w.T
@@ -173,22 +172,18 @@ def feed_forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
 
 
 def _model_input(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    a = _as_f64(x)
-    if a.shape[-1] != params.input_dim:
+    if x.shape[1] != params.input_dim:
         raise ShapeError(
-            f"input width {a.shape[-1]} does not match model input "
+            f"input width {x.shape[1]} does not match model input "
             f"{params.input_dim}")
-    return a
+    return x
 
 
 def _forward_cached(params: ParameterSet, x: np.ndarray,
-                    masks: Sequence[np.ndarray | None] | None = None):
+                    masks: Sequence[np.ndarray | None]):
     """Forward pass keeping, per layer, its input and its activation output
     before dropout, for the backward pass."""
     a = _model_input(params, x)
-    if masks is not None and len(masks) != len(params.specs):
-        raise ShapeError(
-            f"got {len(masks)} dropout masks for {len(params.specs)} layers")
     inputs = []    # post-dropout input fed to each layer
     outputs = []   # activation(W @ a + b) per layer, before dropout
     for i, (w, b, s) in enumerate(zip(params.weights, params.biases,
@@ -198,30 +193,20 @@ def _forward_cached(params: ParameterSet, x: np.ndarray,
         h += b
         _activate_inplace(s.activation, h)
         outputs.append(h)
-        a = h if masks is None or masks[i] is None else h * masks[i]
+        a = h if masks[i] is None else h * masks[i]
     return a, inputs, outputs
 
 
 def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
-                       masks: Sequence[np.ndarray | None] | None = None,
-                       out: ParameterSet | None = None
+                       masks: Sequence[np.ndarray | None], out: ParameterSet
                        ) -> tuple[float, np.ndarray]:
     """Mean reconstruction MSE of a batch and its gradient w.r.t. the
     flat parameter vector (reverse-mode through the autoencoder graph).
 
     Each layer's gradient is written into the matching layer views of
     `out`, a ParameterSet with the same specs as `params`, and `out.flat`
-    is returned; without one a new set is allocated.
+    is returned.
     """
-    batch = _as_f64(batch)
-    if batch.ndim == 1:
-        batch = batch[None, :]
-    if batch.shape[0] == 0:
-        raise DataError("cannot compute gradients on an empty batch")
-    if out is None:
-        out = ParameterSet.zeros(params.specs)
-    elif out.specs != params.specs:
-        raise ShapeError("gradient buffer specs differ from the model's")
     recon, inputs, outputs = _forward_cached(params, batch, masks)
     diff = recon - batch
     loss = float(np.mean(diff * diff))
@@ -229,7 +214,7 @@ def loss_and_gradients(params: ParameterSet, batch: np.ndarray,
     d_h = (2.0 / diff.size) * diff
     for i in range(len(params.specs) - 1, -1, -1):
         d_z = d_h
-        if masks is not None and masks[i] is not None:
+        if masks[i] is not None:
             d_z = d_h * masks[i]
         # d_z is a temporary of this pass, so it is scaled in place
         _times_activation_grad(params.specs[i].activation, outputs[i], d_z)
@@ -252,14 +237,6 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
-    def __post_init__(self):
-        self.first_moment = _as_f64(self.first_moment)
-        self.second_moment = _as_f64(self.second_moment)
-        if self.first_moment.shape != self.second_moment.shape:
-            raise ShapeError("Adam moment vectors differ in shape")
-        if self.step_count < 0:
-            raise ConfigError("Adam step count cannot be negative")
-
     @classmethod
     def zeros(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
               epsilon: float = 1e-8) -> "AdamState":
@@ -267,14 +244,14 @@ class AdamState:
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
-                rate: float, scratch: np.ndarray | None = None) -> None:
+                rate: float, scratch: np.ndarray) -> None:
     """One bias-corrected Adam update, in place.
 
     Overwrites `params` and the moments of `state` and advances its step
-    counter. `scratch`, if given, is a (2, n) float64 work buffer reused
-    across calls; otherwise one is allocated. The arithmetic follows the
-    Adam paper's formulas term by term, so results do not depend on which
-    buffers hold them.
+    counter. `scratch`, required, is a (2, n) float64 work buffer that the
+    caller reuses across calls. The arithmetic follows the Adam paper's
+    formulas term by term, so results do not depend on which buffers hold
+    them.
     """
     m, v = state.first_moment, state.second_moment
     if params.shape != grads.shape or params.shape != m.shape:
@@ -289,8 +266,6 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
             coord = int(np.flatnonzero(bad)[0])
             raise NumericError(
                 f"non-finite gradient at coordinate {coord}: {grads[coord]}")
-    if scratch is None:
-        scratch = np.empty((2,) + params.shape)
     step, denom = scratch[0], scratch[1]
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
@@ -329,13 +304,9 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
 
 def pack(params: ParameterSet) -> np.ndarray:
     """A copy of the model's flat vector: per layer, row-major weights
-    then bias."""
+    then bias. Kept for the benchmark in `perfbench`; nothing in the
+    package calls it."""
     return params.flat.copy()
-
-
-def unpack(flat: np.ndarray, specs: Sequence[LayerSpec]) -> ParameterSet:
-    """A ParameterSet over a private float64 copy of `flat`."""
-    return ParameterSet(np.array(flat, dtype=np.float64), specs)
 
 
 def glorot_init(specs: Sequence[LayerSpec], seed: int) -> ParameterSet:

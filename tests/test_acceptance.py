@@ -38,10 +38,10 @@ from fedanom.federation import (
 )
 from fedanom.harness import run_centralized, run_federated_experiment
 from fedanom.numerics import (
+    ParameterSet,
     derive_seed,
     loss_and_gradients,
     pack,
-    unpack,
 )
 
 
@@ -71,17 +71,21 @@ def test_criterion_1_gradient_correctness():
             assert n <= 200
             rng = np.random.default_rng(seed)
             flat = rng.uniform(-0.5, 0.5, size=n)
-            params = unpack(flat, specs)
+            params = ParameterSet(flat, specs)
             batch = rng.normal(size=(6, dims[0])) * 0.8
-            _, grad = loss_and_gradients(params, batch)
+            masks, out = [None] * len(specs), ParameterSet.zeros(specs)
+            _, grad = loss_and_gradients(params, batch, masks,
+                                         ParameterSet.zeros(specs))
             h = 1e-5
             for i in range(n):
                 up = flat.copy()
                 up[i] += h
                 down = flat.copy()
                 down[i] -= h
-                lu, _ = loss_and_gradients(unpack(up, specs), batch)
-                ld, _ = loss_and_gradients(unpack(down, specs), batch)
+                lu, _ = loss_and_gradients(ParameterSet(up, specs), batch,
+                                           masks, out)
+                ld, _ = loss_and_gradients(ParameterSet(down, specs), batch,
+                                           masks, out)
                 fd = (lu - ld) / (2.0 * h)
                 assert abs(grad[i] - fd) <= 1e-4 * max(abs(fd), 1e-8), (
                     f"model {dims} coordinate {i}: {grad[i]} vs {fd}")
@@ -107,7 +111,7 @@ def test_criterion_2_qffl_reduces_to_fedavg():
             ]
             deltas = [qffl_deltas(w, u, 0.0, lipschitz) for u in updates]
             got = qffl_aggregate(w, deltas)
-            want = fedavg_aggregate(updates)
+            want = fedavg_aggregate(updates, StrategyConfig())
             rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
             assert rel.max() <= 1e-9
         elapsed = time.monotonic() - start

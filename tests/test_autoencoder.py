@@ -29,7 +29,6 @@ from fedanom.numerics import (
     loss_and_gradients,
     lr_at,
     pack,
-    unpack,
 )
 
 
@@ -109,47 +108,46 @@ def halves(params):
 class TestEncodeDecode:
     def test_zero_params_zero_input(self):
         cfg = toy_config()
-        params = unpack(np.zeros(pack(build(cfg)).size), cfg.layer_specs())
-        enc, dec = halves(params)
-        np.testing.assert_array_equal(feed_forward(enc, np.zeros(6)),
-                                      np.zeros(3))
-        np.testing.assert_array_equal(feed_forward(dec, np.zeros(3)),
-                                      np.zeros(6))
+        enc, dec = halves(ParameterSet.zeros(cfg.layer_specs()))
+        np.testing.assert_array_equal(feed_forward(enc, np.zeros((1, 6))),
+                                      np.zeros((1, 3)))
+        np.testing.assert_array_equal(feed_forward(dec, np.zeros((1, 3))),
+                                      np.zeros((1, 6)))
 
     def test_default_bottleneck_width(self):
         enc, _ = halves(build(AutoencoderConfig()))
-        x = np.random.default_rng(0).uniform(-1, 1, 66)
-        assert feed_forward(enc, x).shape == (16,)
+        x = np.random.default_rng(0).uniform(-1, 1, (1, 66))
+        assert feed_forward(enc, x).shape == (1, 16)
 
     def test_default_output_width(self):
         _, dec = halves(build(AutoencoderConfig()))
-        y = np.random.default_rng(0).uniform(-1, 1, 16)
-        assert feed_forward(dec, y).shape == (66,)
+        y = np.random.default_rng(0).uniform(-1, 1, (1, 16))
+        assert feed_forward(dec, y).shape == (1, 66)
 
     def test_decode_inside_tanh_range(self):
         _, dec = halves(build(toy_config(seed=5)))
         rng = np.random.default_rng(2)
         for _ in range(5):
-            out = feed_forward(dec, rng.normal(size=3) * 3)
+            out = feed_forward(dec, rng.normal(size=(1, 3)) * 3)
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_encode_deterministic(self):
         enc, _ = halves(build(toy_config()))
-        x = np.random.default_rng(1).uniform(-1, 1, 6)
+        x = np.random.default_rng(1).uniform(-1, 1, (1, 6))
         np.testing.assert_array_equal(feed_forward(enc, x),
                                       feed_forward(enc, x))
 
     def test_shape_errors(self):
         enc, dec = halves(build(toy_config()))
         with pytest.raises(ShapeError):
-            feed_forward(enc, np.zeros(7))
+            feed_forward(enc, np.zeros((1, 7)))
         with pytest.raises(ShapeError):
-            feed_forward(dec, np.zeros(4))
+            feed_forward(dec, np.zeros((1, 4)))
 
     def test_reconstruct_matches_encode_decode(self):
         params = build(toy_config())
         enc, dec = halves(params)
-        x = np.random.default_rng(4).uniform(-1, 1, 6)
+        x = np.random.default_rng(4).uniform(-1, 1, (1, 6))
         np.testing.assert_array_equal(feed_forward(params, x),
                                       feed_forward(dec, feed_forward(enc, x)))
 
@@ -180,7 +178,7 @@ class TestReconstructionErrors:
         # an effectively-identity single pair of layers on zero input
         cfg = AutoencoderConfig(input_dim=2, hidden_dims=(), bottleneck_dim=2,
                                 dropout_p=0.0, seed=0)
-        params = unpack(np.zeros(pack(build(cfg)).size), cfg.layer_specs())
+        params = ParameterSet.zeros(cfg.layer_specs())
         errors = reconstruction_errors(params, np.zeros((1, 2)))
         np.testing.assert_array_equal(errors, [0.0])
 
@@ -298,7 +296,7 @@ class TestTrainEpochs:
         tc = TrainConfig(epochs=1, batch_size=8, shuffle_seed=0)
         steps = []
 
-        def counting_update(flat, grads, state, rate, scratch=None):
+        def counting_update(flat, grads, state, rate, scratch):
             adam_update(flat, grads, state, rate, scratch)
             steps.append(state.step_count)
 
@@ -326,7 +324,7 @@ class TestInvariants:
 
     def test_shape_contract(self):
         params = build(toy_config())
-        x = np.random.default_rng(1).uniform(-1, 1, 6)
+        x = np.random.default_rng(1).uniform(-1, 1, (3, 6))
         assert feed_forward(params, x).shape == x.shape
 
 
@@ -359,9 +357,10 @@ def reference_train_epochs(params, data, tc, state):
             masks = [(rng.random((len(idx), s.out_dim)) >= s.dropout)
                      .astype(np.float64) / (1.0 - s.dropout)
                      if s.dropout > 0.0 else None for s in specs]
-            loss, grad = loss_and_gradients(params, data[idx], masks)
+            loss, grad = loss_and_gradients(params, data[idx], masks,
+                                            ParameterSet.zeros(specs))
             flat, state = reference_adam_step(flat, grad, state, rate)
-            params = unpack(flat, specs)
+            params = ParameterSet(flat, specs)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return params, state, trace

@@ -765,6 +765,24 @@ class TestCentralizedHarness:
         assert str(err.value) == (f"{tmp_path / 'model.json'}: {key}: "
                                   f"expected {expected}, got {value!r}")
 
+    def test_loaded_params_share_no_memory_with_the_archive(self, tmp_path,
+                                                            monkeypatch):
+        import fedanom.harness as harness
+        save_untrained_model(tmp_path)
+        read_arrays, read = harness._read_arrays, []
+
+        def spy(path):
+            read.append(read_arrays(path))
+            return read[-1]
+
+        monkeypatch.setattr(harness, "_read_arrays", spy)
+        params = load_model(tmp_path).params
+        flat = read[0]["flat"]
+        assert not np.shares_memory(params.flat, flat)
+        before = params.flat.copy()
+        flat += 1.0
+        assert params.flat.tobytes() == before.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(model=bundles())
     def test_every_saved_bundle_loads_back_unchanged(self, model):
@@ -1069,6 +1087,18 @@ class TestCli:
         assert main(["report", "--dir", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "consistent" in captured
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+        config = write_tiny_yaml(tmp_path, mode="federated",
+                                 strategy={"kind": "fairfedavg"},
+                                 train={"learning_rate": 1.0e300})
+        code = main(["train-fed", "--config", str(config),
+                     "--out", str(tmp_path / "fed")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: client 0: non-finite training loss nan at epoch 0, "
+            "batch 1"]
 
     def test_train_fed_smoke(self, tmp_path):
         config = write_tiny_yaml(tmp_path, mode="federated")

@@ -88,10 +88,12 @@ class TestSampleClients:
 class TestFedavgAggregate:
     def test_single_update_unchanged(self):
         u = update(0, [1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(fedavg_aggregate([u]), u.params)
+        np.testing.assert_array_equal(
+            fedavg_aggregate([u], StrategyConfig()), u.params)
 
     def test_plain_mean(self):
-        out = fedavg_aggregate([update(0, [2.0, 4.0]), update(1, [4.0, 6.0])])
+        out = fedavg_aggregate([update(0, [2.0, 4.0]), update(1, [4.0, 6.0])],
+                               StrategyConfig())
         np.testing.assert_allclose(out, [3.0, 5.0])
 
     def test_weighted_mean(self):
@@ -495,13 +497,15 @@ class TestAssignLatencies:
 
 
 class TestLocalRound:
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_names_the_client(self):
-        # a client never reports a non-finite loss: training stops first
+        # a client never reports a non-finite loss: training stops first,
+        # and without a numpy warning on the way
         cfg = toy_model_cfg()
         client = toy_clients(2)[1]
         client.train[3, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(
-                DivergenceError, match="^client 1: non-finite training loss"):
+        with pytest.raises(DivergenceError,
+                           match="^client 1: non-finite training loss"):
             local_round(client, pack(build(cfg)), cfg.layer_specs(),
                         TrainConfig(epochs=1), False)
 

@@ -23,7 +23,6 @@ from fedanom.numerics import (
     loss_and_gradients,
     lr_at,
     pack,
-    unpack,
 )
 
 
@@ -34,15 +33,11 @@ def dense(weights, bias, activation=Activation.IDENTITY):
     return ParameterSet(flat, [LayerSpec(*weights.shape, activation)])
 
 
-def one_layer(layer, x):
-    """activation(W @ x + b) of a single layer, through the model pass."""
-    return feed_forward(layer, np.asarray(x, dtype=float))
-
-
 def activated(kind, x):
-    """The activation alone: one identity-weight, zero-bias layer."""
-    x = np.asarray(x, dtype=float)
-    return one_layer(dense(np.eye(x.size), np.zeros(x.size), kind), x)
+    """The activation alone, over the one-row matrix `x`: one
+    identity-weight, zero-bias layer."""
+    width = x.shape[1]
+    return feed_forward(dense(np.eye(width), np.zeros(width), kind), x)
 
 
 def reference_activate(kind, z):
@@ -57,8 +52,9 @@ def batch_loss(recon, batch):
     """The loss of one layer with zero weights whose bias is `recon`: the
     model outputs `recon` for every row, so this is the batch MSE."""
     recon = np.asarray(recon, dtype=float)
-    layer = dense(np.zeros((recon.size, np.shape(batch)[-1])), recon)
-    return loss_and_gradients(layer, batch)[0]
+    layer = dense(np.zeros((recon.size, batch.shape[1])), recon)
+    return loss_and_gradients(layer, batch, [None],
+                              ParameterSet.zeros(layer.specs))[0]
 
 
 def random_params(specs, seed, scale=0.5):
@@ -66,12 +62,13 @@ def random_params(specs, seed, scale=0.5):
     away from the kink at zero where finite differences are invalid."""
     rng = np.random.default_rng(seed)
     n = sum(s.out_dim * s.in_dim + s.out_dim for s in specs)
-    return unpack(rng.uniform(-scale, scale, size=n), specs)
+    return ParameterSet(rng.uniform(-scale, scale, size=n), specs)
 
 
 def finite_difference_grad(params, batch, h=1e-5):
     """Independent oracle: central differences of the forward loss."""
     specs = params.specs
+    masks, out = [None] * len(specs), ParameterSet.zeros(specs)
     flat = pack(params)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
@@ -79,8 +76,9 @@ def finite_difference_grad(params, batch, h=1e-5):
         up[i] += h
         down = flat.copy()
         down[i] -= h
-        lu, _ = loss_and_gradients(unpack(up, specs), batch)
-        ld, _ = loss_and_gradients(unpack(down, specs), batch)
+        lu, _ = loss_and_gradients(ParameterSet(up, specs), batch, masks, out)
+        ld, _ = loss_and_gradients(ParameterSet(down, specs), batch, masks,
+                                   out)
         grad[i] = (lu - ld) / (2.0 * h)
     return grad
 
@@ -88,53 +86,53 @@ def finite_difference_grad(params, batch, h=1e-5):
 class TestDenseForward:
     def test_hand_matrix_arithmetic(self):
         layer = dense([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
-        out = one_layer(layer, [1.0, 1.0])
-        np.testing.assert_allclose(out, [3.5, 6.5])
+        out = feed_forward(layer, np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(out, [[3.5, 6.5]])
 
     def test_zero_weights_zero_bias(self):
         for act in Activation:
             layer = dense(np.zeros((3, 2)), np.zeros(3), act)
-            out = one_layer(layer, [4.0, -7.0])
-            np.testing.assert_array_equal(out, np.zeros(3))
+            out = feed_forward(layer, np.array([[4.0, -7.0]]))
+            np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_identity_weights_relu(self):
         layer = dense(np.eye(2), np.zeros(2), Activation.RELU)
-        out = one_layer(layer, [-1.0, 2.0])
-        np.testing.assert_array_equal(out, [0.0, 2.0])
+        out = feed_forward(layer, np.array([[-1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
     def test_dimension_mismatch_names_sizes(self):
         layer = dense(np.eye(2), np.zeros(2), Activation.RELU)
         with pytest.raises(ShapeError, match="3"):
-            one_layer(layer, np.zeros(3))
+            feed_forward(layer, np.zeros((1, 3)))
 
     def test_batch_input(self):
         layer = dense([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-        out = one_layer(layer, [[1.0, 2.0], [3.0, 4.0]])
+        out = feed_forward(layer, np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(out, [[2.0, 3.0], [4.0, 5.0]])
 
     def test_linear_before_activation(self):
         rng = np.random.default_rng(3)
         layer = dense(rng.normal(size=(4, 3)), np.zeros(4))
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(one_layer(layer, 2.5 * x),
-                                   2.5 * one_layer(layer, x))
+        x = rng.normal(size=(1, 3))
+        np.testing.assert_allclose(feed_forward(layer, 2.5 * x),
+                                   2.5 * feed_forward(layer, x))
 
 
 class TestActivate:
     def test_relu(self):
         np.testing.assert_array_equal(
-            activated(Activation.RELU, [-1.0, 0.0, 2.0]),
-            [0.0, 0.0, 2.0])
+            activated(Activation.RELU, np.array([[-1.0, 0.0, 2.0]])),
+            [[0.0, 0.0, 2.0]])
 
     def test_tanh_zero(self):
-        assert activated(Activation.TANH, [0.0])[0] == 0.0
+        assert activated(Activation.TANH, np.array([[0.0]]))[0, 0] == 0.0
 
     def test_tanh_saturation(self):
-        out = activated(Activation.TANH, [1e9])
-        assert abs(out[0] - 1.0) < 1e-12
+        out = activated(Activation.TANH, np.array([[1e9]]))
+        assert abs(out[0, 0] - 1.0) < 1e-12
 
     def test_identity(self):
-        x = np.array([1.5, -2.5])
+        x = np.array([[1.5, -2.5]])
         np.testing.assert_array_equal(activated(Activation.IDENTITY, x), x)
 
 
@@ -151,15 +149,17 @@ class TestMse:
     def test_length_mismatch(self):
         layer = dense(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ShapeError):
-            loss_and_gradients(layer, np.zeros((1, 3)))
+            loss_and_gradients(layer, np.zeros((1, 3)), [None],
+                               ParameterSet.zeros(layer.specs))
 
 
 class TestGradients:
     def test_zero_params_zero_batch(self):
         specs = (LayerSpec(2, 2, Activation.RELU),
                  LayerSpec(2, 2, Activation.TANH))
-        params = unpack(np.zeros(12), specs)
-        _, grad = loss_and_gradients(params, np.zeros((4, 2)))
+        params = ParameterSet(np.zeros(12), specs)
+        _, grad = loss_and_gradients(params, np.zeros((4, 2)), [None, None],
+                                     ParameterSet.zeros(specs))
         np.testing.assert_array_equal(grad, np.zeros(12))
 
     @pytest.mark.parametrize("seed,dims", [(7, (3, 2)), (11, (5, 4, 3)),
@@ -173,7 +173,8 @@ class TestGradients:
         params = random_params(specs, seed)
         assert pack(params).size <= 200
         batch = np.random.default_rng(seed + 1).normal(size=(6, dims[0])) * 0.8
-        _, grad = loss_and_gradients(params, batch)
+        _, grad = loss_and_gradients(params, batch, [None] * len(specs),
+                                     ParameterSet.zeros(specs))
         oracle = finite_difference_grad(params, batch)
         rel = np.abs(grad - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() <= 1e-4
@@ -184,15 +185,17 @@ class TestGradients:
         params = random_params(specs, 5)
         batch = np.random.default_rng(6).normal(size=(4, 3))
         doubled = np.vstack([batch, batch])
-        np.testing.assert_allclose(loss_and_gradients(params, batch)[1],
-                                   loss_and_gradients(params, doubled)[1],
-                                   rtol=0, atol=1e-15)
+        grads = [loss_and_gradients(params, rows, [None, None],
+                                    ParameterSet.zeros(specs))[1]
+                 for rows in (batch, doubled)]
+        np.testing.assert_allclose(*grads, rtol=0, atol=1e-15)
 
     def test_shape_mismatch(self):
         specs = (LayerSpec(2, 3, Activation.RELU),)
         params = random_params(specs, 1)
         with pytest.raises(ShapeError):
-            loss_and_gradients(params, np.zeros((4, 5)))
+            loss_and_gradients(params, np.zeros((4, 5)), [None],
+                               ParameterSet.zeros(specs))
 
     def test_dropout_masks_enter_gradient(self):
         specs = (LayerSpec(4, 3, Activation.RELU, dropout=0.5),
@@ -201,7 +204,8 @@ class TestGradients:
         batch = np.random.default_rng(9).normal(size=(5, 3))
         masks = [np.zeros((5, 4)), None]
         # layer 0 output fully dropped: its weights get zero gradient
-        _, grad = loss_and_gradients(params, batch, masks)
+        _, grad = loss_and_gradients(params, batch, masks,
+                                     ParameterSet.zeros(specs))
         n_w0 = 4 * 3 + 4
         np.testing.assert_array_equal(grad[:n_w0], np.zeros(n_w0))
 
@@ -209,31 +213,31 @@ class TestGradients:
 class TestAdam:
     def test_closed_form_first_step(self):
         params, state = np.zeros(1), AdamState.zeros(1)
-        adam_update(params, np.ones(1), state, 0.001)
+        adam_update(params, np.ones(1), state, 0.001, np.empty((2, 1)))
         assert abs(params[0] - (-0.001)) < 1e-6
         assert state.step_count == 1
 
     def test_zero_gradient_fixed_point(self):
         start = np.array([1.0, -2.0, 3.0])
         params, state = start.copy(), AdamState.zeros(3)
-        adam_update(params, np.zeros(3), state, 0.01)
+        adam_update(params, np.zeros(3), state, 0.01, np.empty((2, 3)))
         np.testing.assert_array_equal(params, start)
         assert state.step_count == 1
 
     def test_statefulness(self):
-        g = np.array([1.0, -1.0])
+        g, scratch = np.array([1.0, -1.0]), np.empty((2, 2))
         p2, s2 = np.zeros(2), AdamState.zeros(2)
-        adam_update(p2, g, s2, 0.01)
+        adam_update(p2, g, s2, 0.01, scratch)
         p1_again = p2.copy()
-        adam_update(p2, g, s2, 0.01)
-        adam_update(p1_again, g, AdamState.zeros(2), 0.01)
+        adam_update(p2, g, s2, 0.01, scratch)
+        adam_update(p1_again, g, AdamState.zeros(2), 0.01, scratch)
         assert s2.step_count == 2
         assert not np.array_equal(p2, p1_again)
 
     def test_non_finite_gradient_names_coordinate(self):
         with pytest.raises(NumericError, match="coordinate 1"):
             adam_update(np.zeros(3), np.array([0.0, np.nan, 0.0]),
-                        AdamState.zeros(3), 0.01)
+                        AdamState.zeros(3), 0.01, np.empty((2, 3)))
 
 
 class TestLrSchedule:
@@ -254,12 +258,12 @@ class TestLrSchedule:
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-class TestPackUnpack:
+class TestPack:
     def test_round_trip_exact(self):
         specs = (LayerSpec(3, 2, Activation.RELU, 0.2),
                  LayerSpec(2, 3, Activation.TANH))
         params = random_params(specs, 42)
-        rebuilt = unpack(pack(params), specs)
+        rebuilt = ParameterSet(pack(params), specs)
         for a, b in zip(params.weights, rebuilt.weights):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(params.biases, rebuilt.biases):
@@ -272,7 +276,7 @@ class TestPackUnpack:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            unpack(np.zeros(5), (LayerSpec(2, 2, Activation.RELU),))
+            ParameterSet(np.zeros(5), (LayerSpec(2, 2, Activation.RELU),))
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -281,7 +285,7 @@ class TestPackUnpack:
                  LayerSpec(a, b, Activation.TANH))
         n = a * b + b + b * a + a
         flat = np.random.default_rng(seed).normal(size=n)
-        np.testing.assert_array_equal(pack(unpack(flat, specs)), flat)
+        np.testing.assert_array_equal(pack(ParameterSet(flat, specs)), flat)
 
 
 class TestSeedDerivation:
@@ -331,7 +335,7 @@ class TestGlorotInit:
             pos += w.size + b.size
         assert pos == params.n_params
         flat = np.random.default_rng(seed).normal(size=pos)
-        assert pack(unpack(flat, specs)).tobytes() == flat.tobytes()
+        assert pack(ParameterSet(flat, specs)).tobytes() == flat.tobytes()
 
 
 def reference_glorot(specs, seed):
@@ -377,7 +381,7 @@ def reference_adam_step(params, grads, state, rate):
     return params - rate * m_hat / (np.sqrt(v_hat) + state.epsilon), m, v
 
 
-def reference_loss_and_gradients(params, batch, masks=None):
+def reference_loss_and_gradients(params, batch, masks):
     """Backward pass from pre-activations, one concatenated gradient."""
     inputs, preacts, a = [], [], batch
     layers = list(zip(params.weights, params.biases, params.specs))
@@ -386,14 +390,14 @@ def reference_loss_and_gradients(params, batch, masks=None):
         z = a @ w.T + b
         preacts.append(z)
         a = reference_activate(s.activation, z)
-        if masks is not None and masks[i] is not None:
+        if masks[i] is not None:
             a = a * masks[i]
     diff = a - batch
     d_h = (2.0 / diff.size) * diff
     parts = []
     for i in range(len(layers) - 1, -1, -1):
         w, _, s = layers[i]
-        d_a = d_h if masks is None or masks[i] is None else d_h * masks[i]
+        d_a = d_h if masks[i] is None else d_h * masks[i]
         z = preacts[i]
         if s.activation is Activation.RELU:
             d_z = d_a * (z > 0.0).astype(np.float64)
@@ -425,11 +429,12 @@ class TestFlatBuffers:
         params = random_params(specs, seed)
         rng = np.random.default_rng(seed + 1)
         batch = rng.normal(size=(rows, dims[0]))
-        masks = None
+        masks = [None] * len(specs)
         if dropped:
             masks = [(rng.random((rows, s.out_dim)) >= 0.3) / 0.7
                      for s in specs[:-1]] + [None]
-        loss, grad = loss_and_gradients(params, batch, masks)
+        loss, grad = loss_and_gradients(params, batch, masks,
+                                        ParameterSet.zeros(specs))
         ref_loss, ref_grad = reference_loss_and_gradients(params, batch,
                                                           masks)
         assert loss == ref_loss
@@ -462,32 +467,26 @@ class TestFlatBuffers:
         specs = chain_specs((5, 4, 3))
         params = random_params(specs, 3)
         batch = np.random.default_rng(4).normal(size=(7, 5))
+        masks = [None] * len(specs)
         buf = ParameterSet(np.full(params.n_params, np.nan), specs)
-        loss, grad = loss_and_gradients(params, batch, out=buf)
+        loss, grad = loss_and_gradients(params, batch, masks, buf)
         assert grad is buf.flat
-        ref_loss, ref_grad = loss_and_gradients(params, batch)
+        ref_loss, ref_grad = loss_and_gradients(params, batch, masks,
+                                                ParameterSet.zeros(specs))
         assert loss == ref_loss
         np.testing.assert_array_equal(buf.flat, ref_grad)
-
-    def test_out_buffer_must_fit(self):
-        specs = chain_specs((3, 2))
-        params = random_params(specs, 1)
-        for other in (chain_specs((3, 1)), chain_specs((2, 3))):
-            with pytest.raises(ShapeError):
-                loss_and_gradients(params, np.zeros((2, 3)),
-                                   out=ParameterSet.zeros(other))
 
     @given(st.integers(1, 30), st.integers(0, 5), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_adam_matches_formula_bitwise(self, n, warm_steps, seed):
         rng = np.random.default_rng(seed)
         params = rng.normal(size=n)
-        state = AdamState.zeros(n)
+        state, scratch = AdamState.zeros(n), np.empty((2, n))
         for _ in range(warm_steps):
-            adam_update(params, rng.normal(size=n), state, 0.01)
+            adam_update(params, rng.normal(size=n), state, 0.01, scratch)
         grads = rng.normal(size=n)
         expect, m, v = reference_adam_step(params, grads, state, 0.003)
-        adam_update(params, grads, state, 0.003)
+        adam_update(params, grads, state, 0.003, scratch)
         np.testing.assert_array_equal(params, expect)
         np.testing.assert_array_equal(state.first_moment, m)
         np.testing.assert_array_equal(state.second_moment, v)
@@ -513,7 +512,8 @@ class TestFlatBuffers:
     def test_adam_overflowing_finite_gradient_accepted(self):
         # the squared sum overflows although every entry is finite
         params, state = np.zeros(2), AdamState.zeros(2)
-        adam_update(params, np.array([1e154, -1e154]), state, 0.01)
+        adam_update(params, np.array([1e154, -1e154]), state, 0.01,
+                    np.empty((2, 2)))
         np.testing.assert_allclose(params, [-0.01, 0.01])
         assert np.all(np.isfinite(state.second_moment))
 
@@ -535,10 +535,3 @@ class TestFlatBuffers:
             ParameterSet(np.zeros(17, dtype=np.float32), specs)
         with pytest.raises(ShapeError):
             ParameterSet([0.0] * 17, specs)
-
-    def test_unpack_copies(self):
-        specs = chain_specs((3, 2))
-        flat = np.zeros(17)
-        params = unpack(flat, specs)
-        flat += 1.0
-        np.testing.assert_array_equal(pack(params), np.zeros(17))
