@@ -170,9 +170,9 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig
     Each epoch shuffles rows with the seeded stream, draws fresh dropout
     masks per batch, and records the mean training loss over its batches.
     Fully deterministic given (params, data, tc). `params` is left as it
-    is: training works on, and returns, one copy of it. The loop runs with
-    numpy's overflow and invalid-value warnings off: there a non-finite loss
-    is a DivergenceError and a non-finite gradient a NumericError.
+    is: training works on, and returns, one copy of it. A non-finite loss
+    is a DivergenceError naming its epoch and batch; `local_round` turns
+    numpy's overflow and invalid-value warnings off and names the client.
     """
     if data.shape[0] == 0:
         raise DataError("cannot train on an empty dataset")
@@ -185,22 +185,20 @@ def train_epochs(params: ParameterSet, data: np.ndarray, tc: TrainConfig
     scratch = np.empty((2, current.n_params))
     trace: list[float] = []
     n = data.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(tc.epochs):
-            order = rng.permutation(n)
-            rate = lr_at(tc.schedule, epoch)
-            batch_losses = []
-            for start in range(0, n, tc.batch_size):
-                idx = order[start:start + tc.batch_size]
-                batch = data[idx]
-                masks = _batch_masks(specs, len(idx), rng)
-                loss, _ = loss_and_gradients(current, batch, masks, grads)
-                if not math.isfinite(loss):
-                    raise DivergenceError(
-                        f"non-finite training loss {loss} at epoch {epoch}, "
-                        f"batch {start // tc.batch_size}",
-                        epoch=epoch, batch=start // tc.batch_size)
-                adam_update(current.flat, grads.flat, state, rate, scratch)
-                batch_losses.append(loss)
-            trace.append(float(np.mean(batch_losses)))
+    for epoch in range(tc.epochs):
+        order = rng.permutation(n)
+        rate = lr_at(tc.schedule, epoch)
+        batch_losses = []
+        for start in range(0, n, tc.batch_size):
+            idx = order[start:start + tc.batch_size]
+            batch = data[idx]
+            masks = _batch_masks(specs, len(idx), rng)
+            loss, _ = loss_and_gradients(current, batch, masks, grads)
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite training loss {loss} at epoch {epoch}, "
+                    f"batch {start // tc.batch_size}")
+            adam_update(current.flat, grads.flat, state, rate, scratch)
+            batch_losses.append(loss)
+        trace.append(float(np.mean(batch_losses)))
     return current, trace

@@ -141,7 +141,6 @@ def split_by_label(ds: LabeledDataset, rows: np.ndarray | None = None
         rows = np.arange(len(ds))
         attack = ds.is_attack
     else:
-        rows = np.asarray(rows, dtype=np.intp)
         attack = ds.labels[rows] != NORMAL_LABEL
     return rows[~attack], rows[attack]
 
@@ -150,9 +149,6 @@ def train_val_split(rows: np.ndarray, fraction: float = 0.8,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle of the row indices `rows`, then split; the train part
     gets floor(fraction * n) of them."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise DataError("cannot split an empty dataset")
     order = derive_rng(seed).permutation(rows.size)
     n_train = int(math.floor(fraction * rows.size))
     return rows[order[:n_train]], rows[order[n_train:]]

@@ -39,11 +39,6 @@ class ConfusionMatrix:
     tn: int
     fn: int
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} count cannot be negative")
-
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn

@@ -26,14 +26,7 @@ class NumericError(FedAnomError, ArithmeticError):
 
 
 class DivergenceError(NumericError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, message: str, *, epoch: int | None = None,
-                 batch: int | None = None, client_id: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-        self.client_id = client_id
+    """Training produced a non-finite loss at the epoch and batch named."""
 
 
 class DegenerateLossError(NumericError):

@@ -54,7 +54,7 @@ from .errors import (
     DataError,
     DegenerateAggregationError,
     DegenerateLossError,
-    DivergenceError,
+    NumericError,
     ShapeError,
 )
 from .numerics import (
@@ -171,8 +171,6 @@ def sample_clients(all_ids: Sequence[int], fraction: float,
     """`clients_per_round` distinct ids, uniform without replacement,
     sorted ascending."""
     ids = sorted(all_ids)
-    if not ids:
-        raise DataError("cannot sample from an empty client set")
     k = clients_per_round(fraction, len(ids))
     chosen = rng.choice(len(ids), size=k, replace=False)
     return sorted(ids[int(i)] for i in chosen)
@@ -211,17 +209,18 @@ def local_round(client: ClientState, global_params: np.ndarray,
     Trains `tc.epochs` epochs from a fresh optimizer state and LR schedule
     with `tc`'s shuffle/dropout seed, then sets the local threshold at mean
     + std (sample std if `use_sample_std`) of the errors on those rows.
+    Both run with numpy's overflow and invalid-value warnings off, and a
+    NumericError from either is raised again prefixed `client {id}: `.
     """
-    params = ParameterSet(np.ascontiguousarray(global_params, np.float64),
-                          specs)
     try:
-        trained, losses = train_epochs(params, client.train, tc)
-    except DivergenceError as err:
-        err.client_id = client.client_id
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained, losses = train_epochs(ParameterSet(global_params, specs),
+                                           client.train, tc)
+            threshold = compute_threshold(
+                reconstruction_errors(trained, client.train), use_sample_std)
+    except NumericError as err:
         err.args = (f"client {client.client_id}: {err.args[0]}",)
         raise
-    errors = reconstruction_errors(trained, client.train)
-    threshold = compute_threshold(errors, use_sample_std)
     return ClientUpdate(client.client_id, trained.flat, tuple(losses),
                         client.n_samples, threshold)
 
@@ -231,8 +230,6 @@ def fedavg_aggregate(updates: Sequence[ClientUpdate],
     """Plain mean of the client parameter vectors, or the n_k-weighted
     mean when the weighted flag is set, summed in the order given
     (`aggregate` passes them sorted by client id)."""
-    if not updates:
-        raise DataError("cannot aggregate zero updates")
     stack = np.stack([u.params for u in updates])
     if cfg.weighted_mean:
         weights = np.array([u.n_samples for u in updates], dtype=np.float64)
@@ -262,8 +259,6 @@ def qffl_aggregate(global_params: np.ndarray,
                    deltas: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
     """w' = w - sum(delta_k) / sum(h_k). Every delta has the global
     model's length, which `aggregate` checks of the updates."""
-    if not deltas:
-        raise DataError("cannot aggregate zero deltas")
     total_delta = np.zeros_like(global_params)
     total_h = 0.0
     for delta, h in deltas:

@@ -205,11 +205,9 @@ def _model_config(cfg: ExperimentConfig,
 
 
 def _report(cfg: ExperimentConfig, mode: str, detector: ThresholdDetector,
-            per_client: dict[int, ConfusionMatrix], cm: ConfusionMatrix | None,
+            per_client: dict[int, ConfusionMatrix], cm: ConfusionMatrix,
             **extra) -> EvaluationReport:
     """The report of a run scored by `evaluate_clients`."""
-    if cm is None:
-        raise DataError("nothing to evaluate: no validation or attack rows")
     return EvaluationReport(
         mode=mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
         confusion=cm, metrics=metrics(cm), threshold=detector.threshold,
@@ -447,6 +445,8 @@ def read_report(run_dir: str | Path
     except ValueError:  # a DataError is one too
         raise DataError(f"{path}: expected one row of 4 non-negative "
                         f"integer counts, got {rows}") from None
+    if not any(counts.values()):
+        raise DataError(f"{path}: every count is 0")
     stored = _read_json(run_dir / "metrics.json", METRICS_JSON)
     return (ConfusionMatrix(**counts),
             {key: stored.get(key) for key in METRICS_JSON})

@@ -805,6 +805,7 @@ class TestCentralizedHarness:
 class TestDataPathResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         from fedanom.harness import resolve_data_path
+        monkeypatch.chdir(tmp_path)
         data_dir = tmp_path / "datasets"
         data_dir.mkdir()
         (data_dir / "flows.csv").write_text("f0,label\n")
@@ -1055,6 +1056,9 @@ def central_run(tmp_path_factory):
 
 
 COUNTS = "expected one row of 4 non-negative integer counts"
+FAIR_FED = {"mode": "federated", "strategy": {"kind": "fairfedavg"}}
+TRAINING_NAN = "non-finite training loss nan at epoch 0, batch 1"
+NON_FINITE_ERRORS = "reconstruction errors contain non-finite values"
 
 
 class TestCli:
@@ -1089,16 +1093,25 @@ class TestCli:
         assert "consistent" in captured
 
     @pytest.mark.filterwarnings("error")
-    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
-        config = write_tiny_yaml(tmp_path, mode="federated",
-                                 strategy={"kind": "fairfedavg"},
-                                 train={"learning_rate": 1.0e300})
-        code = main(["train-fed", "--config", str(config),
-                     "--out", str(tmp_path / "fed")])
+    @pytest.mark.parametrize("command, train, overrides, line", [
+        ("train-fed", {}, FAIR_FED, TRAINING_NAN),
+        ("train-central", {"epochs": 1, "batch_size": 4096}, {},
+         NON_FINITE_ERRORS),
+        ("train-fed", {"batch_size": 4096},
+         {**FAIR_FED, "federation": {"epochs_per_round": 1}},
+         NON_FINITE_ERRORS),
+    ], ids=["training", "central-calibration", "fed-calibration"])
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, command,
+                                             train, overrides, line):
+        # one step at this rate leaves huge but finite weights, so the fault
+        # shows when the client calibrates; a second step finds it in training
+        config = write_tiny_yaml(
+            tmp_path, train={"learning_rate": 1.0e300, **train}, **overrides)
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: client 0: non-finite training loss nan at epoch 0, "
-            "batch 1"]
+            f"error: client 0: {line}"]
 
     def test_train_fed_smoke(self, tmp_path):
         config = write_tiny_yaml(tmp_path, mode="federated")
@@ -1188,6 +1201,7 @@ class TestCli:
         ("confusion.csv", "tp,fp,tn,fn\n1,2,3\n", COUNTS),
         ("confusion.csv", "tp,fp,tn,fn\n1,2,-3,4\n", COUNTS),
         ("confusion.csv", "tp,fp,tn,fn\n1,2,3,4\n1,2,3,4\n", COUNTS),
+        ("confusion.csv", "tp,fp,tn,fn\n0,0,0,0\n", "every count is 0"),
         ("confusion.csv", b"tp,fp,tn,fn\n\xff\xfe1,2,3,4\n",
          "expected UTF-8 text"),
         ("confusion.csv",
@@ -1198,8 +1212,9 @@ class TestCli:
         ("metrics.json", '{"accuracy": "high"}',
          "accuracy: expected a finite number or null, got 'high'"),
     ], ids=["empty", "header-only", "text-count", "three-counts",
-            "negative-count", "two-rows", "not-utf8", "over-long-field",
-            "metrics-not-json", "metrics-not-object", "metrics-text-value"])
+            "negative-count", "two-rows", "all-zero", "not-utf8",
+            "over-long-field", "metrics-not-json", "metrics-not-object",
+            "metrics-text-value"])
     def test_report_rejects_malformed_run_dir(self, tmp_path, capsys,
                                               central_run, name, text,
                                               problem):

@@ -152,7 +152,7 @@ class TestSplits:
         labels = np.array([NORMAL_LABEL, "a", NORMAL_LABEL, "a",
                            NORMAL_LABEL, "a"])
         ds = LabeledDataset(np.zeros((6, 1)), labels)
-        normal, attack = split_by_label(ds, (5, 0, 2, 3))
+        normal, attack = split_by_label(ds, np.array([5, 0, 2, 3], np.intp))
         assert normal.tolist() == [0, 2]
         assert attack.tolist() == [5, 3]
 
@@ -178,10 +178,6 @@ class TestSplits:
         train, val = train_val_split(rows, 0.8, seed=2)
         assert train.size == 13
         assert sorted(np.concatenate([train, val])) == sorted(rows)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(DataError):
-            train_val_split(np.arange(0), 0.8, 0)
 
 
 @st.composite

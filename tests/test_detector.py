@@ -168,10 +168,6 @@ class TestMetrics:
         if m.f_measure is not None:
             assert m.f_measure <= max(m.precision, m.recall) + 1e-12
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(DataError):
-            ConfusionMatrix(-1, 0, 0, 0)
-
     def test_pooling_adds_counts(self):
         a = ConfusionMatrix(1, 2, 3, 4)
         b = ConfusionMatrix(5, 6, 7, 8)

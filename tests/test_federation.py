@@ -17,6 +17,7 @@ from fedanom.errors import (
     DegenerateAggregationError,
     DegenerateLossError,
     DivergenceError,
+    NumericError,
     ShapeError,
 )
 from fedanom.federation import (
@@ -37,7 +38,7 @@ from fedanom.federation import (
     run_federated,
     sample_clients,
 )
-from fedanom.numerics import derive_rng, derive_seed, pack
+from fedanom.numerics import LrSchedule, derive_rng, derive_seed, pack
 
 
 def update(cid, params, loss=1.0, n=10, thr=0.5):
@@ -79,10 +80,6 @@ class TestSampleClients:
     def test_ceil_of_fraction(self):
         out = sample_clients(list(range(5)), 0.5, derive_rng(1))
         assert len(out) == 3  # ceil(2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            sample_clients([], 1.0, derive_rng(0))
 
 
 class TestFedavgAggregate:
@@ -509,6 +506,20 @@ class TestLocalRound:
             local_round(client, pack(build(cfg)), cfg.layer_specs(),
                         TrainConfig(epochs=1), False)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_calibration_names_the_client(self):
+        # one finite-loss step at an absurd rate leaves weights whose
+        # reconstructions overflow: calibration, not training, finds it
+        cfg = replace(toy_model_cfg(), hidden_dims=(6, 4))
+        client = toy_clients(2)[1]
+        tc = TrainConfig(epochs=1, batch_size=client.n_samples,
+                         schedule=LrSchedule(1e300))
+        with pytest.raises(NumericError, match="^client 1: reconstruction "
+                                               "errors contain non-finite "
+                                               "values"):
+            local_round(client, pack(build(cfg)), cfg.layer_specs(), tc,
+                        False)
+
     def test_identical_clients_identical_updates(self):
         from fedanom.autoencoder import build
         cfg = toy_model_cfg()
@@ -638,6 +649,13 @@ class TestRunFederated:
         assert running == sorted(running, reverse=True)
         assert result.detector == ThresholdDetector(
             min(result.collected_thresholds), SOURCE_ROUND_MIN)
+
+    def test_no_clients_is_a_data_error(self):
+        # the one empty check of the round loop: sampling and aggregation
+        # are only reached with at least one client
+        with pytest.raises(DataError, match="at least one client"):
+            run_federated([], toy_model_cfg(), StrategyConfig(), rounds=1,
+                          train=TrainConfig(epochs=1))
 
     def test_no_arrival_at_all_is_a_data_error(self):
         latency = LatencyModel(delays={0: 9.0}, drop_after=1.0)
