@@ -1,20 +1,19 @@
 """Command-line experiment runner.
 
 Subcommands:
-  synth          generate a synthetic dataset CSV + manifest
-  partition      emit a Dirichlet partition plan for the configured dataset
-  train-central  run the config's experiment centralized, write the report
-  train-fed      run it federated, write the report and traces
-  evaluate       re-evaluate a saved model under a config
-  report         recompute metrics from an emitted confusion.csv and verify
+  synth      generate a synthetic dataset CSV + manifest
+  partition  emit a Dirichlet partition plan for the configured dataset
+  train      run the config's experiment in its `mode`, write the report
+  evaluate   re-evaluate a saved model under a config of the same mode
+  report     recompute metrics from an emitted confusion.csv and verify
 
 Every subcommand but report takes --config (YAML; blank file = all
 defaults), --seed (overrides the config's master seed) and --out (output
 directory). `harness` writes and reads the run directory's files and
 every `manifest.json`; the two data files are written elsewhere: synth's
 `dataset.csv` by `dataplane.save_dataset`, and partition's
-`partition.json` by `cmd_partition` itself. An error, OS errors included,
-is one `error:` line on stderr and exit code 2.
+`partition.json` by `cmd_partition` itself. An error, OS errors and usage
+errors included, is one `error:` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -22,16 +21,9 @@ import argparse
 import json
 import logging
 import sys
-from functools import partial
 from pathlib import Path
 
-from .config import (
-    MODE_CENTRALIZED,
-    MODE_FEDERATED,
-    ExperimentConfig,
-    build_config,
-    parse_config,
-)
+from .config import ExperimentConfig, build_config, parse_config
 from .dataplane import save_dataset, synth_generate
 from .detector import metrics
 from .errors import FedAnomError
@@ -111,12 +103,8 @@ def _write_run(report, model, out) -> int:
     return 0
 
 
-def cmd_train(args, mode: str) -> int:
-    """Run the config's experiment in `mode`, which the run's config,
-    fingerprint and manifest then name."""
-    data = _load_config(args).canonical_dict()
-    data["mode"] = mode
-    return _write_run(*run_experiment(ExperimentConfig(data)), args.out)
+def cmd_train(args) -> int:
+    return _write_run(*run_experiment(_load_config(args)), args.out)
 
 
 def cmd_evaluate(args) -> int:
@@ -139,8 +127,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' too, whose usage error is one
+    `error:` line on stderr and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedanom",
         description="Federated autoencoder anomaly detection experiments")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -162,17 +158,14 @@ def main(argv=None) -> int:
     common(p)
     p.set_defaults(func=cmd_partition)
 
-    for name, mode, help_text in (
-            ("train-central", MODE_CENTRALIZED, "run the centralized baseline"),
-            ("train-fed", MODE_FEDERATED, "run the federated experiment")):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.set_defaults(func=partial(cmd_train, mode=mode))
+    p = sub.add_parser("train", help="run the config's experiment in its mode")
+    common(p)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="re-evaluate a saved model")
     common(p)
     p.add_argument("--model", required=True,
-                   help="model directory written by a train command")
+                   help="model directory written by train")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="verify emitted metrics against the "

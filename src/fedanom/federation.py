@@ -376,7 +376,8 @@ def evaluate_clients(
     run (one client holding the whole dataset) and a saved model. Returns
     the per-client confusion counts, in client-id order, then the pooled
     (summed) counts. Clients with no such rows are left out; the pooled
-    counts are None when no client has any.
+    counts are None when no client has any. A model scores, as it trains
+    in `local_round`, with numpy's overflow and invalid-value warnings off.
     """
     per_client: dict[int, ConfusionMatrix] = {}
     pooled = ConfusionMatrix(0, 0, 0, 0)
@@ -385,7 +386,8 @@ def evaluate_clients(
         if n_val + n_att == 0:
             continue
         data = np.vstack([client.val, client.attack])
-        pred = classify(detector, reconstruction_errors(params, data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = classify(detector, reconstruction_errors(params, data))
         truth = np.concatenate([np.zeros(n_val, bool), np.ones(n_att, bool)])
         cm = confusion(pred, truth)
         per_client[client.client_id] = cm

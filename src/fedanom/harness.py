@@ -530,7 +530,13 @@ def load_model(model_dir: str | Path) -> TrainedModel:
 
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
     """Re-run the evaluation stage of an experiment from a saved model. A
-    dataset of another width than the model's input is a DataError."""
+    config of another mode than the model was trained in, or a dataset of
+    another width than the model's input, is a DataError."""
+    trained_mode = (MODE_FEDERATED if model.detector.source == SOURCE_ROUND_MIN
+                    else MODE_CENTRALIZED)
+    if trained_mode != cfg.mode:
+        raise DataError(f"saved model trained in {trained_mode} mode does "
+                        f"not match the config's mode {cfg.mode}")
     ds = load_experiment_dataset(cfg)
     if ds.n_features != model.params.input_dim:
         raise DataError(

@@ -42,20 +42,20 @@ BASE = {
 FEDERATION = {"n_clients": 4, "rounds": 4, "epochs_per_round": 2}
 
 CASES = {
-    "centralized": ("train-central", BASE),
+    "centralized": ("train", BASE),
     # 3 of 4 clients sampled per round; client 1 misses the deadline
     # whenever it is sampled
-    "fedavg_sampled_drop": ("train-fed", {
+    "fedavg_sampled_drop": ("train", {
         **BASE, "mode": "federated",
         "federation": {**FEDERATION,
                        "latency": {"delays": {1: 5.0}, "drop_after": 1.0}},
         "strategy": {"kind": "fedavg", "sample_fraction": 0.75}}),
-    "qffl_q05": ("train-fed", {
+    "qffl_q05": ("train", {
         **BASE, "mode": "federated", "federation": FEDERATION,
         "strategy": {"kind": "qffl", "q": 0.5, "lipschitz": 0.01}}),
     # client 0 misses rounds 2 and 4, so participation shrinks and
     # FairFedAvg damps those rounds
-    "fairfedavg_straggler": ("train-fed", {
+    "fairfedavg_straggler": ("train", {
         **BASE, "mode": "federated",
         "federation": {**FEDERATION,
                        "latency": {"per_round": {2: {0: 9.0}, 4: {0: 9.0}},
@@ -157,7 +157,7 @@ def main_cases(workdir: Path) -> dict:
     shutil.copy(shipped / "edge_iiotset.json", "schema.json")
     write_flows(Path("flows.csv"), SchemaConfig.from_file("schema.json"))
     config = write_config("csv", CSV_CONFIG)
-    cli("train-central", "--config", config, "--out", "csv-train")
+    cli("train", "--config", config, "--out", "csv-train")
     cli("evaluate", "--config", config, "--model", "csv-train/model",
         "--out", "csv-eval")
     digests["csv_evaluate"] = run_digest(Path("csv-eval"),

@@ -196,7 +196,7 @@ class TestParseConfig:
         assert str(info.value) == problem
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(root))
-        assert main(["train-central", "--config", str(path),
+        assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
@@ -886,7 +886,7 @@ class TestStrategyWiring:
             run_federated_experiment(cfg)
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(cfg.canonical_dict()))
-        code = main(["train-fed", "--config", str(path),
+        code = main(["train", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
@@ -939,6 +939,20 @@ class TestFederatedHarness:
         assert loaded.detector.source == "round_min"
         again = evaluate_saved(cfg, loaded)
         assert again.confusion == report.confusion
+        assert again.per_client == report.per_client
+
+    def test_saturated_global_model_scores_without_a_warning(self, tmp_path):
+        # at this rate the global weights reach about 4e150 and scoring
+        # overflows in a matmul, but the Tanh head saturates, so every
+        # error stays finite; the suite makes a RuntimeWarning an error
+        cfg = tiny_config(mode="federated", train={"learning_rate": 1.0e150},
+                          strategy={"kind": "fairfedavg"})
+        report, model, _ = run_federated_experiment(cfg)
+        assert report.confusion == ConfusionMatrix(tp=38, fp=19, tn=42, fn=42)
+        assert report.per_client == {0: ConfusionMatrix(18, 8, 28, 12),
+                                     1: ConfusionMatrix(20, 11, 14, 30)}
+        save_model(model, tmp_path / "m")
+        again = evaluate_saved(cfg, load_model(tmp_path / "m"))
         assert again.per_client == report.per_client
 
     def test_unreachable_min_participation_rejected(self):
@@ -1048,13 +1062,14 @@ def write_tiny_yaml(tmp_path, **overrides):
 
 @pytest.fixture(scope="module")
 def central_run(tmp_path_factory):
-    """A run directory written by `fedanom train-central`."""
+    """A run directory written by `fedanom train` in centralized mode."""
     root = tmp_path_factory.mktemp("central")
-    assert main(["train-central", "--config", str(write_tiny_yaml(root)),
+    assert main(["train", "--config", str(write_tiny_yaml(root)),
                  "--out", str(root / "run")]) == 0
     return root / "run"
 
 
+COMMANDS = ("synth", "partition", "train", "evaluate", "report")
 COUNTS = "expected one row of 4 non-negative integer counts"
 FAIR_FED = {"mode": "federated", "strategy": {"kind": "fairfedavg"}}
 TRAINING_NAN = "non-finite training loss nan at epoch 0, batch 1"
@@ -1084,7 +1099,7 @@ class TestCli:
     def test_train_central_and_report_verify(self, tmp_path, capsys):
         config = write_tiny_yaml(tmp_path)
         out = tmp_path / "run"
-        assert main(["train-central", "--config", str(config),
+        assert main(["train", "--config", str(config),
                      "--out", str(out)]) == 0
         assert (out / "metrics.json").exists()
         assert (out / "model" / "model.npz").exists()
@@ -1093,21 +1108,20 @@ class TestCli:
         assert "consistent" in captured
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command, train, overrides, line", [
-        ("train-fed", {}, FAIR_FED, TRAINING_NAN),
-        ("train-central", {"epochs": 1, "batch_size": 4096}, {},
-         NON_FINITE_ERRORS),
-        ("train-fed", {"batch_size": 4096},
+    @pytest.mark.parametrize("train, overrides, line", [
+        ({}, FAIR_FED, TRAINING_NAN),
+        ({"epochs": 1, "batch_size": 4096}, {}, NON_FINITE_ERRORS),
+        ({"batch_size": 4096},
          {**FAIR_FED, "federation": {"epochs_per_round": 1}},
          NON_FINITE_ERRORS),
     ], ids=["training", "central-calibration", "fed-calibration"])
-    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, command,
-                                             train, overrides, line):
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, train,
+                                             overrides, line):
         # one step at this rate leaves huge but finite weights, so the fault
         # shows when the client calibrates; a second step finds it in training
         config = write_tiny_yaml(
             tmp_path, train={"learning_rate": 1.0e300, **train}, **overrides)
-        code = main([command, "--config", str(config),
+        code = main(["train", "--config", str(config),
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -1116,7 +1130,7 @@ class TestCli:
     def test_train_fed_smoke(self, tmp_path):
         config = write_tiny_yaml(tmp_path, mode="federated")
         out = tmp_path / "fed"
-        assert main(["train-fed", "--config", str(config),
+        assert main(["train", "--config", str(config),
                      "--out", str(out)]) == 0
         assert (out / "round_trace.csv").exists()
         assert (out / "per_client_metrics.json").exists()
@@ -1124,7 +1138,7 @@ class TestCli:
     def test_evaluate_saved_model(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
         run_dir = tmp_path / "run"
-        main(["train-central", "--config", str(config), "--out", str(run_dir)])
+        main(["train", "--config", str(config), "--out", str(run_dir)])
         out = tmp_path / "eval"
         code = main(["evaluate", "--config", str(config),
                      "--model", str(run_dir / "model"), "--out", str(out)])
@@ -1138,7 +1152,7 @@ class TestCli:
     def test_evaluate_saved_federated_model(self, tmp_path):
         config = write_tiny_yaml(tmp_path, mode="federated")
         run_dir = tmp_path / "run"
-        main(["train-fed", "--config", str(config), "--out", str(run_dir)])
+        main(["train", "--config", str(config), "--out", str(run_dir)])
         out = tmp_path / "eval"
         assert main(["evaluate", "--config", str(config),
                      "--model", str(run_dir / "model"),
@@ -1150,12 +1164,11 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             manifest["artifacts"] + ["manifest.json"])
 
-    @pytest.mark.parametrize("mode, train", [("centralized", "train-central"),
-                                             ("federated", "train-fed")])
-    def test_evaluate_reproduces_training_scores(self, tmp_path, mode, train):
+    @pytest.mark.parametrize("mode", ["centralized", "federated"])
+    def test_evaluate_reproduces_training_scores(self, tmp_path, mode):
         config = write_tiny_yaml(tmp_path, mode=mode)
         run_dir, out = tmp_path / "run", tmp_path / "eval"
-        assert main([train, "--config", str(config),
+        assert main(["train", "--config", str(config),
                      "--out", str(run_dir)]) == 0
         assert main(["evaluate", "--config", str(config),
                      "--model", str(run_dir / "model"),
@@ -1164,35 +1177,32 @@ class TestCli:
         assert (out / name).read_bytes() == (run_dir / name).read_bytes()
         trained = json.loads((run_dir / "metrics.json").read_text())
         again = json.loads((out / "metrics.json").read_text())
+        assert trained["mode"] == mode
         # only a federated training run has rounds to average over
         assert again.pop("mean_round_accuracy") is None
         assert (trained.pop("mean_round_accuracy") is None) == (
             mode == "centralized")
         assert again == trained
 
-    def test_train_commands_record_the_mode_they_ran(self, tmp_path):
-        config = write_tiny_yaml(tmp_path, mode="federated")
-        manifests = {}
-        for train in ("train-central", "train-fed"):
-            out = tmp_path / train
-            assert main([train, "--config", str(config),
-                         "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            mode = json.loads((out / "metrics.json").read_text())["mode"]
-            assert manifest["config"]["mode"] == mode
-            manifests[train] = manifest
-        assert (manifests["train-central"]["fingerprint"]
-                != manifests["train-fed"]["fingerprint"])
-        # the config a centralized run records re-evaluates its model
-        embedded = tmp_path / "embedded.yaml"
-        embedded.write_text(yaml.safe_dump(
-            manifests["train-central"]["config"]))
-        run_dir, out = tmp_path / "train-central", tmp_path / "eval"
-        assert main(["evaluate", "--config", str(embedded),
+    @pytest.mark.parametrize("trained, other", [
+        ("centralized", "federated"), ("federated", "centralized")])
+    def test_evaluate_rejects_model_of_other_mode(self, tmp_path, capsys,
+                                                  trained, other):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config",
+                     str(write_tiny_yaml(tmp_path, mode=trained)),
+                     "--out", str(run_dir)]) == 0
+        other_dir = tmp_path / other
+        other_dir.mkdir()
+        capsys.readouterr()
+        assert main(["evaluate", "--config",
+                     str(write_tiny_yaml(other_dir, mode=other)),
                      "--model", str(run_dir / "model"),
-                     "--out", str(out)]) == 0
-        name = "confusion.csv"
-        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: saved model trained in {trained} mode does not match "
+            f"the config's mode {other}\n")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("name, text, problem", [
         ("confusion.csv", "", "expected header tp,fp,tn,fn, got []"),
@@ -1287,8 +1297,8 @@ class TestCli:
         config = write_tiny_yaml(tmp_path)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        main(["train-central", "--config", str(config), "--out", str(out_a)])
-        main(["train-central", "--config", str(config), "--seed", "123",
+        main(["train", "--config", str(config), "--out", str(out_a)])
+        main(["train", "--config", str(config), "--seed", "123",
               "--out", str(out_b)])
         seed_a = json.loads((out_a / "metrics.json").read_text())["seed"]
         seed_b = json.loads((out_b / "metrics.json").read_text())["seed"]
@@ -1302,7 +1312,7 @@ class TestCli:
     def test_error_exit_code(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
-        code = main(["train-central", "--config", str(bad),
+        code = main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
@@ -1317,7 +1327,7 @@ class TestCli:
                                                       text, problem):
         bad = tmp_path / "bad.yaml"
         bad.write_bytes(text)
-        assert main(["train-central", "--config", str(bad),
+        assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
 
@@ -1328,7 +1338,7 @@ class TestCli:
         path = tmp_path / "big.yaml"
         path.write_text(yaml.safe_dump(user_with(key, BIG_INT)))
         capsys.readouterr()
-        assert main(["train-central", "--config", str(path),
+        assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
@@ -1348,9 +1358,9 @@ class TestCli:
         out = ["--out", str(tmp_path / "out")]
         argv, named = {
             "config-is-a-directory": (
-                ["train-central", "--config", str(folder), *out], folder),
+                ["train", "--config", str(folder), *out], folder),
             "dataset-path-is-a-directory": (
-                ["train-central", "--config", str(folder_data), *out], folder),
+                ["train", "--config", str(folder_data), *out], folder),
             "model-is-a-file": (["evaluate", "--config", str(config),
                                  "--model", str(plain), *out], plain),
             "report-dir-is-a-file": (["report", "--dir", str(plain)], plain),
@@ -1364,13 +1374,12 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(named) in err
 
-    @pytest.mark.parametrize("mode, train", [("centralized", "train-central"),
-                                             ("federated", "train-fed")])
+    @pytest.mark.parametrize("mode", ["centralized", "federated"])
     def test_evaluate_names_saved_model_on_other_width(self, tmp_path, capsys,
-                                                       mode, train):
+                                                       mode):
         run_dir = tmp_path / "run"
-        assert main([train, "--config", str(write_tiny_yaml(tmp_path,
-                                                            mode=mode)),
+        assert main(["train", "--config",
+                     str(write_tiny_yaml(tmp_path, mode=mode)),
                      "--out", str(run_dir)]) == 0
         wide = tmp_path / "wide"
         wide.mkdir()
@@ -1385,7 +1394,7 @@ class TestCli:
             "error: saved model input width 8 does not match the config's "
             "dataset width 9\n")
 
-    @pytest.mark.parametrize("command", ["train-fed", "partition"])
+    @pytest.mark.parametrize("command", ["train", "partition"])
     def test_too_many_clients_names_config_key(self, tmp_path, capsys,
                                                command):
         config = write_tiny_yaml(tmp_path, mode="federated",
@@ -1396,6 +1405,28 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: federation.n_clients: 1000 clients cannot split 380 "
             "records\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["bogus"], "error: argument command: invalid choice: 'bogus' "),
+        (["train-central"],
+         "error: argument command: invalid choice: 'train-central' "),
+        (["evaluate", "--out", "x"],
+         "error: the following arguments are required: --model\n"),
+    ], ids=["unknown-command", "removed-command", "missing-option"])
+    def test_usage_error_is_one_error_line(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
+        if "invalid choice" in line:
+            assert all(name in err for name in COMMANDS)
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert ("{" + ",".join(COMMANDS) + "}") in capsys.readouterr().out
 
     def test_console_entry_point(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
