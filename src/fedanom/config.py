@@ -1,17 +1,19 @@
 """Experiment configuration: parsing, validation, defaults, fingerprints.
 
-Configs are YAML (JSON works too, YAML being a superset). Every key is
-validated against the documented schema; unknown keys are rejected so
-typos fail loudly instead of silently training with defaults. An empty
-file yields the fully-defaulted centralized experiment: 50 epochs, batch
-32, Adam at 0.001 with step-1 gamma-0.9 decay, and for federated mode 2
-clients, 5 rounds of 10 epochs, Dirichlet alpha 10.
+Configs are YAML (JSON works too, YAML being a superset). Each key a config
+sets is checked once, for its type and then its allowed values in `_KEYS`;
+unknown keys are rejected so typos fail loudly instead of silently training
+with defaults. An empty file yields the fully-defaulted centralized
+experiment: 50 epochs, batch 32, Adam at 0.001 with step-1 gamma-0.9 decay,
+and for federated mode 2 clients, 5 rounds of 10 epochs, Dirichlet alpha 10.
+Runs take their mode, epochs and latency model from the config alone.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,22 +90,6 @@ _KEYS = {
 }
 
 
-def _check_values(data: dict) -> None:
-    """Check each value against its key's allowed values in _KEYS; an
-    error starts with the key."""
-    for key, (kind, _, allowed) in _KEYS.items():
-        value = data
-        for part in key.split("."):
-            value = None if value is None else value[part]
-        problem = _unallowed(kind, value, allowed)
-        if problem:
-            raise ConfigError(f"{key}: {problem}")
-
-
-def _type_name(value) -> str:
-    return type(value).__name__
-
-
 def _name(kind) -> str:
     """How a config error names the declared type `kind`."""
     if isinstance(kind, list):
@@ -125,21 +111,25 @@ def _as(kind, value):
     return kind(value)
 
 
-def _checked(path: str, kind, value):
-    """`value` as `kind`, the type of `path`, or a ConfigError naming the
-    key."""
+def _checked(path: str, kind, allowed, value):
+    """`value` as `kind`, the type of `path`, once it is one of the
+    `allowed` values; else a ConfigError naming the key."""
     misfit = _misfit(kind, value)
     if misfit:
         part_kind, part = misfit
-        got = ("an int that does not fit a float"
-               if part_kind is float and _is(int, part) else _type_name(part))
+        got = ("an int that does not fit a float" if part_kind is float
+               and _is(int, part) else type(part).__name__)
         raise ConfigError(f"{path}: expected {_name(kind)}, got {got}")
-    return _as(kind, value)
+    value = _as(kind, value)
+    problem = _unallowed(kind, value, allowed)
+    if problem:
+        raise ConfigError(f"{path}: {problem}")
+    return value
 
 
 def _merge(path: str, user: dict) -> dict:
     """`user`'s value of each key in section `path` ("" for the root),
-    checked against its type, and the default of each key it leaves unset."""
+    checked by `_checked`, and the default of each key it leaves unset."""
     prefix = f"{path}." if path else ""
     names = dict.fromkeys(key[len(prefix):].split(".")[0] for key in _KEYS
                           if key.startswith(prefix))
@@ -150,19 +140,16 @@ def _merge(path: str, user: dict) -> dict:
     merged = {}
     for name in names:
         key, value = prefix + name, user.get(name)
-        kind, default, _ = _KEYS.get(key, (dict, {}, None))
+        kind, default, allowed = _KEYS.get(key, (dict, {}, None))
         if kind is not dict:
             merged[name] = (copy.deepcopy(default) if value is None
-                            else _checked(key, kind, value))
+                            else _checked(key, kind, allowed, value))
         elif value is None and default is None:  # null when unset
             merged[name] = None
         else:
             merged[name] = _merge(key, _checked(
-                key, dict, {} if value is None else value))
+                key, dict, None, {} if value is None else value))
     return merged
-
-
-DEFAULT_CONFIG: dict = _merge("", {})
 
 
 @dataclass(frozen=True)
@@ -172,10 +159,14 @@ class ExperimentConfig:
     data: dict
 
     def __post_init__(self):
-        _check_values(self.data)
         dataset, fed = self.data["dataset"], self.data["federation"]
         if dataset["kind"] == "csv" and not dataset["path"]:
             raise ConfigError("dataset.kind is 'csv' but dataset.path is unset")
+        if fed["alpha"] * fed["n_clients"] > sys.float_info.max:
+            raise ConfigError(
+                f"federation.alpha: {fed['alpha']} times {fed['n_clients']} "
+                f"clients is beyond the float range, where the Dirichlet "
+                f"partition gives every client a share of 0")
         strategy = self.data["strategy"]
         n_sampled = clients_per_round(strategy["sample_fraction"],
                                       fed["n_clients"])
@@ -191,22 +182,19 @@ class ExperimentConfig:
                 f"strategy.lipschitz: must be set for {strategy['kind']} at "
                 f"q = {strategy['q']} > 0; the 1/learning_rate default "
                 f"assumes SGD local steps, and local steps use Adam")
-        # the rate decays within each training run: the whole centralized
-        # run, or one client's round
-        epochs = (fed["epochs_per_round"] if self.mode == MODE_FEDERATED
-                  else self.data["train"]["epochs"])
-        if lr_at(self.train_config(epochs).schedule, epochs - 1) == 0.0:
+        tc = self.train_config()
+        if lr_at(tc.schedule, tc.epochs - 1) == 0.0:
             raise ConfigError(f"train.lr_gamma: the learning rate decays to 0 "
-                              f"within {epochs} epochs")
+                              f"within {tc.epochs} epochs")
         # each latency id names a client or a round
-        latency = fed["latency"] or {"delays": {}, "per_round": {}}
+        latency = self.latency_model()
         clients = f"[0, {fed['n_clients']})"
         for key, what, interval, ids in (
-                ("delays", "client", clients, latency["delays"]),
+                ("delays", "client", clients, latency.delays),
                 ("per_round", "round", f"[1, {fed['rounds']}]",
-                 latency["per_round"]),
+                 latency.per_round),
                 *(("per_round", "client", clients, delays)
-                  for delays in latency["per_round"].values())):
+                  for delays in latency.per_round.values())):
             bad = [i for i in ids if not _in_interval(i, interval)]
             if bad:
                 raise ConfigError(f"federation.latency.{key}: expected {what} "
@@ -221,9 +209,7 @@ class ExperimentConfig:
         return int(self.data["seed"])
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        data = copy.deepcopy(self.data)
-        data["seed"] = int(seed)
-        return ExperimentConfig(data)
+        return ExperimentConfig(self.canonical_dict() | {"seed": int(seed)})
 
     def canonical_dict(self) -> dict:
         return copy.deepcopy(self.data)
@@ -238,10 +224,13 @@ class ExperimentConfig:
         return AutoencoderConfig(**self.data["model"],
                                  seed=self.derived_seed(STREAM_INIT))
 
-    def train_config(self, epochs: int, shuffle_seed: int = 0) -> TrainConfig:
+    def train_config(self, shuffle_seed: int = 0) -> TrainConfig:
+        """One training run of the config's mode: `train.epochs` epochs, or
+        a client's federated round of `federation.epochs_per_round`."""
         t = self.data["train"]
         return TrainConfig(
-            epochs=epochs,
+            epochs=(self.data["federation"]["epochs_per_round"]
+                    if self.mode == MODE_FEDERATED else t["epochs"]),
             batch_size=t["batch_size"],
             schedule=LrSchedule(t["learning_rate"], t["lr_step"], t["lr_gamma"]),
             shuffle_seed=shuffle_seed,
@@ -260,9 +249,10 @@ class ExperimentConfig:
         return StrategyConfig(**s | {"kind": StrategyKind(s["kind"]),
                                      "lipschitz": lipschitz})
 
-    def latency_model(self) -> LatencyModel | None:
-        raw = self.data["federation"]["latency"]
-        return None if raw is None else LatencyModel(**copy.deepcopy(raw))
+    def latency_model(self) -> LatencyModel:
+        """The `federation.latency` model; unset, `LatencyModel()`."""
+        raw = self.data["federation"]["latency"] or {}
+        return LatencyModel(**copy.deepcopy(raw))
 
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(**self.data["dataset"]["synth"])
@@ -276,7 +266,8 @@ def _root(user) -> dict:
     if user is None:
         return {}
     if not isinstance(user, dict):
-        raise ConfigError(f"config root must be a mapping, got {_type_name(user)}")
+        raise ConfigError(
+            f"config root must be a mapping, got {type(user).__name__}")
     return user
 
 

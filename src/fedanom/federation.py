@@ -176,7 +176,7 @@ def sample_clients(all_ids: Sequence[int], fraction: float,
     return sorted(ids[int(i)] for i in chosen)
 
 
-def assign_latencies(model: LatencyModel | None, client_ids: Sequence[int],
+def assign_latencies(model: LatencyModel, client_ids: Sequence[int],
                      round_index: int, seed: int
                      ) -> tuple[list[tuple[int, float]], list[int]]:
     """Virtual arrival times for one round.
@@ -184,8 +184,6 @@ def assign_latencies(model: LatencyModel | None, client_ids: Sequence[int],
     Returns (arrival order as (client, time) pairs, active ids). All
     randomness comes from (seed, round), so replays are identical.
     """
-    if model is None:
-        model = LatencyModel()
     overrides = model.per_round.get(round_index, {})
     jit_rng = (derive_rng(seed, _STREAM_LATENCY, round_index)
                if model.jitter > 0.0 else None)
@@ -400,7 +398,7 @@ def run_federated(clients: Sequence[ClientState],
                   strategy: StrategyConfig,
                   rounds: int,
                   train: TrainConfig,
-                  latency: LatencyModel | None = None,
+                  latency: LatencyModel = LatencyModel(),
                   master_seed: int = 0,
                   min_participation: int | None = None,
                   use_sample_std: bool = False) -> FederationResult:

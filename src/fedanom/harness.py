@@ -1,7 +1,9 @@
 """Experiment pipelines, report emission, and the files read back.
 
-Centralized mode scores the whole dataset as one client (see
-`prepare_centralized`). Federated mode Dirichlet-partitions it across
+`run_experiment` runs the config's mode, and every report records it;
+`run_centralized` and `run_federated_experiment` each take only a config
+of their own mode. Centralized mode scores the whole dataset as one client
+(see `prepare_centralized`). Federated mode Dirichlet-partitions it across
 clients (see `prepare_clients`), runs the round loop, and fixes the
 detector at the least local threshold over all (round, client) pairs.
 Both modes train through `federation.local_round`, and both, like a
@@ -204,22 +206,27 @@ def _model_config(cfg: ExperimentConfig,
     return model_cfg
 
 
-def _report(cfg: ExperimentConfig, mode: str, detector: ThresholdDetector,
+def _report(cfg: ExperimentConfig, detector: ThresholdDetector,
             per_client: dict[int, ConfusionMatrix], cm: ConfusionMatrix,
             **extra) -> EvaluationReport:
-    """The report of a run scored by `evaluate_clients`."""
+    """A config's run report, in its mode, scored by `evaluate_clients`."""
     return EvaluationReport(
-        mode=mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
+        mode=cfg.mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
         confusion=cm, metrics=metrics(cm), threshold=detector.threshold,
         detector_source=detector.source, config=cfg.canonical_dict(),
-        per_client=per_client if mode == MODE_FEDERATED else None, **extra)
+        per_client=per_client if cfg.mode == MODE_FEDERATED else None, **extra)
+
+
+def _require_mode(cfg: ExperimentConfig, mode: str) -> None:
+    if cfg.mode != mode:
+        raise ConfigError(f"mode: expected {mode}, got {cfg.mode}")
 
 
 def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedModel]:
+    _require_mode(cfg, MODE_CENTRALIZED)
     client, scaler = prepare_centralized(cfg)
     model_cfg = _model_config(cfg, client)
-    tc = cfg.train_config(epochs=cfg.data["train"]["epochs"],
-                          shuffle_seed=client.rng_seed)
+    tc = cfg.train_config(shuffle_seed=client.rng_seed)
     log.info("centralized: training %d epochs on %d rows",
              tc.epochs, client.n_samples)
     specs = model_cfg.layer_specs()
@@ -227,7 +234,7 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
                          cfg.data["detector"]["use_sample_std"])
     trained = ParameterSet(update.params, specs)
     detector = ThresholdDetector(update.local_threshold)
-    report = _report(cfg, MODE_CENTRALIZED, detector,
+    report = _report(cfg, detector,
                      *evaluate_clients(trained, [client], detector),
                      epoch_losses=list(update.epoch_losses))
     return report, TrainedModel(trained, detector, scaler, cfg.fingerprint(),
@@ -266,18 +273,20 @@ def prepare_clients(cfg: ExperimentConfig,
 
 def run_federated_experiment(cfg: ExperimentConfig
                              ) -> tuple[EvaluationReport, TrainedModel, FederationResult]:
+    _require_mode(cfg, MODE_FEDERATED)
     clients = prepare_clients(cfg)
     fed = cfg.data["federation"]
     model_cfg = _model_config(cfg, clients[0])
+    tc = cfg.train_config()
     log.info("federated: %d clients, %d rounds x %d epochs, strategy %s",
-             len(clients), fed["rounds"], fed["epochs_per_round"],
+             len(clients), fed["rounds"], tc.epochs,
              cfg.data["strategy"]["kind"])
     result = run_federated(
         clients=clients,
         model_cfg=model_cfg,
         strategy=cfg.strategy_config(),
         rounds=fed["rounds"],
-        train=cfg.train_config(epochs=fed["epochs_per_round"]),
+        train=tc,
         latency=cfg.latency_model(),
         master_seed=cfg.seed,
         min_participation=fed["min_participation"],
@@ -286,7 +295,7 @@ def run_federated_experiment(cfg: ExperimentConfig
     # the last round scored the final model with the final detector
     accuracies = [metrics(tr.pooled_confusion).accuracy for tr in result.rounds
                   if tr.pooled_confusion is not None]
-    report = _report(cfg, MODE_FEDERATED, result.detector, result.per_client,
+    report = _report(cfg, result.detector, result.per_client,
                      result.rounds[-1].pooled_confusion,
                      round_traces=result.rounds, mean_round_accuracy=(
                          float(np.mean(accuracies)) if accuracies else None))
@@ -544,5 +553,5 @@ def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationRepo
             f"match the config's dataset width {ds.n_features}")
     clients = (prepare_clients(cfg, ds) if cfg.mode == MODE_FEDERATED
                else [prepare_centralized(cfg, ds, model.scaler)[0]])
-    return _report(cfg, cfg.mode, model.detector,
+    return _report(cfg, model.detector,
                    *evaluate_clients(model.params, clients, model.detector))

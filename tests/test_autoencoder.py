@@ -1,12 +1,11 @@
 """Unit tests for the autoencoder build/train/evaluate surface."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adam_reference import reference_adam_step
 from fedanom import autoencoder
 from fedanom.autoencoder import (
     _SCORE_ROWS,
@@ -326,18 +325,6 @@ class TestInvariants:
         params = build(toy_config())
         x = np.random.default_rng(1).uniform(-1, 1, (3, 6))
         assert feed_forward(params, x).shape == x.shape
-
-
-def reference_adam_step(params, grads, state, rate):
-    """Adam written out term by term, allocating every intermediate; returns
-    the new vector and a new state."""
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    return (params - rate * m_hat / (np.sqrt(v_hat) + state.epsilon),
-            replace(state, first_moment=m, second_moment=v, step_count=t))
 
 
 def reference_train_epochs(params, data, tc, state):

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedanom import harness
 from fedanom.cli import main
+from fedanom.checks import _is, _unallowed
 from fedanom.config import (
     _KEYS,
-    DEFAULT_CONFIG,
     build_config,
     parse_config,
 )
@@ -41,6 +42,7 @@ from fedanom.errors import (
     DegenerateAggregationError,
     FedAnomError,
 )
+from fedanom.federation import LatencyModel
 from fedanom.harness import (
     METRICS_JSON,
     TrainedModel,
@@ -184,7 +186,7 @@ class TestParseConfig:
     def test_blank_or_null_file_gives_default_config(self, tmp_path, text):
         path = tmp_path / "config.yaml"
         path.write_text(text)
-        assert parse_config(path).data == DEFAULT_CONFIG
+        assert parse_config(path).data == build_config(None).data
 
     @pytest.mark.parametrize("root", [[], 0, "", False, [1], "x", 5],
                              ids=["empty-list", "zero", "empty-string",
@@ -298,6 +300,29 @@ class TestParseConfig:
                                match=rf"^{re.escape(key)}: expected "):
                 build_config(user_with(key, value))
 
+    @pytest.mark.parametrize("key, kind, allowed", rows(object))
+    def test_every_default_passes_its_own_row(self, key, kind, allowed):
+        # a config checks only the keys it sets, never a default
+        default = _KEYS[key][1]
+        if default is not None:
+            assert _is(kind, default)
+            assert _unallowed(kind, default, allowed) is None
+
+    @pytest.mark.parametrize("n_clients, works, fails", [
+        (2, 8.9e307, 9.0e307), (4, 4.4e307, 4.6e307), (8, 2.0e307, 2.3e307)])
+    def test_alpha_times_clients_beyond_float_range_rejected(
+            self, n_clients, works, fails):
+        # numpy's Dirichlet draw gives all zeros once the sum overflows
+        def federation(alpha):
+            return {"federation": {"n_clients": n_clients, "alpha": alpha}}
+
+        with pytest.raises(ConfigError, match=(
+                rf"^federation\.alpha: {re.escape(str(fails))} times "
+                rf"{n_clients} clients is beyond the float range")):
+            build_config(federation(fails))
+        assert build_config(federation(works)).data["federation"][
+            "alpha"] == works
+
     @pytest.mark.parametrize("n_clients, fraction, bar, sampled", [
         (3, 1.0, 5, 3), (3, 0.5, 3, 2), (4, 0.5, 3, 2), (2, 0.5, 2, 1)])
     @pytest.mark.parametrize("mode", ["centralized", "federated"])
@@ -360,6 +385,15 @@ class TestParseConfig:
         assert model.delays == {0: 1.0}
         assert model.per_round == {2: {1: 5.0}}
         assert model.drop_after == 2.0
+
+    def test_unset_latency_is_the_model_of_no_delay(self):
+        assert tiny_config().latency_model() == LatencyModel()
+
+    @pytest.mark.parametrize("mode, epochs", [("centralized", 4),
+                                              ("federated", 2)])
+    def test_train_config_trains_the_modes_epochs(self, mode, epochs):
+        # train.epochs is 4 and federation.epochs_per_round 2
+        assert tiny_config(mode=mode).train_config().epochs == epochs
 
     def test_unknown_latency_key(self):
         with pytest.raises(ConfigError, match="latency.dealys"):
@@ -430,10 +464,13 @@ class TestParseConfig:
         cfg = build_config({"dataset": {"path": "flows.csv"}})
         assert cfg.data["dataset"]["kind"] == "csv"
 
-    def test_defaults_dict_not_mutated(self):
-        before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    def test_built_configs_share_no_default(self):
+        defaults = build_config(None).data
+        before = json.dumps(defaults, sort_keys=True)
+        defaults["model"]["hidden_dims"].append(8)
+        defaults["federation"]["n_clients"] = 9
         tiny_config()
-        assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+        assert json.dumps(build_config(None).data, sort_keys=True) == before
 
     def test_unknown_strategy_kind_lists_choices(self):
         with pytest.raises(ConfigError, match=r"^strategy\.kind: .*"
@@ -611,6 +648,19 @@ class TestCentralizedHarness:
         assert via_dispatch.mode == report.mode
         assert via_dispatch.threshold == report.threshold
         assert via_dispatch.confusion == report.confusion
+
+    @pytest.mark.parametrize("run, mode, other", [
+        (run_centralized, "centralized", "federated"),
+        (run_federated_experiment, "federated", "centralized")])
+    def test_run_rejects_config_of_other_mode_before_reading_data(
+            self, monkeypatch, run, mode, other):
+        def no_read(cfg):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(harness, "load_experiment_dataset", no_read)
+        with pytest.raises(ConfigError,
+                           match=rf"^mode: expected {mode}, got {other}$"):
+            run(tiny_config(mode=other))
 
     def test_model_width_mismatch_rejected(self):
         cfg = tiny_config(model={"input_dim": 12})
@@ -1405,6 +1455,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: federation.n_clients: 1000 clients cannot split 380 "
             "records\n")
+
+    def test_partition_rejects_alpha_beyond_float_range(self, tmp_path,
+                                                        capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("federation: {n_clients: 4, alpha: 1.0e+308}\n")
+        assert main(["partition", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: federation.alpha: 1e+308 times 4 clients is beyond the "
+            "float range, where the Dirichlet partition gives every client "
+            "a share of 0\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, line", [
         (["bogus"], "error: argument command: invalid choice: 'bogus' "),

@@ -1,10 +1,10 @@
 """Every config key takes effect in each mode that reads it, and only there.
 
-Each case changes one leaf key of `DEFAULT_CONFIG` to a second valid value
-and runs a tiny experiment in both modes. A mode that reads the key must
-give a different final-parameter digest, threshold or metric; a mode that
-does not must give the same three. The config fingerprint is not compared:
-it covers every key by design.
+Each case changes one leaf key of the default config to a second valid
+value and runs a tiny experiment in both modes. A mode that reads the key
+must give a different final-parameter digest, threshold or metric; a mode
+that does not must give the same three. The config fingerprint is not
+compared: it covers every key by design.
 """
 
 import copy
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fedanom.config import DEFAULT_CONFIG, build_config
+from fedanom.config import build_config
 from fedanom.dataplane import (
     ATTACK_LABEL,
     SynthSpec,
@@ -180,7 +180,8 @@ def outcome(data_dir):
 
 def test_cases_cover_every_leaf_key():
     # `mode` picks the mode itself, so it has no case of its own
-    assert {c.key for c in CASES} == leaf_keys(DEFAULT_CONFIG) - {"mode"}
+    defaults = build_config(None).data
+    assert {c.key for c in CASES} == leaf_keys(defaults) - {"mode"}
 
 
 @pytest.mark.parametrize("mode", MODES)
