@@ -46,8 +46,9 @@ def _key(kind, key):
 def _misfit(kind, value, finite: bool = False) -> tuple | None:
     """None if `value` passes as the declared type `kind`, else (type, part)
     of its first part that does not: an entry, a mapping key, or `value`.
-    A bool passes only as a bool, an int as a float only within float range,
-    a null as an empty mapping, and with `finite` a float only if finite."""
+    A bool passes only as a bool, an int as an int or a float only within
+    float range, a null as an empty mapping, and with `finite` a float only
+    if finite."""
     if isinstance(kind, (list, dict)):
         if value is None and isinstance(kind, dict):
             return None
@@ -67,7 +68,8 @@ def _misfit(kind, value, finite: bool = False) -> tuple | None:
     else:  # beyond float range: an int too large to convert, inf or nan
         ok = (isinstance(value, _ACCEPTS[kind][0])
               and (kind is bool or not isinstance(value, bool))
-              and (kind is not float or isinstance(value, float) and not finite
+              and (kind not in (int, float)
+                   or isinstance(value, float) and not finite
                    or abs(value) <= sys.float_info.max))
     return None if ok else (kind, value)
 

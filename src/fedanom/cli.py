@@ -57,8 +57,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "dataset.csv")
-    write_manifest(out, cfg.seed, cfg.fingerprint(), cfg.canonical_dict(),
-                   artifacts=["dataset.csv"],
+    write_manifest(out, cfg, artifacts=["dataset.csv"],
                    n_normal=int((~ds.is_attack).sum()),
                    n_attack=int(ds.is_attack.sum()),
                    dim=ds.n_features, synth_seed=spec.seed)
@@ -76,8 +75,7 @@ def cmd_partition(args) -> int:
     payload["client_sizes"] = [len(a) for a in plan.assignments]
     (out / "partition.json").write_text(
         json.dumps(payload, sort_keys=True) + "\n")
-    write_manifest(out, cfg.seed, cfg.fingerprint(), cfg.canonical_dict(),
-                   artifacts=["partition.json"], n_records=len(ds),
+    write_manifest(out, cfg, artifacts=["partition.json"], n_records=len(ds),
                    n_clients=plan.n_clients, alpha=plan.alpha)
     print(f"wrote {out / 'partition.json'} "
           f"(sizes {payload['client_sizes']})")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .autoencoder import AutoencoderConfig, TrainConfig
-from .checks import _ACCEPTS, _in_interval, _is, _key, _misfit, _unallowed
+from .checks import _ACCEPTS, _in_interval, _key, _misfit, _unallowed
 from .dataplane import SynthSpec
 from .errors import ConfigError
 from .federation import (
@@ -117,8 +117,8 @@ def _checked(path: str, kind, allowed, value):
     misfit = _misfit(kind, value)
     if misfit:
         part_kind, part = misfit
-        got = ("an int that does not fit a float" if part_kind is float
-               and _is(int, part) else type(part).__name__)
+        got = ("an int that does not fit a float" if part_kind in (int, float)
+               and type(part) is int else type(part).__name__)
         raise ConfigError(f"{path}: expected {_name(kind)}, got {got}")
     value = _as(kind, value)
     problem = _unallowed(kind, value, allowed)
@@ -209,7 +209,10 @@ class ExperimentConfig:
         return int(self.data["seed"])
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return ExperimentConfig(self.canonical_dict() | {"seed": int(seed)})
+        """This config at master seed `seed`, checked as a `seed` key is."""
+        kind, _, allowed = _KEYS["seed"]
+        return ExperimentConfig(self.canonical_dict() | {
+            "seed": _checked("seed", kind, allowed, seed)})
 
     def canonical_dict(self) -> dict:
         return copy.deepcopy(self.data)

@@ -1,12 +1,13 @@
 """Threshold calibration, binary classification and evaluation metrics.
 
 A local threshold is mean + standard deviation of the training
-reconstruction errors; a sample whose error is strictly above the
-detector's threshold is classified as an attack. A detector has one of two
-sources: SOURCE_CENTRALIZED, the one local threshold of a centralized run,
-or SOURCE_ROUND_MIN, the least local threshold over a federated run's
-(round, client) pairs. Metrics with a zero denominator are reported as
-None (never silently 0) so "no positives predicted" stays visible.
+reconstruction errors. A detector is one threshold, a float: a sample
+whose error is strictly above it is classified as an attack. A report
+names where its threshold came from by the run's mode: SOURCE_CENTRALIZED,
+the one local threshold of a centralized run, or SOURCE_ROUND_MIN, the
+least local threshold over a federated run's (round, client) pairs.
+Metrics with a zero denominator are reported as None (never silently 0)
+so "no positives predicted" stays visible.
 """
 from __future__ import annotations
 
@@ -18,18 +19,6 @@ from .errors import DataError, NumericError, ShapeError
 
 SOURCE_CENTRALIZED = "centralized"
 SOURCE_ROUND_MIN = "round_min"
-
-
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """A fixed decision threshold and where it came from."""
-
-    threshold: float
-    source: str = SOURCE_CENTRALIZED
-
-    def __post_init__(self):
-        if self.threshold < 0.0:
-            raise DataError(f"threshold must be nonnegative, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +58,9 @@ def compute_threshold(errors: np.ndarray, use_sample_std: bool = False) -> float
     return float(np.mean(errors) + np.std(errors, ddof=ddof))
 
 
-def classify(detector: ThresholdDetector, errors: np.ndarray) -> np.ndarray:
-    """Boolean attack decisions: error strictly above the threshold."""
-    return errors > detector.threshold
+def classify(threshold: float, errors: np.ndarray) -> np.ndarray:
+    """Boolean attack decisions: error strictly above `threshold`."""
+    return errors > threshold
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:

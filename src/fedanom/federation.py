@@ -30,6 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -42,9 +43,7 @@ from .autoencoder import (
     train_epochs,
 )
 from .detector import (
-    SOURCE_ROUND_MIN,
     ConfusionMatrix,
-    ThresholdDetector,
     classify,
     compute_threshold,
     confusion,
@@ -162,8 +161,10 @@ class LatencyModel:
 
 
 def clients_per_round(fraction: float, n_clients: int) -> int:
-    """How many of `n_clients` clients each round samples."""
-    return math.ceil(fraction * n_clients)
+    """How many of `n_clients` clients each round samples: the ceiling of
+    `fraction * n_clients`, taken on the decimal `fraction` is written as,
+    so float rounding cannot add a client (0.07 of 100 is 7, not 8)."""
+    return math.ceil(Fraction(repr(float(fraction))) * n_clients)
 
 
 def sample_clients(all_ids: Sequence[int], fraction: float,
@@ -358,7 +359,7 @@ class RoundTrace:
 @dataclass
 class FederationResult:
     final_params: np.ndarray
-    detector: ThresholdDetector
+    threshold: float
     rounds: list[RoundTrace]
     collected_thresholds: list[float]
     per_client: dict[int, ConfusionMatrix]  # the final model's counts
@@ -366,7 +367,7 @@ class FederationResult:
 
 def evaluate_clients(
         params: ParameterSet, clients: Sequence[ClientState],
-        detector: ThresholdDetector,
+        threshold: float,
 ) -> tuple[dict[int, ConfusionMatrix], ConfusionMatrix | None]:
     """Score a model on each client's validation normals and attack rows.
 
@@ -385,7 +386,7 @@ def evaluate_clients(
             continue
         data = np.vstack([client.val, client.attack])
         with np.errstate(over="ignore", invalid="ignore"):
-            pred = classify(detector, reconstruction_errors(params, data))
+            pred = classify(threshold, reconstruction_errors(params, data))
         truth = np.concatenate([np.zeros(n_val, bool), np.ones(n_att, bool)])
         cm = confusion(pred, truth)
         per_client[client.client_id] = cm
@@ -408,7 +409,7 @@ def run_federated(clients: Sequence[ClientState],
     epochs a round), its shuffle seed derived from (client seed, round).
     `strategy` is used as given. Each round scores with the running minimum
     of the local thresholds so far; the last round's is the returned
-    detector, so the run's final evaluation is the last round's: its
+    threshold, so the run's final evaluation is the last round's: its
     `pooled_confusion` and the result's `per_client`. Everything is
     deterministic given the master seed, the client seeds and the configs.
     `min_participation` defaults to min(2, `clients_per_round`).
@@ -425,7 +426,7 @@ def run_federated(clients: Sequence[ClientState],
     specs = model_cfg.layer_specs()
     server = ServerState(global_params=build(model_cfg).flat)
     collected: list[float] = []
-    detector: ThresholdDetector | None = None
+    threshold: float | None = None
     traces: list[RoundTrace] = []
     for t in range(1, rounds + 1):
         sample_rng = derive_rng(master_seed, _STREAM_SAMPLE, t)
@@ -439,9 +440,9 @@ def run_federated(clients: Sequence[ClientState],
         by_update = {u.client_id: u for u in updates}
         collected.extend(u.local_threshold for u in updates)  # id order
         if collected:
-            detector = ThresholdDetector(min(collected), SOURCE_ROUND_MIN)
+            threshold = min(collected)
             per_client, pooled_cm = evaluate_clients(
-                ParameterSet(server.global_params, specs), clients, detector)
+                ParameterSet(server.global_params, specs), clients, threshold)
         else:
             per_client, pooled_cm = {}, None
         records = []
@@ -461,15 +462,15 @@ def run_federated(clients: Sequence[ClientState],
             carried_forward=server.last_carried,
             global_sha256=hashlib.sha256(server.global_params).hexdigest(),
             global_norm=float(np.linalg.norm(server.global_params)),
-            threshold_running_min=(detector.threshold if detector else None),
+            threshold_running_min=threshold,
             pooled_confusion=pooled_cm,
         ))
-    if detector is None:
+    if threshold is None:
         raise DataError(
             "no client update ever arrived; cannot calibrate a detector")
     return FederationResult(
         final_params=server.global_params,
-        detector=detector,
+        threshold=threshold,
         rounds=traces,
         collected_thresholds=collected,
         per_client=per_client,

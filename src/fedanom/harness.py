@@ -5,7 +5,7 @@
 of their own mode. Centralized mode scores the whole dataset as one client
 (see `prepare_centralized`). Federated mode Dirichlet-partitions it across
 clients (see `prepare_clients`), runs the round loop, and fixes the
-detector at the least local threshold over all (round, client) pairs.
+threshold at the least local threshold over all (round, client) pairs.
 Both modes train through `federation.local_round`, and both, like a
 saved model's re-evaluation, are scored by `federation.evaluate_clients`;
 a federated run's result is its last round's evaluation, so no row is
@@ -64,7 +64,6 @@ from .detector import (
     SOURCE_ROUND_MIN,
     ConfusionMatrix,
     MetricsReport,
-    ThresholdDetector,
     metrics,
 )
 from .errors import ConfigError, DataError, ShapeError
@@ -117,33 +116,40 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 @dataclass
 class EvaluationReport:
     """Everything the reporting layer needs about one finished experiment:
-    `per_client` is set in federated mode only, `epoch_losses` by a
-    centralized training run, and `round_traces` and `mean_round_accuracy`
-    by a federated one."""
+    the config it ran, whose mode, seed and fingerprint every artifact
+    records, and what it scored. `per_client` is set in federated mode
+    only, `epoch_losses` by a centralized training run, and `round_traces`
+    and `mean_round_accuracy` by a federated one."""
 
-    mode: str
-    seed: int
-    fingerprint: str
+    cfg: ExperimentConfig
     confusion: ConfusionMatrix
     metrics: MetricsReport
     threshold: float
-    detector_source: str
-    config: dict
     per_client: dict[int, ConfusionMatrix] | None = None
     epoch_losses: list[float] | None = None
     round_traces: list[RoundTrace] | None = None
     mean_round_accuracy: float | None = None
 
+    @property
+    def detector_source(self) -> str:
+        """Where the threshold came from, named by the config's mode."""
+        return (SOURCE_ROUND_MIN if self.cfg.mode == MODE_FEDERATED
+                else SOURCE_CENTRALIZED)
+
 
 @dataclass
 class TrainedModel:
-    """A trained detector bundle, enough to re-evaluate later."""
+    """A trained bundle, enough to re-evaluate later: the parameters, the
+    detector (its threshold), the centralized run's scaler (None in
+    federated mode), and the fingerprint, seed and mode of the config that
+    trained it."""
 
     params: ParameterSet
-    detector: ThresholdDetector
+    detector: float
     scaler: ScalerParams | None
     fingerprint: str
-    seed: int = 0
+    seed: int
+    mode: str
 
 
 def _split_normals(cfg: ExperimentConfig, normal: np.ndarray, seed: int,
@@ -206,14 +212,12 @@ def _model_config(cfg: ExperimentConfig,
     return model_cfg
 
 
-def _report(cfg: ExperimentConfig, detector: ThresholdDetector,
+def _report(cfg: ExperimentConfig, threshold: float,
             per_client: dict[int, ConfusionMatrix], cm: ConfusionMatrix,
             **extra) -> EvaluationReport:
     """A config's run report, in its mode, scored by `evaluate_clients`."""
     return EvaluationReport(
-        mode=cfg.mode, seed=cfg.seed, fingerprint=cfg.fingerprint(),
-        confusion=cm, metrics=metrics(cm), threshold=detector.threshold,
-        detector_source=detector.source, config=cfg.canonical_dict(),
+        cfg=cfg, confusion=cm, metrics=metrics(cm), threshold=threshold,
         per_client=per_client if cfg.mode == MODE_FEDERATED else None, **extra)
 
 
@@ -233,12 +237,12 @@ def run_centralized(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedMod
     update = local_round(client, build(model_cfg).flat, specs, tc,
                          cfg.data["detector"]["use_sample_std"])
     trained = ParameterSet(update.params, specs)
-    detector = ThresholdDetector(update.local_threshold)
-    report = _report(cfg, detector,
-                     *evaluate_clients(trained, [client], detector),
+    threshold = update.local_threshold
+    report = _report(cfg, threshold,
+                     *evaluate_clients(trained, [client], threshold),
                      epoch_losses=list(update.epoch_losses))
-    return report, TrainedModel(trained, detector, scaler, cfg.fingerprint(),
-                                cfg.seed)
+    return report, TrainedModel(trained, threshold, scaler, cfg.fingerprint(),
+                                cfg.seed, cfg.mode)
 
 
 def partition(cfg: ExperimentConfig, ds: LabeledDataset) -> PartitionPlan:
@@ -292,16 +296,16 @@ def run_federated_experiment(cfg: ExperimentConfig
         min_participation=fed["min_participation"],
         use_sample_std=cfg.data["detector"]["use_sample_std"],
     )
-    # the last round scored the final model with the final detector
+    # the last round scored the final model with the final threshold
     accuracies = [metrics(tr.pooled_confusion).accuracy for tr in result.rounds
                   if tr.pooled_confusion is not None]
-    report = _report(cfg, result.detector, result.per_client,
+    report = _report(cfg, result.threshold, result.per_client,
                      result.rounds[-1].pooled_confusion,
                      round_traces=result.rounds, mean_round_accuracy=(
                          float(np.mean(accuracies)) if accuracies else None))
     params = ParameterSet(result.final_params, model_cfg.layer_specs())
-    return report, TrainedModel(params, result.detector, None,
-                                cfg.fingerprint(), cfg.seed), result
+    return report, TrainedModel(params, result.threshold, None,
+                                cfg.fingerprint(), cfg.seed, cfg.mode), result
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[EvaluationReport, TrainedModel]:
@@ -320,11 +324,10 @@ ROUND_TRACE_HEADER = ("round", "client_id", "local_loss", "threshold",
 # as `checks._check` reads them.
 MODEL_JSON = {
     "threshold": (float, True, "[0, inf)", "a finite number"),
-    "detector_source": (str, True, (SOURCE_CENTRALIZED, SOURCE_ROUND_MIN),
-                        "a string"),
+    "mode": (str, True, (MODE_CENTRALIZED, MODE_FEDERATED), "a string"),
     "fingerprint": (str, True, None, "a string"),
     "layers": ([dict], True, None, "a list of mappings"),
-    "seed": (int, False, None, "an int"),
+    "seed": (int, True, None, "an int"),
 }
 MODEL_NPZ = {
     key: (np.ndarray, required, None, "a 1-d array of finite numbers")
@@ -346,7 +349,8 @@ def _write_json(path: Path, payload: dict) -> Path:
 def _write_csv(path: Path, report: EvaluationReport, header, rows) -> Path:
     """Write the `# seed=... fingerprint=...` line, `header`, then `rows`."""
     with path.open("w", newline="") as fh:
-        fh.write(f"# seed={report.seed} fingerprint={report.fingerprint}\n")
+        fh.write(f"# seed={report.cfg.seed} "
+                 f"fingerprint={report.cfg.fingerprint()}\n")
         csv.writer(fh).writerows([header, *rows])
     return path
 
@@ -372,9 +376,9 @@ def metric_values(m: MetricsReport) -> dict[str, float | None]:
 
 def metrics_payload(report: EvaluationReport) -> dict:
     return {
-        "mode": report.mode,
-        "seed": report.seed,
-        "fingerprint": report.fingerprint,
+        "mode": report.cfg.mode,
+        "seed": report.cfg.seed,
+        "fingerprint": report.cfg.fingerprint(),
         "threshold": float(report.threshold),
         "detector_source": report.detector_source,
         **metric_values(report.metrics),
@@ -385,12 +389,12 @@ def metrics_payload(report: EvaluationReport) -> dict:
     }
 
 
-def write_manifest(out: Path, seed: int, fingerprint: str, config: dict,
-                   **extra) -> Path:
-    """Write `out/manifest.json`: seed, fingerprint, config and `extra`."""
+def write_manifest(out: Path, cfg: ExperimentConfig, **extra) -> Path:
+    """Write `out/manifest.json`: `cfg`'s seed, fingerprint and canonical
+    form, and `extra`."""
     return _write_json(out / "manifest.json",
-                       {"seed": seed, "fingerprint": fingerprint,
-                        "config": config, **extra})
+                       {"seed": cfg.seed, "fingerprint": cfg.fingerprint(),
+                        "config": cfg.canonical_dict(), **extra})
 
 
 def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
@@ -422,13 +426,13 @@ def emit_report(report: EvaluationReport, out_dir: str | Path) -> list[Path]:
              for t in traces for r in t.records]))
     if report.per_client is not None:
         written.append(_write_json(out / "per_client_metrics.json", {
-            "seed": report.seed, "fingerprint": report.fingerprint,
+            "seed": report.cfg.seed, "fingerprint": report.cfg.fingerprint(),
             "clients": {
                 str(cid): {"confusion": asdict(cm),
                            **metric_values(metrics(cm))}
                 for cid, cm in sorted(report.per_client.items())}}))
     written.append(write_manifest(
-        out, report.seed, report.fingerprint, report.config, mode=report.mode,
+        out, report.cfg, mode=report.cfg.mode,
         artifacts=sorted(p.name for p in written)))
     return written
 
@@ -462,7 +466,7 @@ def read_report(run_dir: str | Path
 
 
 def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
-    """Persist trained parameters, detector and scaler for later use."""
+    """Persist trained parameters, threshold and scaler for later use."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arrays = {"flat": model.params.flat}
@@ -473,8 +477,8 @@ def save_model(model: TrainedModel, out_dir: str | Path) -> Path:
     _write_json(out / "model.json", {
         "seed": model.seed,
         "fingerprint": model.fingerprint,
-        "threshold": model.detector.threshold,
-        "detector_source": model.detector.source,
+        "threshold": model.detector,
+        "mode": model.mode,
         "layers": [s._asdict() | {"activation": s.activation.value}
                    for s in model.params.specs],
     })
@@ -530,21 +534,17 @@ def load_model(model_dir: str | Path) -> TrainedModel:
             raise DataError(f"{npz_path}: scaler_max: below scaler_min in "
                             f"column {below.argmax()}")
         scaler = ScalerParams(arrays["scaler_min"], arrays["scaler_max"])
-    detector = ThresholdDetector(float(meta["threshold"]),
-                                 meta["detector_source"])
     params = ParameterSet(np.array(arrays["flat"], np.float64), specs)
-    return TrainedModel(params, detector, scaler,
-                        meta["fingerprint"], meta.get("seed") or 0)
+    return TrainedModel(params, float(meta["threshold"]), scaler,
+                        meta["fingerprint"], meta["seed"], meta["mode"])
 
 
 def evaluate_saved(cfg: ExperimentConfig, model: TrainedModel) -> EvaluationReport:
     """Re-run the evaluation stage of an experiment from a saved model. A
     config of another mode than the model was trained in, or a dataset of
     another width than the model's input, is a DataError."""
-    trained_mode = (MODE_FEDERATED if model.detector.source == SOURCE_ROUND_MIN
-                    else MODE_CENTRALIZED)
-    if trained_mode != cfg.mode:
-        raise DataError(f"saved model trained in {trained_mode} mode does "
+    if model.mode != cfg.mode:
+        raise DataError(f"saved model trained in {model.mode} mode does "
                         f"not match the config's mode {cfg.mode}")
     ds = load_experiment_dataset(cfg)
     if ds.n_features != model.params.input_dim:

@@ -33,7 +33,6 @@ from fedanom.detector import (
     SOURCE_CENTRALIZED,
     SOURCE_ROUND_MIN,
     ConfusionMatrix,
-    ThresholdDetector,
     metrics,
 )
 from fedanom.errors import (
@@ -403,7 +402,8 @@ class TestParseConfig:
         ("train.learning_rate", BIG_INT),
         ("federation.latency.jitter", BIG_INT),
         ("federation.latency.delays", {0: BIG_INT}),
-    ], ids=["learning_rate", "jitter", "delays"])
+        ("federation.n_clients", BIG_INT),
+    ], ids=["learning_rate", "jitter", "delays", "n_clients"])
     def test_int_beyond_float_range_names_key(self, key, value):
         with pytest.raises(ConfigError, match=(
                 rf"^{re.escape(key)}: expected .*, got an int that does not "
@@ -533,10 +533,16 @@ def gelu_layer(meta):
     return meta
 
 
-def saved_before_detector_source(meta):
-    """`meta` as written before model.json named its detector's source."""
-    meta = dict(meta, per_round_thresholds=[meta["threshold"]])
-    del meta["detector_source"]
+def saved_before_mode(meta):
+    """`meta` as written before model.json recorded its mode: it named its
+    detector's source instead."""
+    meta = dict(meta, detector_source="round_min")
+    del meta["mode"]
+    return meta
+
+
+def without_seed(meta):
+    del meta["seed"]
     return meta
 
 
@@ -563,13 +569,15 @@ BUNDLE_FACTS = [
     pytest.param("model.json", lambda meta: {**meta, "fingerprint": 5},
                  "fingerprint: expected a string, got 5",
                  id="int-fingerprint"),
-    pytest.param("model.json", lambda meta: {
-        **meta, "detector_source": "median"},
-        "detector_source: expected one of centralized | round_min, "
-        "got 'median'", id="unknown-detector-source"),
-    pytest.param("model.json", saved_before_detector_source,
-                 "missing key 'detector_source'",
-                 id="saved-before-detector-source"),
+    pytest.param("model.json", lambda meta: {**meta, "mode": "median"},
+                 "mode: expected one of centralized | federated, "
+                 "got 'median'", id="unknown-mode"),
+    pytest.param("model.json", saved_before_mode, "missing key 'mode'",
+                 id="saved-before-mode"),
+    pytest.param("model.json", without_seed, "missing key 'seed'",
+                 id="missing-seed"),
+    pytest.param("model.json", lambda meta: {**meta, "seed": None},
+                 "seed: expected an int, got None", id="null-seed"),
     pytest.param("model.json", gelu_layer,
                  "layer 2: activation must be one of relu | tanh | "
                  "identity, got 'gelu'", id="unknown-activation"),
@@ -579,7 +587,7 @@ BUNDLE_FACTS = [
 @st.composite
 def bundles(draw):
     """A `TrainedModel` of 1-4 layers of sizes 1-9, with or without a
-    scaler, its detector of either source."""
+    scaler, trained in either mode."""
     sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
     specs = [LayerSpec(out_dim, in_dim, draw(st.sampled_from(Activation)),
                        draw(st.floats(0.0, 1.0, exclude_max=True)))
@@ -587,16 +595,16 @@ def bundles(draw):
     finite = st.floats(-1e6, 1e6)
     n_params = sum(s.out_dim * (s.in_dim + 1) for s in specs)
     flat = draw(arrays(np.float64, n_params, elements=finite))
-    detector = ThresholdDetector(draw(st.floats(0.0, 1e6)), draw(
-        st.sampled_from([SOURCE_CENTRALIZED, SOURCE_ROUND_MIN])))
+    threshold = draw(st.floats(0.0, 1e6))
     scaler = None
     if draw(st.booleans()):
         ends = draw(arrays(np.float64, (2, sizes[0]), elements=finite))
         scaler = ScalerParams(ends.min(axis=0), ends.max(axis=0))
     return TrainedModel(ParameterSet(flat, specs),
-                        detector, scaler,
+                        threshold, scaler,
                         draw(st.text(max_size=12)),
-                        draw(st.integers(-2**63, 2**63)))
+                        draw(st.integers(-2**63, 2**63)),
+                        draw(st.sampled_from(["centralized", "federated"])))
 
 
 NOT_ARCHIVE = "expected an .npz archive"
@@ -606,20 +614,20 @@ NOT_FINITE = "expected a 1-d array of finite numbers"
 def save_untrained_model(model_dir):
     """Save a freshly built tiny model; return its model.json contents."""
     cfg = tiny_config()
-    save_model(TrainedModel(build(cfg.model_config()), ThresholdDetector(0.5),
-                            None, cfg.fingerprint()), model_dir)
+    save_model(TrainedModel(build(cfg.model_config()), 0.5, None,
+                            cfg.fingerprint(), cfg.seed, cfg.mode), model_dir)
     return json.loads((model_dir / "model.json").read_text())
 
 
 class TestCentralizedHarness:
     def test_report_contents(self):
         report, model = run_centralized(tiny_config())
-        assert report.mode == "centralized"
+        assert report.cfg.mode == "centralized"
         assert report.threshold > 0.0
         assert report.confusion.total > 0
         assert len(report.epoch_losses) == 4
         assert report.metrics.accuracy is not None
-        assert model.detector.threshold == report.threshold
+        assert model.detector == report.threshold
 
     def test_detects_synthetic_attacks(self):
         # stock training settings on the bundled synthetic benchmark
@@ -645,7 +653,7 @@ class TestCentralizedHarness:
     def test_run_experiment_dispatch(self):
         report, _ = run_centralized(tiny_config())
         via_dispatch, _ = run_experiment(tiny_config())
-        assert via_dispatch.mode == report.mode
+        assert via_dispatch.cfg.mode == report.cfg.mode
         assert via_dispatch.threshold == report.threshold
         assert via_dispatch.confusion == report.confusion
 
@@ -688,12 +696,13 @@ class TestCentralizedHarness:
 
     @pytest.mark.parametrize("mode, source", [
         ("centralized", SOURCE_CENTRALIZED), ("federated", SOURCE_ROUND_MIN)])
-    def test_saved_model_json_records_detector_source(self, tmp_path, mode,
-                                                      source):
+    def test_saved_model_json_records_mode(self, tmp_path, mode, source):
         report, model = run_experiment(tiny_config(mode=mode))
         meta = json.loads((save_model(model, tmp_path) / "model.json")
                           .read_text())
-        assert meta["detector_source"] == report.detector_source == source
+        assert meta["mode"] == model.mode == mode
+        assert "detector_source" not in meta
+        assert report.detector_source == source
 
 
     @pytest.mark.parametrize("layer, field, value", [
@@ -716,9 +725,9 @@ class TestCentralizedHarness:
         ("threshold", None, "missing key 'threshold'"),
         ("fingerprint", None, "missing key 'fingerprint'"),
         ("layers", 5, "layers: expected a list of mappings, got 5"),
-        ("detector_source", None, "missing key 'detector_source'"),
-        ("detector_source", "median", "detector_source: expected one of "
-                                      "centralized | round_min, got 'median'"),
+        ("mode", None, "missing key 'mode'"),
+        ("mode", "median", "mode: expected one of "
+                           "centralized | federated, got 'median'"),
     ])
     def test_malformed_model_json_names_file_and_key(self, tmp_path, key,
                                                      value, message):
@@ -738,9 +747,9 @@ class TestCentralizedHarness:
         ("threshold", float("nan"), "a finite number"),
         ("seed", 1.5, "an int"),
         ("seed", "7", "an int"),
-        ("detector_source", 5, "a string"),
-        ("detector_source", None, "a string"),
-        ("detector_source", ["round_min"], "a string"),
+        ("mode", 5, "a string"),
+        ("mode", None, "a string"),
+        ("mode", ["federated"], "a string"),
     ])
     def test_mistyped_model_json_value_names_file_and_key(
             self, tmp_path, key, value, expected):
@@ -841,8 +850,8 @@ class TestCentralizedHarness:
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
         assert loaded.params.specs == model.params.specs
         assert loaded.detector == model.detector
-        assert (loaded.fingerprint, loaded.seed) == (model.fingerprint,
-                                                     model.seed)
+        assert (loaded.fingerprint, loaded.seed, loaded.mode) == (
+            model.fingerprint, model.seed, model.mode)
         if model.scaler is None:
             assert loaded.scaler is None
         else:
@@ -959,12 +968,12 @@ class TestFederatedHarness:
     def test_federated_report(self):
         cfg = tiny_config(mode="federated")
         report, model, result = run_federated_experiment(cfg)
-        assert report.mode == "federated"
+        assert report.cfg.mode == "federated"
         assert report.detector_source == "round_min"
         assert len(report.round_traces) == 2
         assert report.per_client
         assert report.mean_round_accuracy is not None
-        assert model.detector.source == "round_min"
+        assert model.mode == "federated"
 
     def test_emitted_files(self, tmp_path):
         cfg = tiny_config(mode="federated")
@@ -986,7 +995,7 @@ class TestFederatedHarness:
         report, model, _ = run_federated_experiment(cfg)
         save_model(model, tmp_path / "m")
         loaded = load_model(tmp_path / "m")
-        assert loaded.detector.source == "round_min"
+        assert loaded.mode == "federated"
         again = evaluate_saved(cfg, loaded)
         assert again.confusion == report.confusion
         assert again.per_client == report.per_client
@@ -1062,8 +1071,8 @@ class TestEmitReport:
         stored = json.loads((tmp_path / "metrics.json").read_text())
         assert stored["accuracy"] == report.metrics.accuracy
         assert stored["threshold"] == report.threshold
-        assert stored["seed"] == report.seed
-        assert stored["fingerprint"] == report.fingerprint
+        assert stored["seed"] == report.cfg.seed
+        assert stored["fingerprint"] == report.cfg.fingerprint()
 
     def test_no_nan_text_anywhere(self, tmp_path):
         report, _ = run_centralized(tiny_config())
@@ -1094,9 +1103,9 @@ class TestEmitReport:
         emit_report(report, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 7
-        assert manifest["fingerprint"] == report.fingerprint
+        assert manifest["fingerprint"] == report.cfg.fingerprint()
         assert "metrics.json" in manifest["artifacts"]
-        assert manifest["config"] == report.config
+        assert manifest["config"] == report.cfg.canonical_dict()
 
 
 def cfg_epochs(cfg):
@@ -1455,6 +1464,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: federation.n_clients: 1000 clients cannot split 380 "
             "records\n")
+
+    def test_partition_rejects_clients_beyond_float_range(self, tmp_path,
+                                                          capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"federation: {{n_clients: {BIG_INT}}}\n")
+        assert main(["partition", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: federation.n_clients: expected int, got an int that does "
+            "not fit a float\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_beyond_float_range_rejected(self, tmp_path, capsys):
+        # as in a config file, so model.json never holds a seed it rejects
+        config = write_tiny_yaml(tmp_path)
+        assert main(["train", "--config", str(config), "--seed", str(BIG_INT),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed: expected int, got an int that does not fit a "
+            "float\n")
+        assert not (tmp_path / "out").exists()
 
     def test_partition_rejects_alpha_beyond_float_range(self, tmp_path,
                                                         capsys):

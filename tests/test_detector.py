@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedanom.detector import (
-    SOURCE_CENTRALIZED,
     ConfusionMatrix,
-    ThresholdDetector,
     classify,
     compute_threshold,
     confusion,
@@ -56,29 +54,16 @@ class TestComputeThreshold:
                                                               rel=1e-9, abs=1e-9)
 
 
-class TestThresholdDetector:
-    def test_source_defaults_to_centralized(self):
-        assert ThresholdDetector(0.5) == ThresholdDetector(0.5,
-                                                           SOURCE_CENTRALIZED)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(DataError, match="nonnegative, got -0.5"):
-            ThresholdDetector(-0.5)
-
-
 class TestClassify:
     def test_rule_application(self):
-        det = ThresholdDetector(2.8165)
         np.testing.assert_array_equal(
-            classify(det, np.array([0.1, 3.0])), [False, True])
+            classify(2.8165, np.array([0.1, 3.0])), [False, True])
 
     def test_boundary_is_normal(self):
-        det = ThresholdDetector(1.5)
-        assert classify(det, np.array([1.5]))[0] == False  # noqa: E712
+        assert classify(1.5, np.array([1.5]))[0] == False  # noqa: E712
 
     def test_empty_errors(self):
-        det = ThresholdDetector(1.0)
-        assert classify(det, np.array([])).size == 0
+        assert classify(1.0, np.array([])).size == 0
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
            st.floats(0.0, 5.0), st.floats(0.0, 5.0))
@@ -86,8 +71,8 @@ class TestClassify:
     def test_monotone_in_threshold(self, values, t_low, t_high):
         lo, hi = sorted((t_low, t_high))
         errors = np.array(values)
-        above_low = classify(ThresholdDetector(lo), errors)
-        above_high = classify(ThresholdDetector(hi), errors)
+        above_low = classify(lo, errors)
+        above_high = classify(hi, errors)
         # raising the threshold never turns a Normal into an Attack
         assert not np.any(above_high & ~above_low)
 

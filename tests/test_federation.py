@@ -6,11 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedanom.autoencoder import AutoencoderConfig, TrainConfig, build
-from fedanom.detector import SOURCE_ROUND_MIN, ThresholdDetector
 from fedanom.errors import (
     ConfigError,
     DataError,
@@ -29,6 +28,7 @@ from fedanom.federation import (
     StrategyKind,
     aggregate,
     assign_latencies,
+    clients_per_round,
     fedavg_aggregate,
     local_round,
     qffl_aggregate,
@@ -80,6 +80,33 @@ class TestSampleClients:
     def test_ceil_of_fraction(self):
         out = sample_clients(list(range(5)), 0.5, derive_rng(1))
         assert len(out) == 3  # ceil(2.5)
+
+
+class TestClientsPerRound:
+    @pytest.mark.parametrize("fraction, n_clients, expected", [
+        (0.07, 100, 7), (0.55, 100, 55), (0.14, 50, 7), (0.56, 25, 14),
+        (0.68, 175, 119), (0.75, 8, 6), (0.75, 4, 3), (0.5, 5, 3),
+        (1.0, 7, 7)])
+    def test_ceil_of_the_written_decimal(self, fraction, n_clients, expected):
+        # 0.07 * 100 is 7.000000000000001 in floats, whose ceiling is 8
+        assert clients_per_round(fraction, n_clients) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @example(percent=7, n_clients=100)
+    @example(percent=55, n_clients=100)
+    @given(percent=st.integers(1, 100), n_clients=st.integers(1, 200))
+    def test_matches_integer_ceiling(self, percent, n_clients):
+        assert clients_per_round(percent / 100, n_clients) == (
+            -(-percent * n_clients // 100))
+
+    @settings(max_examples=200, deadline=None)
+    @given(digits=st.integers(1, 6), data=st.data())
+    def test_matches_integer_ceiling_of_any_short_decimal(self, digits, data):
+        scale = 10 ** digits
+        units = data.draw(st.integers(1, scale))
+        n_clients = data.draw(st.integers(1, 10 ** 6))
+        assert clients_per_round(units / scale, n_clients) == (
+            -(-units * n_clients // scale))
 
 
 class TestFedavgAggregate:
@@ -570,7 +597,7 @@ class TestRunFederated:
             results.append(run_federated(**kwargs))
         np.testing.assert_array_equal(results[0].final_params,
                                       results[1].final_params)
-        assert results[0].detector.threshold == results[1].detector.threshold
+        assert results[0].threshold == results[1].threshold
         for ta, tb in zip(results[0].rounds, results[1].rounds):
             assert ta.alpha == tb.alpha
             assert ta.global_sha256 == tb.global_sha256
@@ -592,7 +619,7 @@ class TestRunFederated:
         local = local_round(client, build(cfg).flat, cfg.layer_specs(),
                             seeded, False)
         np.testing.assert_array_equal(result.final_params, local.params)
-        assert result.detector.threshold == local.local_threshold
+        assert result.threshold == local.local_threshold
 
     def test_param_length_invariant_across_rounds(self):
         result = run_federated(toy_clients(3), toy_model_cfg(),
@@ -604,10 +631,10 @@ class TestRunFederated:
         result = run_federated(toy_clients(2), toy_model_cfg(),
                                StrategyConfig(), rounds=3,
                                train=TrainConfig(epochs=1), master_seed=5)
-        assert result.detector.threshold == min(result.collected_thresholds)
+        assert result.threshold == min(result.collected_thresholds)
         assert len(result.collected_thresholds) == 6  # 2 clients x 3 rounds
         assert (result.rounds[-1].threshold_running_min
-                == result.detector.threshold)
+                == result.threshold)
 
     def test_detector_kept_when_no_update_arrives_last(self):
         latency = LatencyModel(per_round={2: {0: 9.0, 1: 9.0}},
@@ -617,8 +644,7 @@ class TestRunFederated:
                                train=TrainConfig(epochs=1), latency=latency,
                                master_seed=5)
         assert len(result.collected_thresholds) == 2
-        assert result.detector == ThresholdDetector(
-            min(result.collected_thresholds), SOURCE_ROUND_MIN)
+        assert result.threshold == min(result.collected_thresholds)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_clients=st.integers(2, 4),
@@ -647,8 +673,7 @@ class TestRunFederated:
         running = [tr.threshold_running_min for tr in result.rounds
                    if tr.threshold_running_min is not None]
         assert running == sorted(running, reverse=True)
-        assert result.detector == ThresholdDetector(
-            min(result.collected_thresholds), SOURCE_ROUND_MIN)
+        assert result.threshold == min(result.collected_thresholds)
 
     def test_no_clients_is_a_data_error(self):
         # the one empty check of the round loop: sampling and aggregation
