@@ -33,6 +33,7 @@ from .harness import (
     load_experiment_dataset,
     load_model,
     metric_values,
+    metrics_payload,
     partition,
     read_report,
     run_experiment,
@@ -95,8 +96,9 @@ def _write_run(report, model, out) -> int:
     if model is not None:
         save_model(model, out / "model")
     _print_metrics(metric_values(report.metrics))
-    if report.mean_round_accuracy is not None:
-        print(f"mean_round_accuracy: {report.mean_round_accuracy:.6f}")
+    mean = metrics_payload(report)["mean_round_accuracy"]
+    if mean is not None:
+        print(f"mean_round_accuracy: {mean:.6f}")
     print(f"report written to {out}")
     return 0
 

@@ -263,9 +263,10 @@ def qffl_aggregate(global_params: np.ndarray,
     for delta, h in deltas:
         total_delta += delta
         total_h += h
-    if total_h <= 0.0:
+    if not 0.0 < total_h < math.inf:
         raise DegenerateAggregationError(
-            f"aggregation denominator is {total_h}")
+            f"aggregation denominator must be finite and positive, got "
+            f"{total_h}")
     return global_params - total_delta / total_h
 
 
@@ -289,7 +290,9 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
     on every fairfedavg round (carried rounds set its summaries too) and
     on non-carried qffl rounds. A shrunken fairfedavg round compares
     against the previous round's summaries only, the last
-    `relevance_window` of them."""
+    `relevance_window` of them. The deltas are computed with numpy's
+    overflow and invalid-value warnings off, and a NumericError of the
+    strategy step is raised again prefixed `round {n}: `."""
     ordered = sorted(updates, key=lambda u: u.client_id)
     width = server.global_params.shape[0]
     lengths = sorted({u.params.shape[0] for u in ordered} - {width})
@@ -302,27 +305,32 @@ def aggregate(server: ServerState, updates: Sequence[ClientUpdate],
     if cfg.kind is not StrategyKind.FEDAVG and cfg.lipschitz is None:
         raise ConfigError(
             f"{cfg.kind.value} aggregation needs a concrete Lipschitz estimate")
-    deltas = []
-    if fair or (cfg.kind is StrategyKind.QFFL and not carried):
-        deltas = [qffl_deltas(server.global_params, u, cfg.q, cfg.lipschitz)
-                  for u in ordered]
-    if carried:
-        new_global = server.global_params.copy()
-    elif cfg.kind is StrategyKind.FEDAVG:
-        new_global = fedavg_aggregate(ordered, cfg)
-    else:
-        new_global = qffl_aggregate(server.global_params, deltas)
     current_round = server.round_index + 1
     summaries = server.prev_summaries
     alpha = 1.0
-    if fair:
-        if not carried and count < server.prev_participants:
+    try:
+        deltas = []
+        if fair or (cfg.kind is StrategyKind.QFFL and not carried):
+            # |dw|^2 may overflow; qffl_aggregate rejects the infinite sum
+            with np.errstate(over="ignore", invalid="ignore"):
+                deltas = [qffl_deltas(server.global_params, u, cfg.q,
+                                      cfg.lipschitz) for u in ordered]
+        if carried:
+            new_global = server.global_params.copy()
+        elif cfg.kind is StrategyKind.FEDAVG:
+            new_global = fedavg_aggregate(ordered, cfg)
+        else:
+            new_global = qffl_aggregate(server.global_params, deltas)
+        if fair and not carried and count < server.prev_participants:
             alpha = relevance_score(summaries, rms_summary(new_global))
             if not 0.0 < alpha <= 1.0:  # the share underflowed
                 raise DegenerateAggregationError(
-                    f"round {current_round}: relevance score must be in "
-                    f"(0, 1], got {alpha}")
+                    f"relevance score must be in (0, 1], got {alpha}")
             new_global = alpha * new_global
+    except NumericError as err:
+        err.args = (f"round {current_round}: {err.args[0]}",)
+        raise
+    if fair:
         summaries = tuple(rms_summary(d)
                           for d, _ in deltas[-cfg.relevance_window:])
     return ServerState(

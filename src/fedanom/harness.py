@@ -119,7 +119,7 @@ class EvaluationReport:
     the config it ran, whose mode, seed and fingerprint every artifact
     records, and what it scored. `per_client` is set in federated mode
     only, `epoch_losses` by a centralized training run, and `round_traces`
-    and `mean_round_accuracy` by a federated one."""
+    by a federated one."""
 
     cfg: ExperimentConfig
     confusion: ConfusionMatrix
@@ -128,7 +128,6 @@ class EvaluationReport:
     per_client: dict[int, ConfusionMatrix] | None = None
     epoch_losses: list[float] | None = None
     round_traces: list[RoundTrace] | None = None
-    mean_round_accuracy: float | None = None
 
     @property
     def detector_source(self) -> str:
@@ -297,12 +296,9 @@ def run_federated_experiment(cfg: ExperimentConfig
         use_sample_std=cfg.data["detector"]["use_sample_std"],
     )
     # the last round scored the final model with the final threshold
-    accuracies = [metrics(tr.pooled_confusion).accuracy for tr in result.rounds
-                  if tr.pooled_confusion is not None]
     report = _report(cfg, result.threshold, result.per_client,
                      result.rounds[-1].pooled_confusion,
-                     round_traces=result.rounds, mean_round_accuracy=(
-                         float(np.mean(accuracies)) if accuracies else None))
+                     round_traces=result.rounds)
     params = ParameterSet(result.final_params, model_cfg.layer_specs())
     return report, TrainedModel(params, result.threshold, None,
                                 cfg.fingerprint(), cfg.seed, cfg.mode), result
@@ -375,6 +371,9 @@ def metric_values(m: MetricsReport) -> dict[str, float | None]:
 
 
 def metrics_payload(report: EvaluationReport) -> dict:
+    accuracies = [metrics(tr.pooled_confusion).accuracy
+                  for tr in report.round_traces or ()
+                  if tr.pooled_confusion is not None]
     return {
         "mode": report.cfg.mode,
         "seed": report.cfg.seed,
@@ -385,7 +384,8 @@ def metrics_payload(report: EvaluationReport) -> dict:
         # only normal rows make FP and TN counts, so the validation FP rate
         # is the false rate
         "validation_fp_rate": _metric_value(report.metrics.fp_rate),
-        "mean_round_accuracy": _metric_value(report.mean_round_accuracy),
+        "mean_round_accuracy": (float(np.mean(accuracies)) if accuracies
+                                else None),
     }
 
 

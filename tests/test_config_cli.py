@@ -1,13 +1,11 @@
 """Tests for config parsing, the experiment harness and the CLI."""
 
 import codecs
-import csv
 import io
 import json
 import math
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -19,6 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cli_cases
+import fedanom
+from cli_cases import (
+    BIG_INT,
+    BUNDLE_FACTS,
+    CASES,
+    COMMANDS,
+    DROP,
+    NOT_ARCHIVE,
+    NOT_FINITE,
+    RELEVANCE_UNDERFLOW,
+    ROOTS,
+    edit_bundle_file,
+    keys,
+    last_is,
+    replace,
+    tiny,
+)
 from fedanom import harness
 from fedanom.cli import main
 from fedanom.checks import _is, _unallowed
@@ -49,6 +65,7 @@ from fedanom.harness import (
     evaluate_saved,
     load_model,
     metric_values,
+    metrics_payload,
     run_centralized,
     run_experiment,
     run_federated_experiment,
@@ -58,22 +75,8 @@ from fedanom.numerics import Activation, LayerSpec, ParameterSet
 
 
 def tiny_config(**overrides):
-    base = {
-        "mode": "centralized",
-        "seed": 7,
-        "dataset": {"synth": {"n_normal": 300, "n_attack": 80, "dim": 8,
-                              "displacement": 2.0, "seed": 5}},
-        "model": {"input_dim": 8, "hidden_dims": [6, 4],
-                  "bottleneck_dim": 2, "dropout_p": 0.1},
-        "train": {"epochs": 4},
-        "federation": {"n_clients": 2, "rounds": 2, "epochs_per_round": 2},
-    }
-    for key, value in overrides.items():
-        if isinstance(value, dict) and key in base:
-            base[key].update(value)
-        else:
-            base[key] = value
-    return build_config(base)
+    """`cli_cases.tiny(**overrides)`, built."""
+    return build_config(yaml.safe_load(tiny(**overrides)))
 
 
 def user_with(key, value):
@@ -135,7 +138,6 @@ def wrong_types(kind):
     return WRONG_TYPE[kind]
 
 
-BIG_INT = 10 ** 400  # 401 digits, beyond float range
 LATENCY_DEFAULTS = ('{"delays":{},"drop_after":null,"jitter":0.0,'
                     '"per_round":{}}')
 
@@ -187,19 +189,12 @@ class TestParseConfig:
         path.write_text(text)
         assert parse_config(path).data == build_config(None).data
 
-    @pytest.mark.parametrize("root", [[], 0, "", False, [1], "x", 5],
-                             ids=["empty-list", "zero", "empty-string",
-                                  "false", "list", "string", "int"])
-    def test_non_mapping_root_rejected(self, tmp_path, capsys, root):
-        problem = f"config root must be a mapping, got {type(root).__name__}"
+    @pytest.mark.parametrize("root", ROOTS.values(), ids=ROOTS.keys())
+    def test_non_mapping_root_rejected(self, root):
         with pytest.raises(ConfigError) as info:
             build_config(root)
-        assert str(info.value) == problem
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(root))
-        assert main(["train", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+        assert str(info.value) == (
+            f"config root must be a mapping, got {type(root).__name__}")
 
     def test_unknown_key_rejected_with_name(self, tmp_path):
         path = tmp_path / "typo.yaml"
@@ -482,106 +477,10 @@ class TestParseConfig:
             build_config({"mode": "hybrid"})
 
 
-def drop(key):
-    return lambda arrays: {k: v for k, v in arrays.items() if k != key}
-
-
-def replace(key, make):
-    return lambda arrays: {**arrays, key: make(arrays[key])}
-
-
-def last_is(value):
-    return lambda a: np.append(a[:-1], value)
-
-
 def npy_bytes(arrays):
     buf = io.BytesIO()
     np.save(buf, arrays["flat"])
     return buf.getvalue()
-
-
-def edit_model_npz(path, edit):
-    """Overwrite the archive at `path` with `edit` of its arrays: new
-    arrays, or the bytes of the new file."""
-    with np.load(path) as archive:
-        edited = edit({key: archive[key] for key in archive.files})
-    if isinstance(edited, bytes):
-        path.write_bytes(edited)
-    else:
-        np.savez(path, **edited)
-
-
-def edit_bundle_file(path, edit):
-    """Overwrite `model.npz` as `edit_model_npz` does, or `model.json` with
-    `edit` of its mapping."""
-    if path.suffix == ".npz":
-        edit_model_npz(path, edit)
-    else:
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-
-
-def scaler_max_below_min_in_column(j):
-    def edit(arrays):
-        top = arrays["scaler_max"].copy()
-        top[j] = arrays["scaler_min"][j] - 1.0
-        return {**arrays, "scaler_max": top}
-    return edit
-
-
-def gelu_layer(meta):
-    meta["layers"][2]["activation"] = "gelu"
-    return meta
-
-
-def saved_before_mode(meta):
-    """`meta` as written before model.json recorded its mode: it named its
-    detector's source instead."""
-    meta = dict(meta, detector_source="round_min")
-    del meta["mode"]
-    return meta
-
-
-def without_seed(meta):
-    del meta["seed"]
-    return meta
-
-
-# a trained tiny model (8 features, 190 parameters) edited so that each of
-# its files is well formed alone but a fact across its keys fails
-BUNDLE_FACTS = [
-    pytest.param("model.npz", replace("flat", lambda a: a[:-1]),
-                 "flat: expected 190 values for the layers in model.json, "
-                 "got 189", id="flat-one-short"),
-    pytest.param("model.npz", lambda arrays: {
-        **arrays, "scaler_min": arrays["scaler_min"][:5],
-        "scaler_max": arrays["scaler_max"][:5]},
-        "scaler_min: expected 8 values for the layers in model.json, got 5",
-        id="scaler-width-5"),
-    pytest.param("model.npz", replace("scaler_max", lambda a: a[:5]),
-                 "scaler_max: expected 8 values for the layers in "
-                 "model.json, got 5", id="scaler-widths-differ"),
-    pytest.param("model.npz", scaler_max_below_min_in_column(3),
-                 "scaler_max: below scaler_min in column 3",
-                 id="scaler-max-below-min"),
-    pytest.param("model.json", lambda meta: {**meta, "threshold": -0.5},
-                 "threshold: expected a value in [0, inf), got -0.5",
-                 id="negative-threshold"),
-    pytest.param("model.json", lambda meta: {**meta, "fingerprint": 5},
-                 "fingerprint: expected a string, got 5",
-                 id="int-fingerprint"),
-    pytest.param("model.json", lambda meta: {**meta, "mode": "median"},
-                 "mode: expected one of centralized | federated, "
-                 "got 'median'", id="unknown-mode"),
-    pytest.param("model.json", saved_before_mode, "missing key 'mode'",
-                 id="saved-before-mode"),
-    pytest.param("model.json", without_seed, "missing key 'seed'",
-                 id="missing-seed"),
-    pytest.param("model.json", lambda meta: {**meta, "seed": None},
-                 "seed: expected an int, got None", id="null-seed"),
-    pytest.param("model.json", gelu_layer,
-                 "layer 2: activation must be one of relu | tanh | "
-                 "identity, got 'gelu'", id="unknown-activation"),
-]
 
 
 @st.composite
@@ -606,9 +505,6 @@ def bundles(draw):
                         draw(st.integers(-2**63, 2**63)),
                         draw(st.sampled_from(["centralized", "federated"])))
 
-
-NOT_ARCHIVE = "expected an .npz archive"
-NOT_FINITE = "expected a 1-d array of finite numbers"
 
 
 def save_untrained_model(model_dir):
@@ -772,9 +668,9 @@ class TestCentralizedHarness:
 
 
     @pytest.mark.parametrize("edit, problem", [
-        (drop("flat"), "missing key 'flat'"),
-        (drop("scaler_max"), "missing key 'scaler_max'"),
-        (drop("scaler_min"), "missing key 'scaler_min'"),
+        (keys(flat=DROP), "missing key 'flat'"),
+        (keys(scaler_max=DROP), "missing key 'scaler_max'"),
+        (keys(scaler_min=DROP), "missing key 'scaler_min'"),
         (replace("flat", lambda a: a.astype(str)), f"flat: {NOT_FINITE}"),
         (replace("flat", lambda a: a.astype(object)), f"flat: {NOT_FINITE}"),
         (replace("flat", lambda a: a > 0), f"flat: {NOT_FINITE}"),
@@ -796,12 +692,14 @@ class TestCentralizedHarness:
                                                     problem):
         model_dir = tmp_path / "model"
         shutil.copytree(central_run / "model", model_dir)
-        edit_model_npz(model_dir / "model.npz", edit)
+        edit_bundle_file(model_dir / "model.npz", edit)
         with pytest.raises(DataError) as err:
             load_model(model_dir)
         assert str(err.value) == f"{model_dir / 'model.npz'}: {problem}"
 
-    @pytest.mark.parametrize("name, edit, problem", BUNDLE_FACTS)
+    @pytest.mark.parametrize("name, edit, problem", [
+        pytest.param(file, edit, problem, id=name)
+        for name, file, edit, problem in BUNDLE_FACTS])
     def test_bundle_facts_name_file_and_key(self, tmp_path, central_run,
                                             name, edit, problem):
         model_dir = tmp_path / "model"
@@ -927,30 +825,13 @@ class TestStrategyWiring:
         assert alphas[0] == 1.0
         assert 0.0 < alphas[1] < 1.0
 
-    def test_relevance_underflow_is_an_aggregation_error(self, tmp_path,
-                                                         capsys):
-        # the round-2 softmax share of the late client's round underflows
-        # to 0.0; no config value is at fault
-        cfg = tiny_config(
-            mode="federated",
-            dataset={"synth": {"n_normal": 400, "n_attack": 80, "dim": 8,
-                               "displacement": 2.0, "seed": 42}},
-            model={"dropout_p": 0.2},
-            federation={"n_clients": 4, "rounds": 3, "epochs_per_round": 1,
-                        "latency": {"per_round": {2: {0: 5.0}},
-                                    "drop_after": 1.0}},
-            strategy={"kind": "fairfedavg", "lipschitz": 1e7})
+    def test_relevance_underflow_is_an_aggregation_error(self):
+        # no config value is at fault; the CLI's line is the
+        # relevance-underflow row of cli_cases
         message = r"^round 2: relevance score must be in \(0, 1\], got 0\.0$"
         with pytest.raises(DegenerateAggregationError, match=message):
-            run_federated_experiment(cfg)
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(cfg.canonical_dict()))
-        code = main(["train", "--config", str(path),
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.splitlines() == [
-            "error: round 2: relevance score must be in (0, 1], got 0.0"]
+            run_federated_experiment(
+                build_config(yaml.safe_load(RELEVANCE_UNDERFLOW)))
 
     def test_lipschitz_defaults_to_inverse_lr(self):
         # at q = 0 the config fills the estimate in; the stored config, and
@@ -972,7 +853,7 @@ class TestFederatedHarness:
         assert report.detector_source == "round_min"
         assert len(report.round_traces) == 2
         assert report.per_client
-        assert report.mean_round_accuracy is not None
+        assert metrics_payload(report)["mean_round_accuracy"] is not None
         assert model.mode == "federated"
 
     def test_emitted_files(self, tmp_path):
@@ -1120,19 +1001,16 @@ def write_tiny_yaml(tmp_path, **overrides):
 
 
 @pytest.fixture(scope="module")
-def central_run(tmp_path_factory):
+def base(tmp_path_factory):
+    """The `cli_cases` base run of a mode, trained in-process on first use."""
+    return cli_cases.base_runs(tmp_path_factory.mktemp("bases"),
+                               cli_cases.in_process)
+
+
+@pytest.fixture(scope="module")
+def central_run(base):
     """A run directory written by `fedanom train` in centralized mode."""
-    root = tmp_path_factory.mktemp("central")
-    assert main(["train", "--config", str(write_tiny_yaml(root)),
-                 "--out", str(root / "run")]) == 0
-    return root / "run"
-
-
-COMMANDS = ("synth", "partition", "train", "evaluate", "report")
-COUNTS = "expected one row of 4 non-negative integer counts"
-FAIR_FED = {"mode": "federated", "strategy": {"kind": "fairfedavg"}}
-TRAINING_NAN = "non-finite training loss nan at epoch 0, batch 1"
-NON_FINITE_ERRORS = "reconstruction errors contain non-finite values"
+    return base("centralized")
 
 
 class TestCli:
@@ -1165,26 +1043,6 @@ class TestCli:
         assert main(["report", "--dir", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "consistent" in captured
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("train, overrides, line", [
-        ({}, FAIR_FED, TRAINING_NAN),
-        ({"epochs": 1, "batch_size": 4096}, {}, NON_FINITE_ERRORS),
-        ({"batch_size": 4096},
-         {**FAIR_FED, "federation": {"epochs_per_round": 1}},
-         NON_FINITE_ERRORS),
-    ], ids=["training", "central-calibration", "fed-calibration"])
-    def test_diverging_run_is_one_error_line(self, tmp_path, capsys, train,
-                                             overrides, line):
-        # one step at this rate leaves huge but finite weights, so the fault
-        # shows when the client calibrates; a second step finds it in training
-        config = write_tiny_yaml(
-            tmp_path, train={"learning_rate": 1.0e300, **train}, **overrides)
-        code = main(["train", "--config", str(config),
-                     "--out", str(tmp_path / "run")])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: client 0: {line}"]
 
     def test_train_fed_smoke(self, tmp_path):
         config = write_tiny_yaml(tmp_path, mode="federated")
@@ -1243,60 +1101,6 @@ class TestCli:
             mode == "centralized")
         assert again == trained
 
-    @pytest.mark.parametrize("trained, other", [
-        ("centralized", "federated"), ("federated", "centralized")])
-    def test_evaluate_rejects_model_of_other_mode(self, tmp_path, capsys,
-                                                  trained, other):
-        run_dir = tmp_path / "run"
-        assert main(["train", "--config",
-                     str(write_tiny_yaml(tmp_path, mode=trained)),
-                     "--out", str(run_dir)]) == 0
-        other_dir = tmp_path / other
-        other_dir.mkdir()
-        capsys.readouterr()
-        assert main(["evaluate", "--config",
-                     str(write_tiny_yaml(other_dir, mode=other)),
-                     "--model", str(run_dir / "model"),
-                     "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: saved model trained in {trained} mode does not match "
-            f"the config's mode {other}\n")
-        assert not (tmp_path / "eval").exists()
-
-    @pytest.mark.parametrize("name, text, problem", [
-        ("confusion.csv", "", "expected header tp,fp,tn,fn, got []"),
-        ("confusion.csv", "# seed=7 fingerprint=x\ntp,fp,tn,fn\n", COUNTS),
-        ("confusion.csv", "tp,fp,tn,fn\n1,2,x,4\n", COUNTS),
-        ("confusion.csv", "tp,fp,tn,fn\n1,2,3\n", COUNTS),
-        ("confusion.csv", "tp,fp,tn,fn\n1,2,-3,4\n", COUNTS),
-        ("confusion.csv", "tp,fp,tn,fn\n1,2,3,4\n1,2,3,4\n", COUNTS),
-        ("confusion.csv", "tp,fp,tn,fn\n0,0,0,0\n", "every count is 0"),
-        ("confusion.csv", b"tp,fp,tn,fn\n\xff\xfe1,2,3,4\n",
-         "expected UTF-8 text"),
-        ("confusion.csv",
-         "tp,fp,tn,fn\n" + "x" * (csv.field_size_limit() + 1) + "\n",
-         "field larger than field limit"),
-        ("metrics.json", "{not json", "expected a JSON object"),
-        ("metrics.json", "[]", "expected a JSON object"),
-        ("metrics.json", '{"accuracy": "high"}',
-         "accuracy: expected a finite number or null, got 'high'"),
-    ], ids=["empty", "header-only", "text-count", "three-counts",
-            "negative-count", "two-rows", "all-zero", "not-utf8",
-            "over-long-field", "metrics-not-json", "metrics-not-object",
-            "metrics-text-value"])
-    def test_report_rejects_malformed_run_dir(self, tmp_path, capsys,
-                                              central_run, name, text,
-                                              problem):
-        run_dir = tmp_path / "run"
-        shutil.copytree(central_run, run_dir)
-        (run_dir / name).write_bytes(
-            text if isinstance(text, bytes) else text.encode())
-        capsys.readouterr()
-        assert main(["report", "--dir", str(run_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {run_dir / name}: {problem}")
-        assert err.count("\n") == 1
-
     def test_report_skips_a_byte_order_mark(self, tmp_path, capsys,
                                             central_run):
         run_dir = tmp_path / "run"
@@ -1322,36 +1126,6 @@ class TestCli:
         assert main(["report", "--dir", str(run_dir)]) == 1
         assert "['accuracy', 'recall']" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("edit, problem", [
-        (lambda arrays: b"not an archive", NOT_ARCHIVE),
-        (replace("flat", last_is(np.nan)), f"flat: {NOT_FINITE}"),
-    ], ids=["text-file", "nan-flat"])
-    def test_evaluate_rejects_malformed_model_npz(self, tmp_path, capsys,
-                                                  central_run, edit, problem):
-        model_dir = tmp_path / "model"
-        shutil.copytree(central_run / "model", model_dir)
-        edit_model_npz(model_dir / "model.npz", edit)
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(write_tiny_yaml(tmp_path)),
-                     "--model", str(model_dir),
-                     "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {model_dir / 'model.npz'}: {problem}\n")
-
-    @pytest.mark.parametrize("name, edit, problem", BUNDLE_FACTS)
-    def test_evaluate_names_bundle_file_and_key(self, tmp_path, capsys,
-                                                central_run, name, edit,
-                                                problem):
-        model_dir = tmp_path / "model"
-        shutil.copytree(central_run / "model", model_dir)
-        edit_bundle_file(model_dir / name, edit)
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(write_tiny_yaml(tmp_path)),
-                     "--model", str(model_dir),
-                     "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {model_dir / name}: {problem}\n")
-
     def test_seed_flag_overrides(self, tmp_path):
         config = write_tiny_yaml(tmp_path)
         out_a = tmp_path / "a"
@@ -1363,169 +1137,44 @@ class TestCli:
         seed_b = json.loads((out_b / "metrics.json").read_text())["seed"]
         assert (seed_a, seed_b) == (7, 123)
 
-    @pytest.mark.parametrize("text, key", [
-        ("train:\n  epochz: 3\n", "epochz"),
-        ("strategy: {lipschitz: abc}\n", "strategy.lipschitz"),
-        ("dataset: {path: 5}\n", "dataset.path"),
-        ("strategy: {kind: qffl, q: 0.5}\n", "strategy.lipschitz")])
-    def test_error_exit_code(self, tmp_path, capsys, text, key):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(text)
-        code = main(["train", "--config", str(bad),
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert key in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("text, problem", [
-        (b"train: {epochs: [1\n", "not valid YAML at line 2, column 1"),
-        (b"seed: 7 # \xff\n", "expected UTF-8 text"),
-    ], ids=["malformed-yaml", "not-utf8"])
-    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys,
-                                                      text, problem):
-        bad = tmp_path / "bad.yaml"
-        bad.write_bytes(text)
-        assert main(["train", "--config", str(bad),
-                     "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
-
-    @pytest.mark.parametrize("key", ["train.learning_rate",
-                                     "federation.latency.jitter"])
-    def test_int_beyond_float_range_exits_2_with_one_line(self, tmp_path,
-                                                          capsys, key):
-        path = tmp_path / "big.yaml"
-        path.write_text(yaml.safe_dump(user_with(key, BIG_INT)))
-        capsys.readouterr()
-        assert main(["train", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
-        assert err.endswith("got an int that does not fit a float\n")
-
-    @pytest.mark.parametrize("case", [
-        "config-is-a-directory", "dataset-path-is-a-directory",
-        "model-is-a-file", "report-dir-is-a-file", "synth-out-is-a-file"])
-    def test_os_error_exits_2_with_one_line(self, tmp_path, capsys, case):
-        folder, plain = tmp_path / "folder", tmp_path / "plain.txt"
-        folder.mkdir()
-        plain.write_text("x\n")
-        config = write_tiny_yaml(tmp_path)
-        folder_data = tmp_path / "folder-data.yaml"
-        folder_data.write_text(yaml.safe_dump(
-            {"dataset": {"path": str(folder)}}))
-        out = ["--out", str(tmp_path / "out")]
-        argv, named = {
-            "config-is-a-directory": (
-                ["train", "--config", str(folder), *out], folder),
-            "dataset-path-is-a-directory": (
-                ["train", "--config", str(folder_data), *out], folder),
-            "model-is-a-file": (["evaluate", "--config", str(config),
-                                 "--model", str(plain), *out], plain),
-            "report-dir-is-a-file": (["report", "--dir", str(plain)], plain),
-            "synth-out-is-a-file": (
-                ["synth", "--config", str(config), "--out", str(plain)],
-                plain),
-        }[case]
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(named) in err
-
-    @pytest.mark.parametrize("mode", ["centralized", "federated"])
-    def test_evaluate_names_saved_model_on_other_width(self, tmp_path, capsys,
-                                                       mode):
-        run_dir = tmp_path / "run"
-        assert main(["train", "--config",
-                     str(write_tiny_yaml(tmp_path, mode=mode)),
-                     "--out", str(run_dir)]) == 0
-        wide = tmp_path / "wide"
-        wide.mkdir()
-        config = write_tiny_yaml(wide, mode=mode, dataset={"synth": {
-            "n_normal": 300, "n_attack": 80, "dim": 9, "displacement": 2.0,
-            "seed": 5}}, model={"input_dim": 9})
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(config),
-                     "--model", str(run_dir / "model"),
-                     "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err == (
-            "error: saved model input width 8 does not match the config's "
-            "dataset width 9\n")
-
-    @pytest.mark.parametrize("command", ["train", "partition"])
-    def test_too_many_clients_names_config_key(self, tmp_path, capsys,
-                                               command):
-        config = write_tiny_yaml(tmp_path, mode="federated",
-                                 federation={"n_clients": 1000})
-        capsys.readouterr()
-        assert main([command, "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: federation.n_clients: 1000 clients cannot split 380 "
-            "records\n")
-
-    def test_partition_rejects_clients_beyond_float_range(self, tmp_path,
-                                                          capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text(f"federation: {{n_clients: {BIG_INT}}}\n")
-        assert main(["partition", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: federation.n_clients: expected int, got an int that does "
-            "not fit a float\n")
-        assert not (tmp_path / "out").exists()
-
-    def test_seed_flag_beyond_float_range_rejected(self, tmp_path, capsys):
-        # as in a config file, so model.json never holds a seed it rejects
-        config = write_tiny_yaml(tmp_path)
-        assert main(["train", "--config", str(config), "--seed", str(BIG_INT),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: seed: expected int, got an int that does not fit a "
-            "float\n")
-        assert not (tmp_path / "out").exists()
-
-    def test_partition_rejects_alpha_beyond_float_range(self, tmp_path,
-                                                        capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("federation: {n_clients: 4, alpha: 1.0e+308}\n")
-        assert main(["partition", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "error: federation.alpha: 1e+308 times 4 clients is beyond the "
-            "float range, where the Dirichlet partition gives every client "
-            "a share of 0\n")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("argv, line", [
-        (["bogus"], "error: argument command: invalid choice: 'bogus' "),
-        (["train-central"],
-         "error: argument command: invalid choice: 'train-central' "),
-        (["evaluate", "--out", "x"],
-         "error: the following arguments are required: --model\n"),
-    ], ids=["unknown-command", "removed-command", "missing-option"])
-    def test_usage_error_is_one_error_line(self, capsys, argv, line):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(line) and err.count("\n") == 1
-        if "invalid choice" in line:
-            assert all(name in err for name in COMMANDS)
-
     def test_help_lists_the_commands(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == 0
         assert ("{" + ",".join(COMMANDS) + "}") in capsys.readouterr().out
 
-    def test_console_entry_point(self, tmp_path):
-        config = write_tiny_yaml(tmp_path)
-        out = tmp_path / "sub"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedanom.cli", "synth",
-             "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert (out / "dataset.csv").exists()
+
+class TestCliCases:
+    """Each row of `cli_cases.CASES`, run in-process through `cli.main`."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+    def test_case(self, tmp_path, base, case):
+        err, problems = cli_cases.run_case(case, tmp_path, base,
+                                           cli_cases.in_process)
+        assert problems == [], err
+
+    def test_case_names_are_unique(self):
+        names = [case.name for case in CASES]
+        assert sorted({name for name in names if names.count(name) > 1}) == []
+
+    def test_problems_names_each_broken_rule(self):
+        case = cli_cases.Case("c", "report --dir run", "x")
+        assert cli_cases.problems(case, 2, "error: x\n", False) == []
+        assert cli_cases.problems(case, 1, "Traceback\nerror: y\n", True) == [
+            "exit code 1, expected 2", "expected one stderr line, got 2",
+            "stderr does not start with 'error: '", "stderr holds a Traceback",
+            "stderr line does not match 'x'",
+            "the run left its --out directory"]
+
+    def test_script_pass(self, tmp_path, monkeypatch):
+        # the pass CI runs with the installed console script, here through
+        # the `python -m fedanom.cli` entry point of this source tree; its
+        # base run must exit 0
+        monkeypatch.setenv("PYTHONPATH",
+                           str(Path(fedanom.__file__).parents[1]))
+        cases = [case for case in CASES
+                 if case.name in ("malformed-yaml", "bundle-null-seed")]
+        assert len(cases) == 2
+        assert cli_cases.run_script([sys.executable, "-m", "fedanom.cli"],
+                                    tmp_path, cases) == []

@@ -188,6 +188,17 @@ class TestQfflAggregate:
         with pytest.raises(DegenerateAggregationError):
             qffl_aggregate(np.zeros(2), [(np.zeros(2), 0.0)])
 
+    def test_overflowing_denominator_names_round(self):
+        # |dw|^2 overflows at this estimate, and dividing by the infinite
+        # sum would leave the global model unchanged; no warning leaks
+        server = ServerState(np.array([1.0, -1.0]), round_index=2)
+        ups = [update(i, [0.5, 0.5], loss=0.4) for i in range(2)]
+        with pytest.raises(DegenerateAggregationError, match=(
+                r"^round 3: aggregation denominator must be finite and "
+                r"positive, got inf$")):
+            aggregate(server, ups, StrategyConfig(
+                kind=StrategyKind.QFFL, q=0.5, lipschitz=1e300), 1)
+
 
 class TestRelevance:
     def test_singleton_window(self):
